@@ -1,582 +1,29 @@
-"""Deviating-party strategies, randomized campaigns, and exhaustive exploration.
+"""Adversary drivers: randomized campaigns and exhaustive exploration.
 
-Strategies override the compliant controllers' hooks; they act only
-through the party context, so they can publish, schedule wakeups, and
-sign with their own key, but cannot touch other parties' keys or wallets
-or any contract state directly.
-
-The catalog is necessarily a finite under-approximation of "arbitrary
-deviation"; the exhaustive explorer quantifies over the catalog's
-decision points plus scheduler delay choices, nothing more.
+Both drivers run scenarios whose parties play strategies from the catalog
+in `parties.STRATEGIES`; this module only draws and enumerates those
+runs and judges them with `properties.evaluate_run`.
 """
 
 from __future__ import annotations
 
 import copy
+import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
+from . import properties
 from .assets import AssetBundle
-from .cbc import ABORTED, COMMITTED
-from .crypto import PathSignature, Vote, certificate_message, digest_hex, encode_message
 from .ledger import TapeChoices
-from .parties import CbcParty, TimelockParty
-from .planning import PlannedMove
-from .timelock import vote_payload
-
-
-def _compliant(party, deal, plan, cfg, params):
-    cls = CbcParty if cfg.protocol == "cbc" else TimelockParty
-    return cls(party, deal, plan, cfg)
-
-
-# -- crash / offline -----------------------------------------------------------
-
-
-def _make_silent_crash(base):
-    class SilentCrash(base):
-        strategy_name = "silent_crash"
-
-        def __init__(self, me, deal, plan, cfg, params):
-            super().__init__(me, deal, plan, cfg)
-            self.stop_tick = params.get("at")
-            self.stop_phase = params.get("phase")
-
-        def _crashed(self, now: int) -> bool:
-            if self.stop_tick is not None and now >= self.stop_tick:
-                return True
-            phase = self.stop_phase
-            if phase == "escrow":
-                return True
-            if phase == "transfer" and self.escrow_published:
-                return True
-            if phase == "commit" and self.escrow_published and self.moves_done >= len(
-                self.my_moves
-            ):
-                return True
-            return False
-
-        def handle_wake(self, ctx, tag):
-            if self._crashed(ctx.now):
-                return
-            super().handle_wake(ctx, tag)
-
-        def step(self, ctx):
-            if self._crashed(ctx.now):
-                return
-            super().step(ctx)
-
-        def on_validated(self, ctx):
-            if self._crashed(ctx.now):
-                return
-            super().on_validated(ctx)
-
-        def state_key(self):
-            return super().state_key() + (self.stop_tick, self.stop_phase)
-
-    return SilentCrash
-
-
-def _make_offline_window(base):
-    class OfflineWindow(base):
-        strategy_name = "offline_window"
-
-        def __init__(self, me, deal, plan, cfg, params):
-            super().__init__(me, deal, plan, cfg)
-            self.off_from = params.get("from", 0)
-            self.off_until = params.get("until", 0)
-            self._resume_scheduled = False
-
-        def _offline(self, now: int) -> bool:
-            return self.off_from <= now < self.off_until
-
-        def handle_wake(self, ctx, tag):
-            if self._offline(ctx.now):
-                self._schedule_resume(ctx)
-                return
-            super().handle_wake(ctx, tag)
-
-        def step(self, ctx):
-            if self._offline(ctx.now):
-                self._schedule_resume(ctx)
-                return
-            super().step(ctx)
-
-        def _schedule_resume(self, ctx):
-            if not self._resume_scheduled:
-                ctx.wake_at(self.off_until, "resume")
-                self._resume_scheduled = True
-
-        def state_key(self):
-            return super().state_key() + (self.off_from, self.off_until)
-
-    return OfflineWindow
-
-
-# -- timelock deviations ----------------------------------------------------------
-
-
-class SelectiveCommunication(TimelockParty):
-    """Acts compliant toward everyone except the ignored parties: never votes
-    at or forwards to lots that hold their escrows or pay them out."""
-
-    strategy_name = "selective_communication"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        self.ignore = frozenset(params.get("ignore", []))
-
-    def _touches_ignored(self, lot) -> bool:
-        if lot[1] in self.ignore:
-            return True
-        return any(p in self.ignore for p in self.plan.final_c.get(lot, {}))
-
-    def voting_targets(self, ctx):
-        return [l for l in super().voting_targets(ctx) if not self._touches_ignored(l)]
-
-    def forward_targets(self, ctx):
-        return [l for l in super().forward_targets(ctx) if not self._touches_ignored(l)]
-
-    def state_key(self):
-        return super().state_key() + (tuple(sorted(self.ignore)),)
-
-
-class WithholdVote(TimelockParty):
-    """Never publishes its own commit vote; still forwards everyone else's."""
-
-    strategy_name = "withhold_vote"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-
-    def publish_votes(self, ctx):
-        return
-
-
-class WithholdVoteCbc(CbcParty):
-    strategy_name = "withhold_vote"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-
-    def publish_cbc_vote(self, ctx, kind):
-        return
-
-
-class VoteNoForward(TimelockParty):
-    """Votes for itself, then free-rides on everyone else's forwarding."""
-
-    strategy_name = "vote_no_forward"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-
-    def forward_votes(self, ctx):
-        return
-
-
-class ReplayVotes(TimelockParty):
-    """Re-submits observed votes verbatim (and its own twice) instead of
-    extending path signatures; exercises duplicate and replay rejection."""
-
-    strategy_name = "replay_votes"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        self.replayed: set = set()
-
-    def forward_votes(self, ctx):
-        if self.validated_at is None:
-            return
-        for voter, path_json in sorted(self.observed_votes(ctx).items()):
-            for lot in self.forward_targets(ctx):
-                key = (voter, lot)
-                if key in self.replayed:
-                    continue
-                chain, escrower = lot
-                path = PathSignature.from_json(path_json)
-                ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
-                self.replayed.add(key)
-
-    def state_key(self):
-        return super().state_key() + (tuple(sorted(self.replayed)),)
-
-
-class LateClaim(TimelockParty):
-    """Delays its own votes (and optionally its forwards) to a chosen tick."""
-
-    strategy_name = "late_claim"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        self.vote_at = params.get("vote_at", deal.t0)
-        self.forward_at = params.get("forward_at")
-        self.forward_with_vote = params.get("forward_with_vote", False)
-
-    def on_validated(self, ctx):
-        ctx.wake_at(self.vote_at, "vote")
-        if self.forward_at is not None:
-            ctx.wake_at(self.forward_at, "late-forward")
-
-    def should_vote(self, ctx) -> bool:
-        return self.validated_at is not None and ctx.now >= self.vote_at
-
-    def forward_votes(self, ctx):
-        due = False
-        if self.forward_with_vote and ctx.now >= self.vote_at:
-            due = True
-        if self.forward_at is not None and ctx.now >= self.forward_at:
-            due = True
-        if due:
-            super().forward_votes(ctx)
-
-    def state_key(self):
-        return super().state_key() + (self.vote_at, self.forward_at, self.forward_with_vote)
-
-
-class ForgedSignature(TimelockParty):
-    """Attempts votes on a victim's behalf with fabricated signatures."""
-
-    strategy_name = "forged_signature"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        others = [p for p in deal.parties if p != me]
-        self.victim = params.get("victim", others[0])
-        self.attempts = params.get("attempts", 6)
-        self.salt = str(params.get("salt", 0))
-        self.forgeries_sent = 0
-        self.forgeries_accepted = 0
-
-    def _forged_paths(self, ctx) -> List[PathSignature]:
-        out = []
-        deal_id = self.deal.deal_id
-        for i in range(self.attempts):
-            nonce = digest_hex(encode_message("FNONCE", deal_id, self.victim, str(i), self.salt))[:16]
-            vote = Vote(deal_id, self.victim, nonce)
-            kind = i % 3
-            if kind == 0:
-                sig = digest_hex(encode_message("FORGE", deal_id, self.victim, str(i), self.salt))
-            elif kind == 1:
-                observed = self.observed_votes(ctx)
-                base_sig = None
-                for voter, pj in sorted(observed.items()):
-                    base_sig = pj["links"][0][1]
-                    break
-                if base_sig is None:
-                    sig = digest_hex(encode_message("FORGE2", deal_id, str(i), self.salt))
-                else:
-                    flipped = format(int(base_sig[-1], 16) ^ 1, "x")
-                    sig = base_sig[:-1] + flipped
-            else:
-                from .crypto import link_message
-
-                sig = ctx.scheme.sign(self.keypair(ctx), link_message(vote, ()))
-            out.append(PathSignature(vote, ((self.victim, sig),)))
-        return out
-
-    def publish_votes(self, ctx):
-        super().publish_votes(ctx)
-        if self.forgeries_sent:
-            return
-        targets = self.voting_targets(ctx) or self.plan.lots()
-        for path in self._forged_paths(ctx):
-            for lot in targets[:1]:
-                chain, escrower = lot
-                status, reason, _ = ctx.publish(
-                    chain, vote_payload(escrower, path, self.deal.deal_id)
-                )
-                self.forgeries_sent += 1
-                if status == "accepted":
-                    self.forgeries_accepted += 1
-
-    def state_key(self):
-        return super().state_key() + (self.forgeries_sent, self.forgeries_accepted)
-
-
-class Explored(TimelockParty):
-    """An adversary whose vote and forward timings are exploration choices.
-
-    Per target lot the own-vote menu is {t0, t0+d-1, t0+N*d-1, never}; per
-    observed vote and target lot the forward menu is {on observation,
-    t0+N*d-1, never}.  Targets are the lots the party receives through or
-    escrowed into; together with scheduler delays this is the explored
-    schedule space.
-    """
-
-    strategy_name = "explored"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        self.vote_choice: Dict[tuple, Optional[int]] = {}
-        self.fwd_choice: Dict[tuple, Optional[int]] = {}
-
-    def _target_lots(self) -> List[tuple]:
-        lots = set(self.plan.voting_lots(self.me)) | set(self.plan.escrowed_lots(self.me))
-        return sorted(lots)
-
-    def _forward_target_lots(self) -> List[tuple]:
-        # Forwarding only pays at the lots this party claims through; votes
-        # elsewhere are covered by other parties' own forwarding.
-        return sorted(self.plan.voting_lots(self.me))
-
-    def _vote_menu(self) -> List[Optional[int]]:
-        t0, d, n = self.deal.t0, self.deal.delta, len(self.deal.parties)
-        return [t0, t0 + d - 1, t0 + n * d - 1, None]
-
-    def _fwd_menu(self, observed_at: int) -> List[Optional[int]]:
-        t0, d, n = self.deal.t0, self.deal.delta, len(self.deal.parties)
-        return [observed_at, t0 + n * d - 1, None]
-
-    def on_validated(self, ctx):
-        for lot in self._target_lots():
-            when = ctx.choose(("adv-vote", self.me, lot), self._vote_menu())
-            self.vote_choice[lot] = when
-            if when is not None:
-                ctx.wake_at(when, "adv")
-
-    def publish_votes(self, ctx):
-        if self.validated_at is None:
-            return
-        from .crypto import direct_vote
-
-        for lot, when in sorted(
-            self.vote_choice.items(), key=lambda kv: (kv[1] is None, kv[1], kv[0])
-        ):
-            if when is None or ctx.now < when or lot in self.voted_lots:
-                continue
-            chain, escrower = lot
-            lot_view = ctx.view(chain)["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
-                continue
-            if self.me in lot_view["voted"]:
-                self.voted_lots.add(lot)
-                continue
-            path = direct_vote(ctx.scheme, self.keypair(ctx), self.my_vote())
-            ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
-            self.voted_lots.add(lot)
-
-    def forward_votes(self, ctx):
-        if self.validated_at is None:
-            return
-        from .crypto import extend_path
-
-        observed = self.observed_votes(ctx)
-        for voter, path_json in sorted(observed.items()):
-            if voter == self.me:
-                continue
-            for lot in self._forward_target_lots():
-                key = (voter, lot)
-                if key not in self.fwd_choice:
-                    when = ctx.choose(("adv-fwd", self.me, voter, lot), self._fwd_menu(ctx.now))
-                    self.fwd_choice[key] = when
-                    if when is not None and when > ctx.now:
-                        ctx.wake_at(when, "adv")
-        for (voter, lot), when in sorted(
-            self.fwd_choice.items(), key=lambda kv: (kv[1] is None, kv[1], kv[0])
-        ):
-            if when is None or ctx.now < when or (voter, lot) in self.forwarded:
-                continue
-            path_json = self.observed_votes(ctx).get(voter)
-            if path_json is None:
-                continue
-            path = PathSignature.from_json(path_json)
-            if self.me in path.signers():
-                continue
-            chain, escrower = lot
-            lot_view = ctx.view(chain)["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
-                continue
-            if voter in lot_view["voted"]:
-                self.forwarded.add((voter, lot))
-                continue
-            extended = extend_path(ctx.scheme, self.keypair(ctx), path)
-            ctx.publish(chain, vote_payload(escrower, extended, self.deal.deal_id))
-            self.forwarded.add((voter, lot))
-
-    def state_key(self):
-        return super().state_key() + (
-            tuple(sorted(self.vote_choice.items())),
-            tuple(sorted(self.fwd_choice.items())),
-        )
-
-
-# -- cbc deviations -----------------------------------------------------------------
-
-
-def _make_overpay(base):
-    class Overpay(base):
-        strategy_name = "overpay"
-
-        def __init__(self, me, deal, plan, cfg, params):
-            super().__init__(me, deal, plan, cfg)
-            step = params["step"]
-            self.extra = AssetBundle({(c, k): v for c, k, v in params["extra"]})
-            rebuilt = []
-            for move in self.my_moves:
-                if move.step == step:
-                    move = PlannedMove(
-                        move.step, move.lot, move.sender, move.receiver,
-                        move.bundle.plus(self.extra),
-                    )
-                rebuilt.append(move)
-            self.my_moves = rebuilt
-
-        def escrow_bundles(self):
-            out = super().escrow_bundles()
-            for chain in sorted(self.extra.chains()):
-                cur = out.get(chain, AssetBundle.empty())
-                out[chain] = cur.plus(self.extra.restrict(chain))
-            return out
-
-        def acceptability_ok(self, ctx, payoff):
-            return True
-
-        def state_key(self):
-            return super().state_key() + (self.extra.canonical(),)
-
-    return Overpay
-
-
-class FakeCertificate(CbcParty):
-    """Asks corrupt validators to sign a contradictory status and tries to
-    settle its own escrows with the resulting under-quorum certificates."""
-
-    strategy_name = "fake_certificate"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-        self.fake_status = params.get("status", ABORTED)
-        self.attempted = False
-        self.fakes_accepted = 0
-
-    def on_validated(self, ctx):
-        super().on_validated(ctx)
-        self._attempt_forgery(ctx)
-
-    def step(self, ctx):
-        super().step(ctx)
-        if self.h is not None and self.validated_at is not None:
-            self._attempt_forgery(ctx)
-
-    def _attempt_forgery(self, ctx):
-        if self.attempted or self.h is None:
-            return
-        self.attempted = True
-        from .cbc import Certificate
-
-        msg = certificate_message(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch)
-        corrupt = tuple(ctx.corrupt_signatures(msg))
-        own_sig = ctx.scheme.sign(self.keypair(ctx), msg)
-        variants = [corrupt]
-        variants.append(tuple(sorted(corrupt + ((self.me, own_sig),))))
-        if corrupt:
-            variants.append(tuple(sorted(corrupt + (corrupt[0],))))
-        targets = self.plan.escrowed_lots(self.me) or self.plan.lots()
-        for sigs in variants:
-            cert = Certificate(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch, sigs)
-            for lot in targets:
-                chain, escrower = lot
-                status, reason, _ = ctx.publish(
-                    chain,
-                    {
-                        "op": "settle",
-                        "deal": self.deal.deal_id,
-                        "party": self.me,
-                        "lot": escrower,
-                        "cert": cert.to_json(),
-                    },
-                )
-                if status == "accepted":
-                    self.fakes_accepted += 1
-
-    def state_key(self):
-        return super().state_key() + (self.attempted, self.fakes_accepted)
-
-
-class AbortAfterCommit(CbcParty):
-    """Votes commit and rescinds immediately, skipping the grace wait."""
-
-    strategy_name = "abort_after_commit"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg)
-
-    def on_validated(self, ctx):
-        self.publish_cbc_vote(ctx, "commit")
-        self.publish_cbc_vote(ctx, "abort")
-
-
-SilentCrashTimelock = _make_silent_crash(TimelockParty)
-SilentCrashCbc = _make_silent_crash(CbcParty)
-OfflineWindowTimelock = _make_offline_window(TimelockParty)
-OfflineWindowCbc = _make_offline_window(CbcParty)
-OverpayTimelock = _make_overpay(TimelockParty)
-OverpayCbc = _make_overpay(CbcParty)
-
-
-def _by_protocol(timelock_cls, cbc_cls):
-    def factory(party, deal, plan, cfg, params):
-        cls = cbc_cls if cfg.protocol == "cbc" else timelock_cls
-        return cls(party, deal, plan, cfg, params)
-
-    return factory
-
-
-def _timelock_only(cls):
-    def factory(party, deal, plan, cfg, params):
-        if cfg.protocol == "cbc":
-            return CbcParty(party, deal, plan, cfg)
-        return cls(party, deal, plan, cfg, params)
-
-    return factory
-
-
-def _cbc_only(cls):
-    def factory(party, deal, plan, cfg, params):
-        if cfg.protocol != "cbc":
-            return TimelockParty(party, deal, plan, cfg)
-        return cls(party, deal, plan, cfg, params)
-
-    return factory
-
-
-STRATEGIES: Dict[str, Callable] = {
-    "compliant": _compliant,
-    "silent_crash": _by_protocol(SilentCrashTimelock, SilentCrashCbc),
-    "offline_window": _by_protocol(OfflineWindowTimelock, OfflineWindowCbc),
-    "selective_communication": _timelock_only(SelectiveCommunication),
-    "overpay": _by_protocol(OverpayTimelock, OverpayCbc),
-    "withhold_vote": _by_protocol(WithholdVote, WithholdVoteCbc),
-    "vote_no_forward": _timelock_only(VoteNoForward),
-    "replay_votes": _timelock_only(ReplayVotes),
-    "late_claim": _timelock_only(LateClaim),
-    "forged_signature": _timelock_only(ForgedSignature),
-    "fake_certificate": _cbc_only(FakeCertificate),
-    "abort_after_commit": _cbc_only(AbortAfterCommit),
-    "explored": _timelock_only(Explored),
-}
+from .parties import STRATEGIES
+from .scenario import ScenarioError, build_world, prepare, run_scenario, validate_scenario
 
 
 def builtin_strategies() -> Dict[str, dict]:
     """Catalog of deviating-party strategies with their parameters."""
     return {
-        "compliant": {"params": [], "protocols": ["timelock", "naive", "cbc"]},
-        "silent_crash": {"params": ["at", "phase"], "protocols": ["timelock", "naive", "cbc"]},
-        "offline_window": {"params": ["from", "until"], "protocols": ["timelock", "naive", "cbc"]},
-        "selective_communication": {"params": ["ignore"], "protocols": ["timelock", "naive"]},
-        "overpay": {"params": ["step", "extra"], "protocols": ["timelock", "naive", "cbc"]},
-        "withhold_vote": {"params": [], "protocols": ["timelock", "naive", "cbc"]},
-        "vote_no_forward": {"params": [], "protocols": ["timelock", "naive"]},
-        "replay_votes": {"params": [], "protocols": ["timelock", "naive"]},
-        "late_claim": {
-            "params": ["vote_at", "forward_at", "forward_with_vote"],
-            "protocols": ["timelock", "naive"],
-        },
-        "forged_signature": {"params": ["victim", "attempts", "salt"], "protocols": ["timelock", "naive"]},
-        "fake_certificate": {"params": ["status"], "protocols": ["cbc"]},
-        "abort_after_commit": {"params": [], "protocols": ["cbc"]},
-        "explored": {"params": [], "protocols": ["timelock", "naive"]},
+        name: {"params": list(cls.params), "protocols": list(cls.protocols)}
+        for name, cls in STRATEGIES.items()
     }
 
 
@@ -606,41 +53,6 @@ class CampaignReport:
         }
 
 
-def _random_params(name: str, scenario: dict, rng) -> dict:
-    deal = scenario["deal"]
-    t0, d, n = deal["t0"], deal["delta"], len(deal["parties"])
-    if name == "silent_crash":
-        return {"phase": rng.choice(["escrow", "transfer", "commit"])}
-    if name == "offline_window":
-        start = rng.randrange(0, t0 + n * d)
-        return {"from": start, "until": start + rng.randrange(1, 3 * d)}
-    if name == "selective_communication":
-        others = list(deal["parties"])
-        return {"ignore": [rng.choice(others)]}
-    if name == "late_claim":
-        return {
-            "vote_at": rng.choice([t0 + d - 1, t0 + 2 * d - 1, t0 + n * d - 1]),
-            "forward_with_vote": rng.random() < 0.5,
-        }
-    if name == "forged_signature":
-        return {"attempts": 6, "salt": rng.randrange(1 << 16)}
-    if name == "fake_certificate":
-        return {"status": rng.choice([COMMITTED, ABORTED])}
-    if name == "withhold_vote" or name == "vote_no_forward" or name == "replay_votes":
-        return {}
-    if name == "abort_after_commit":
-        return {}
-    if name == "overpay":
-        transfers = deal["transfers"]
-        fungible_steps = [t for t in transfers if t["bundle"]["fungible"]]
-        if not fungible_steps:
-            return {"step": transfers[0]["step"], "extra": []}
-        pick = rng.choice(fungible_steps)
-        chain, kind, _ = pick["bundle"]["fungible"][0]
-        return {"step": pick["step"], "extra": [[chain, kind, rng.randrange(1, 1000)]]}
-    return {}
-
-
 def random_campaign(
     base_scenarios: List[dict],
     strategy_mix: List[str],
@@ -656,12 +68,10 @@ def random_campaign(
     """
     if runs < 1:
         raise ValueError("a campaign needs at least one run")
-    import random as _random
-
-    from .properties import evaluate_run
-    from .scenario import run_scenario, validate_scenario
-
-    rng = _random.Random(f"campaign-{seed}")
+    for name in strategy_mix:
+        if name not in STRATEGIES:
+            raise ScenarioError(f"unknown strategy {name!r}")
+    rng = random.Random(f"campaign-{seed}")
     outcomes: Dict[str, int] = {}
     violations: List[dict] = []
     witnesses = []
@@ -676,7 +86,7 @@ def random_campaign(
         wallet_extra = {}
         for party in adversaries:
             name = strategy_mix[rng.randrange(len(strategy_mix))]
-            params = _random_params(name, scenario, rng)
+            params = STRATEGIES[name].random_params(scenario, rng)
             scenario["strategies"][party] = {"name": name, "params": params}
             if name == "overpay" and params.get("extra"):
                 wallet_extra[party] = params["extra"]
@@ -686,7 +96,7 @@ def random_campaign(
                 AssetBundle({(c, k): v for c, k, v in extra})
             ).to_json()
         built, trace = run_scenario(scenario)
-        report = evaluate_run(trace)
+        report = properties.evaluate_run(trace)
         outcomes[report["outcome"]] = outcomes.get(report["outcome"], 0) + 1
         for failure in report["failures"]:
             violations.append(
@@ -752,9 +162,6 @@ def exhaustive_explore(
     visited are pruned, which is sound because runs are deterministic
     functions of the choice sequence.
     """
-    from .properties import evaluate_run
-    from .scenario import build_world, prepare
-
     prepared = prepare(scenario)
     scenario = prepared.scenario
     if len(scenario["deal"]["parties"]) > bound.max_parties:
@@ -763,7 +170,7 @@ def exhaustive_explore(
         raise ValueError("scenario exceeds exploration lot bound")
     if evaluate is None:
         def evaluate(trace):
-            return evaluate_run(trace)["failures"]
+            return properties.evaluate_run(trace)["failures"]
 
     stack: List[List[int]] = [[]]
     visited = set()

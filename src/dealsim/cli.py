@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
 from .costs import GasSchedule, check_asymptotics, meter
+from .deals import DealSpec, payoff_of_run
 from .properties import run_verdicts
 from .replay import ReplayError, replay_trace
 from .scenario import ScenarioError, build_world, list_bundled, load_scenario
@@ -33,8 +34,6 @@ def _schedule(args) -> GasSchedule:
 
 
 def build_report(trace: RunTrace, schedule: GasSchedule) -> dict:
-    from .deals import DealSpec, payoff_of_run
-
     verdicts = run_verdicts(trace)
     costs = meter(trace, schedule)
     bounds = check_asymptotics(costs)

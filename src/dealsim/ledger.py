@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle
+from .crypto import SignatureScheme
 from .trace import RunTrace, TraceEvent, payload_digest
 
 TIMER_SENDER = "@timer"
@@ -183,8 +184,21 @@ class Chain:
             )
         return self._key_cache
 
-    def invalidate_key(self):
+    def append(
+        self, publisher: str, payload: dict, tick: int, scheme: SignatureScheme
+    ) -> Tuple[int, str, Optional[str], dict]:
+        """Apply one entry published at `tick` and record it with the view
+        after it; returns (seq, status, reason, info)."""
         self._key_cache = None
+        seq = len(self.entries)
+        status, reason, info = self.contract.apply(
+            payload, publisher, self, tick + self.skew, scheme
+        )
+        self.entries.append(
+            {"seq": seq, "publisher": publisher, "payload": payload, "tick": tick, "status": status}
+        )
+        self.views.append(self.contract.view())
+        return seq, status, reason, info
 
 
 @dataclass(order=True)
@@ -285,8 +299,6 @@ class World:
         self._seq = 0
         self._timer_scheduled: set = set()
         self._truncated = False
-        from .crypto import SignatureScheme
-
         self.scheme = SignatureScheme(seed=f"run-{seed}")
 
     # -- construction --------------------------------------------------------
@@ -345,22 +357,9 @@ class World:
     def publish(self, chain_id: str, publisher: str, payload: dict) -> Tuple[str, Optional[str], dict]:
         if chain_id not in self.chains:
             raise ValueError(f"unknown chain {chain_id!r}")
-        chain = self.chains[chain_id]
-        chain.invalidate_key()
-        seq = len(chain.entries)
-        local_now = self.now + chain.skew
-        status, reason, info = chain.contract.apply(
-            payload, publisher, chain, local_now, self.scheme
+        seq, status, reason, info = self.chains[chain_id].append(
+            publisher, payload, self.now, self.scheme
         )
-        entry = {
-            "seq": seq,
-            "publisher": publisher,
-            "payload": payload,
-            "tick": self.now,
-            "status": status,
-        }
-        chain.entries.append(entry)
-        chain.views.append(chain.contract.view())
         self.trace_events.append(
             TraceEvent(
                 tick=self.now,
@@ -394,14 +393,10 @@ class World:
             due = contract.t0 + len(contract.plist) * contract.delta
             self.schedule_lot_timeout(chain_id, info["lot"], due)
 
-    def read_state(self, chain_id: str, observer: str) -> dict:
-        frontier = self.frontiers[observer].get(chain_id, -1)
-        return self.chains[chain_id].view_at(frontier)
-
     # -- the loop --------------------------------------------------------------
 
     def run(self) -> RunTrace:
-        initial = {cid: self.chains[cid].wallets.snapshot() for cid in sorted(self.chains)}
+        initial = self.wallet_snapshots()
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.due > self.horizon:
@@ -435,14 +430,22 @@ class World:
                     )
         return self._build_trace(initial)
 
-    def _build_trace(self, initial) -> RunTrace:
-        terminal = {cid: self.chains[cid].wallets.snapshot() for cid in sorted(self.chains)}
-        resolutions = {}
+    def wallet_snapshots(self) -> Dict[str, dict]:
+        return {cid: self.chains[cid].wallets.snapshot() for cid in sorted(self.chains)}
+
+    def resolutions(self) -> Dict[str, Tuple[str, Optional[int]]]:
+        """Every escrow lot's (resolution, tick), keyed "chain/escrower"."""
+        out = {}
         for cid in sorted(self.chains):
             contract = self.chains[cid].contract
             if hasattr(contract, "resolutions"):
                 for lot, res in contract.resolutions().items():
-                    resolutions[f"{cid}/{lot}"] = res
+                    out[f"{cid}/{lot}"] = res
+        return out
+
+    def _build_trace(self, initial) -> RunTrace:
+        terminal = self.wallet_snapshots()
+        resolutions = self.resolutions()
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
         if self.scenario_digest is None:
             self.scenario_digest = payload_digest(self.scenario)

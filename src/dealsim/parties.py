@@ -1,4 +1,4 @@
-"""Compliant party controllers for the timelock and certified-ledger protocols.
+"""Party controllers: the compliant protocols and the deviating strategies.
 
 A controller reacts to delivered notifications and its own timers, and
 acts only through the PartyContext: publishing entries and scheduling
@@ -10,19 +10,49 @@ it escrows its outgoing assets, runs its scripted transfers, votes at the
 lots it receives assets through, monitors the chains carrying its
 outgoing assets, and forwards any vote it observes there to its own lots,
 extending the path signature with its own signature.
+
+Deviating strategies override the compliant controllers' hooks; they act
+only through the party context, so they can publish, schedule wakeups,
+and sign with their own key, but cannot touch other parties' keys or
+wallets or any contract state directly.  Each strategy class carries its
+own catalog entry: its name, its parameter names, a campaign sampler for
+those parameters, and -- through its base class -- the protocols it
+covers.  The catalog is necessarily a finite under-approximation of
+"arbitrary deviation"; the exhaustive explorer quantifies over its
+decision points plus scheduler delay choices, nothing more.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle, Payoff, net_payoff
-from .cbc import UNDECIDED, cbc_decide, definitive_start
-from .crypto import PathSignature, Vote, digest_hex, direct_vote, encode_message, extend_path
+from .cbc import (
+    ABORTED,
+    COMMITTED,
+    UNDECIDED,
+    CbcError,
+    Certificate,
+    cbc_decide,
+    definitive_start,
+)
+from .crypto import (
+    PathSignature,
+    Vote,
+    certificate_message,
+    digest_hex,
+    direct_vote,
+    encode_message,
+    extend_path,
+    link_message,
+)
 from .deals import DealSpec, is_acceptable
-from .planning import DealPlan, LotId
+from .planning import DealPlan, LotId, PlannedMove
 from .timelock import vote_payload
+
+PROTOCOLS = ("timelock", "naive", "cbc")
 
 
 @dataclass
@@ -42,8 +72,10 @@ class CompliantParty:
     """Shared escrow / transfer / validation phases; protocols specialize commit."""
 
     strategy_name = "compliant"
+    protocols: Tuple[str, ...] = PROTOCOLS
+    params: Tuple[str, ...] = ()  # the keys a strategy reads from its params
 
-    def __init__(self, me: str, deal: DealSpec, plan: DealPlan, cfg: PartyConfig):
+    def __init__(self, me: str, deal: DealSpec, plan: DealPlan, cfg: PartyConfig, params: dict):
         self.me = me
         self.deal = deal
         self.plan = plan
@@ -55,6 +87,11 @@ class CompliantParty:
         self.validation_rejected = False
         self._keypair = None
         self._vote: Optional[Vote] = None
+
+    @classmethod
+    def random_params(cls, scenario: dict, rng) -> dict:
+        """Campaign draw of this strategy's params for a validated scenario."""
+        return {}
 
     # -- identity ------------------------------------------------------------
 
@@ -246,8 +283,10 @@ class CompliantParty:
 class TimelockParty(CompliantParty):
     """Votes at the lots it receives through; forwards observed votes there."""
 
-    def __init__(self, me, deal, plan, cfg):
-        super().__init__(me, deal, plan, cfg)
+    protocols = ("timelock", "naive")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
         self.voted_lots: set = set()
         self.forwarded: set = set()
 
@@ -266,18 +305,19 @@ class TimelockParty(CompliantParty):
         if not self.should_vote(ctx):
             return
         for lot in self.voting_targets(ctx):
-            if lot in self.voted_lots:
-                continue
-            chain, escrower = lot
-            lot_view = ctx.view(chain)["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
-                continue
-            if self.me in lot_view["voted"]:
-                self.voted_lots.add(lot)
-                continue
+            if lot not in self.voted_lots:
+                self.publish_vote_at(ctx, lot)
+
+    def publish_vote_at(self, ctx, lot: LotId):
+        """Publish my direct vote at `lot` unless it is resolved or has it."""
+        chain, escrower = lot
+        lot_view = ctx.view(chain)["lots"].get(escrower)
+        if lot_view is None or lot_view["resolution"] != "active":
+            return
+        if self.me not in lot_view["voted"]:
             path = direct_vote(ctx.scheme, self.keypair(ctx), self.my_vote())
             ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
-            self.voted_lots.add(lot)
+        self.voted_lots.add(lot)
 
     def observed_votes(self, ctx) -> Dict[str, dict]:
         """Shortest-path version of each voter's accepted vote at watched lots."""
@@ -305,18 +345,20 @@ class TimelockParty(CompliantParty):
             if self.me in path.signers():
                 continue
             for lot in targets:
-                if (voter, lot) in self.forwarded:
-                    continue
-                chain, escrower = lot
-                lot_view = ctx.view(chain)["lots"].get(escrower)
-                if lot_view is None or lot_view["resolution"] != "active":
-                    continue
-                if voter in lot_view["voted"]:
-                    self.forwarded.add((voter, lot))
-                    continue
-                extended = extend_path(ctx.scheme, self.keypair(ctx), path)
-                ctx.publish(chain, vote_payload(escrower, extended, self.deal.deal_id))
-                self.forwarded.add((voter, lot))
+                if (voter, lot) not in self.forwarded:
+                    self.publish_forward(ctx, voter, path, lot)
+
+    def publish_forward(self, ctx, voter: str, path: PathSignature, lot: LotId):
+        """Publish `path` extended by my signature at `lot` unless it is
+        resolved or already holds the voter's vote."""
+        chain, escrower = lot
+        lot_view = ctx.view(chain)["lots"].get(escrower)
+        if lot_view is None or lot_view["resolution"] != "active":
+            return
+        if voter not in lot_view["voted"]:
+            extended = extend_path(ctx.scheme, self.keypair(ctx), path)
+            ctx.publish(chain, vote_payload(escrower, extended, self.deal.deal_id))
+        self.forwarded.add((voter, lot))
 
     def state_key(self) -> tuple:
         return super().state_key() + (
@@ -328,8 +370,10 @@ class TimelockParty(CompliantParty):
 class CbcParty(CompliantParty):
     """Votes once on the shared ledger, then settles escrows with certificates."""
 
-    def __init__(self, me, deal, plan, cfg):
-        super().__init__(me, deal, plan, cfg)
+    protocols = ("cbc",)
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
         self.h: Optional[str] = None
         self.commit_sent = False
         self.abort_sent = False
@@ -428,11 +472,7 @@ class CbcParty(CompliantParty):
 
     def settle_targets(self, status: str) -> List[LotId]:
         if status == "committed":
-            return [
-                lot
-                for lot in self.plan.lots()
-                if not self.plan.entitlement(self.me, lot).is_empty()
-            ]
+            return self.entitlement_lots()
         return self.plan.escrowed_lots(self.me)
 
     def try_settle(self, ctx):
@@ -441,7 +481,7 @@ class CbcParty(CompliantParty):
         entries = ctx.view(self.cbc_chain(ctx)).get("entries", [])
         try:
             decision = cbc_decide(entries, self.deal.deal_id, self.h)
-        except Exception:
+        except CbcError:
             return
         if decision.status == UNDECIDED:
             return
@@ -476,3 +516,526 @@ class CbcParty(CompliantParty):
             self.abort_sent,
             tuple(sorted(self.settled)),
         )
+
+
+# -- deviating strategies -------------------------------------------------------
+#
+# A strategy derived from CompliantParty itself covers every protocol and is
+# composed with the protocol's base by `controller_class`; one derived from
+# TimelockParty or CbcParty covers only that protocol.
+
+
+class SilentCrash(CompliantParty):
+    """Stops acting for good at a tick or on entering a phase."""
+
+    strategy_name = "silent_crash"
+    params = ("at", "phase")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.stop_tick = params.get("at")
+        self.stop_phase = params.get("phase")
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        return {"phase": rng.choice(["escrow", "transfer", "commit"])}
+
+    def _crashed(self, now: int) -> bool:
+        if self.stop_tick is not None and now >= self.stop_tick:
+            return True
+        phase = self.stop_phase
+        if phase == "escrow":
+            return True
+        if phase == "transfer" and self.escrow_published:
+            return True
+        if phase == "commit" and self.escrow_published and self.moves_done >= len(
+            self.my_moves
+        ):
+            return True
+        return False
+
+    def handle_wake(self, ctx, tag):
+        if self._crashed(ctx.now):
+            return
+        super().handle_wake(ctx, tag)
+
+    def step(self, ctx):
+        if self._crashed(ctx.now):
+            return
+        super().step(ctx)
+
+    def on_validated(self, ctx):
+        if self._crashed(ctx.now):
+            return
+        super().on_validated(ctx)
+
+    def state_key(self):
+        return super().state_key() + (self.stop_tick, self.stop_phase)
+
+
+class OfflineWindow(CompliantParty):
+    """Ignores every notification and timer inside a window, then resumes."""
+
+    strategy_name = "offline_window"
+    params = ("from", "until")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.off_from = params.get("from", 0)
+        self.off_until = params.get("until", 0)
+        self._resume_scheduled = False
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        deal = scenario["deal"]
+        t0, d, n = deal["t0"], deal["delta"], len(deal["parties"])
+        start = rng.randrange(0, t0 + n * d)
+        return {"from": start, "until": start + rng.randrange(1, 3 * d)}
+
+    def _offline(self, now: int) -> bool:
+        return self.off_from <= now < self.off_until
+
+    def handle_wake(self, ctx, tag):
+        if self._offline(ctx.now):
+            self._schedule_resume(ctx)
+            return
+        super().handle_wake(ctx, tag)
+
+    def step(self, ctx):
+        if self._offline(ctx.now):
+            self._schedule_resume(ctx)
+            return
+        super().step(ctx)
+
+    def _schedule_resume(self, ctx):
+        if not self._resume_scheduled:
+            ctx.wake_at(self.off_until, "resume")
+            self._resume_scheduled = True
+
+    def state_key(self):
+        return super().state_key() + (self.off_from, self.off_until)
+
+
+class Overpay(CompliantParty):
+    """Pays extra coins at one transfer step and accepts any payoff."""
+
+    strategy_name = "overpay"
+    params = ("step", "extra")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        step = params["step"]
+        self.extra = AssetBundle({(c, k): v for c, k, v in params["extra"]})
+        rebuilt = []
+        for move in self.my_moves:
+            if move.step == step:
+                move = PlannedMove(
+                    move.step, move.lot, move.sender, move.receiver,
+                    move.bundle.plus(self.extra),
+                )
+            rebuilt.append(move)
+        self.my_moves = rebuilt
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        transfers = scenario["deal"]["transfers"]
+        fungible_steps = [t for t in transfers if t["bundle"]["fungible"]]
+        if not fungible_steps:
+            return {"step": transfers[0]["step"], "extra": []}
+        pick = rng.choice(fungible_steps)
+        chain, kind, _ = pick["bundle"]["fungible"][0]
+        return {"step": pick["step"], "extra": [[chain, kind, rng.randrange(1, 1000)]]}
+
+    def escrow_bundles(self):
+        out = super().escrow_bundles()
+        for chain in sorted(self.extra.chains()):
+            cur = out.get(chain, AssetBundle.empty())
+            out[chain] = cur.plus(self.extra.restrict(chain))
+        return out
+
+    def acceptability_ok(self, ctx, payoff):
+        return True
+
+    def state_key(self):
+        return super().state_key() + (self.extra.canonical(),)
+
+
+class WithholdVote(CompliantParty):
+    """Never publishes a vote of its own (under CBC neither commit nor
+    abort); under timelock it still forwards everyone else's."""
+
+    strategy_name = "withhold_vote"
+
+    def publish_votes(self, ctx):
+        return
+
+    def publish_cbc_vote(self, ctx, kind):
+        return
+
+
+# -- timelock deviations ----------------------------------------------------------
+
+
+class SelectiveCommunication(TimelockParty):
+    """Acts compliant toward everyone except the ignored parties: never votes
+    at or forwards to lots that hold their escrows or pay them out."""
+
+    strategy_name = "selective_communication"
+    params = ("ignore",)
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.ignore = frozenset(params.get("ignore", []))
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        return {"ignore": [rng.choice(list(scenario["deal"]["parties"]))]}
+
+    def _touches_ignored(self, lot) -> bool:
+        if lot[1] in self.ignore:
+            return True
+        return any(p in self.ignore for p in self.plan.final_c.get(lot, {}))
+
+    def voting_targets(self, ctx):
+        return [l for l in super().voting_targets(ctx) if not self._touches_ignored(l)]
+
+    def forward_targets(self, ctx):
+        return [l for l in super().forward_targets(ctx) if not self._touches_ignored(l)]
+
+    def state_key(self):
+        return super().state_key() + (tuple(sorted(self.ignore)),)
+
+
+class VoteNoForward(TimelockParty):
+    """Votes for itself, then free-rides on everyone else's forwarding."""
+
+    strategy_name = "vote_no_forward"
+
+    def forward_votes(self, ctx):
+        return
+
+
+class ReplayVotes(TimelockParty):
+    """Re-submits observed votes verbatim (and its own twice) instead of
+    extending path signatures; exercises duplicate and replay rejection."""
+
+    strategy_name = "replay_votes"
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.replayed: set = set()
+
+    def forward_votes(self, ctx):
+        if self.validated_at is None:
+            return
+        for voter, path_json in sorted(self.observed_votes(ctx).items()):
+            for lot in self.forward_targets(ctx):
+                key = (voter, lot)
+                if key in self.replayed:
+                    continue
+                chain, escrower = lot
+                path = PathSignature.from_json(path_json)
+                ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
+                self.replayed.add(key)
+
+    def state_key(self):
+        return super().state_key() + (tuple(sorted(self.replayed)),)
+
+
+class LateClaim(TimelockParty):
+    """Delays its own votes (and optionally its forwards) to a chosen tick."""
+
+    strategy_name = "late_claim"
+    params = ("vote_at", "forward_at", "forward_with_vote")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.vote_at = params.get("vote_at", deal.t0)
+        self.forward_at = params.get("forward_at")
+        self.forward_with_vote = params.get("forward_with_vote", False)
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        deal = scenario["deal"]
+        t0, d, n = deal["t0"], deal["delta"], len(deal["parties"])
+        return {
+            "vote_at": rng.choice([t0 + d - 1, t0 + 2 * d - 1, t0 + n * d - 1]),
+            "forward_with_vote": rng.random() < 0.5,
+        }
+
+    def on_validated(self, ctx):
+        ctx.wake_at(self.vote_at, "vote")
+        if self.forward_at is not None:
+            ctx.wake_at(self.forward_at, "late-forward")
+
+    def should_vote(self, ctx) -> bool:
+        return self.validated_at is not None and ctx.now >= self.vote_at
+
+    def forward_votes(self, ctx):
+        due = False
+        if self.forward_with_vote and ctx.now >= self.vote_at:
+            due = True
+        if self.forward_at is not None and ctx.now >= self.forward_at:
+            due = True
+        if due:
+            super().forward_votes(ctx)
+
+    def state_key(self):
+        return super().state_key() + (self.vote_at, self.forward_at, self.forward_with_vote)
+
+
+class ForgedSignature(TimelockParty):
+    """Attempts votes on a victim's behalf with fabricated signatures."""
+
+    strategy_name = "forged_signature"
+    params = ("victim", "attempts", "salt")
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        others = [p for p in deal.parties if p != me]
+        self.victim = params.get("victim", others[0])
+        self.attempts = params.get("attempts", 6)
+        self.salt = str(params.get("salt", 0))
+        self.forgeries_sent = 0
+        self.forgeries_accepted = 0
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        return {"attempts": 6, "salt": rng.randrange(1 << 16)}
+
+    def _forged_paths(self, ctx) -> List[PathSignature]:
+        out = []
+        deal_id = self.deal.deal_id
+        for i in range(self.attempts):
+            nonce = digest_hex(encode_message("FNONCE", deal_id, self.victim, str(i), self.salt))[:16]
+            vote = Vote(deal_id, self.victim, nonce)
+            kind = i % 3
+            if kind == 0:
+                sig = digest_hex(encode_message("FORGE", deal_id, self.victim, str(i), self.salt))
+            elif kind == 1:
+                observed = self.observed_votes(ctx)
+                base_sig = None
+                for voter, pj in sorted(observed.items()):
+                    base_sig = pj["links"][0][1]
+                    break
+                if base_sig is None:
+                    sig = digest_hex(encode_message("FORGE2", deal_id, str(i), self.salt))
+                else:
+                    flipped = format(int(base_sig[-1], 16) ^ 1, "x")
+                    sig = base_sig[:-1] + flipped
+            else:
+                sig = ctx.scheme.sign(self.keypair(ctx), link_message(vote, ()))
+            out.append(PathSignature(vote, ((self.victim, sig),)))
+        return out
+
+    def publish_votes(self, ctx):
+        super().publish_votes(ctx)
+        if self.forgeries_sent:
+            return
+        targets = self.voting_targets(ctx) or self.plan.lots()
+        for path in self._forged_paths(ctx):
+            for lot in targets[:1]:
+                chain, escrower = lot
+                status, reason, _ = ctx.publish(
+                    chain, vote_payload(escrower, path, self.deal.deal_id)
+                )
+                self.forgeries_sent += 1
+                if status == "accepted":
+                    self.forgeries_accepted += 1
+
+    def state_key(self):
+        return super().state_key() + (self.forgeries_sent, self.forgeries_accepted)
+
+
+class Explored(TimelockParty):
+    """An adversary whose vote and forward timings are exploration choices.
+
+    Per target lot the own-vote menu is {t0, t0+d-1, t0+N*d-1, never}; per
+    observed vote and target lot the forward menu is {on observation,
+    t0+N*d-1, never}.  Targets are the lots the party receives through or
+    escrowed into; together with scheduler delays this is the explored
+    schedule space.
+    """
+
+    strategy_name = "explored"
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.vote_choice: Dict[tuple, Optional[int]] = {}
+        self.fwd_choice: Dict[tuple, Optional[int]] = {}
+
+    def _target_lots(self) -> List[tuple]:
+        lots = set(self.plan.voting_lots(self.me)) | set(self.plan.escrowed_lots(self.me))
+        return sorted(lots)
+
+    def _forward_target_lots(self) -> List[tuple]:
+        # Forwarding only pays at the lots this party claims through; votes
+        # elsewhere are covered by other parties' own forwarding.
+        return sorted(self.plan.voting_lots(self.me))
+
+    def _vote_menu(self) -> List[Optional[int]]:
+        t0, d, n = self.deal.t0, self.deal.delta, len(self.deal.parties)
+        return [t0, t0 + d - 1, t0 + n * d - 1, None]
+
+    def _fwd_menu(self, observed_at: int) -> List[Optional[int]]:
+        t0, d, n = self.deal.t0, self.deal.delta, len(self.deal.parties)
+        return [observed_at, t0 + n * d - 1, None]
+
+    def on_validated(self, ctx):
+        for lot in self._target_lots():
+            when = ctx.choose(("adv-vote", self.me, lot), self._vote_menu())
+            self.vote_choice[lot] = when
+            if when is not None:
+                ctx.wake_at(when, "adv")
+
+    def publish_votes(self, ctx):
+        if self.validated_at is None:
+            return
+        for lot, when in sorted(
+            self.vote_choice.items(), key=lambda kv: (kv[1] is None, kv[1], kv[0])
+        ):
+            if when is not None and ctx.now >= when and lot not in self.voted_lots:
+                self.publish_vote_at(ctx, lot)
+
+    def forward_votes(self, ctx):
+        if self.validated_at is None:
+            return
+        observed = self.observed_votes(ctx)
+        for voter, path_json in sorted(observed.items()):
+            if voter == self.me:
+                continue
+            for lot in self._forward_target_lots():
+                key = (voter, lot)
+                if key not in self.fwd_choice:
+                    when = ctx.choose(("adv-fwd", self.me, voter, lot), self._fwd_menu(ctx.now))
+                    self.fwd_choice[key] = when
+                    if when is not None and when > ctx.now:
+                        ctx.wake_at(when, "adv")
+        for (voter, lot), when in sorted(
+            self.fwd_choice.items(), key=lambda kv: (kv[1] is None, kv[1], kv[0])
+        ):
+            if when is None or ctx.now < when or (voter, lot) in self.forwarded:
+                continue
+            path_json = self.observed_votes(ctx).get(voter)
+            if path_json is None:
+                continue
+            path = PathSignature.from_json(path_json)
+            if self.me not in path.signers():
+                self.publish_forward(ctx, voter, path, lot)
+
+    def state_key(self):
+        return super().state_key() + (
+            tuple(sorted(self.vote_choice.items())),
+            tuple(sorted(self.fwd_choice.items())),
+        )
+
+
+# -- cbc deviations -----------------------------------------------------------------
+
+
+class FakeCertificate(CbcParty):
+    """Asks corrupt validators to sign a contradictory status and tries to
+    settle its own escrows with the resulting under-quorum certificates."""
+
+    strategy_name = "fake_certificate"
+    params = ("status",)
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.fake_status = params.get("status", ABORTED)
+        self.attempted = False
+        self.fakes_accepted = 0
+
+    @classmethod
+    def random_params(cls, scenario, rng):
+        return {"status": rng.choice([COMMITTED, ABORTED])}
+
+    def on_validated(self, ctx):
+        super().on_validated(ctx)
+        self._attempt_forgery(ctx)
+
+    def step(self, ctx):
+        super().step(ctx)
+        if self.h is not None and self.validated_at is not None:
+            self._attempt_forgery(ctx)
+
+    def _attempt_forgery(self, ctx):
+        if self.attempted or self.h is None:
+            return
+        self.attempted = True
+        msg = certificate_message(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch)
+        corrupt = tuple(ctx.corrupt_signatures(msg))
+        own_sig = ctx.scheme.sign(self.keypair(ctx), msg)
+        variants = [corrupt]
+        variants.append(tuple(sorted(corrupt + ((self.me, own_sig),))))
+        if corrupt:
+            variants.append(tuple(sorted(corrupt + (corrupt[0],))))
+        targets = self.plan.escrowed_lots(self.me) or self.plan.lots()
+        for sigs in variants:
+            cert = Certificate(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch, sigs)
+            for lot in targets:
+                chain, escrower = lot
+                status, reason, _ = ctx.publish(
+                    chain,
+                    {
+                        "op": "settle",
+                        "deal": self.deal.deal_id,
+                        "party": self.me,
+                        "lot": escrower,
+                        "cert": cert.to_json(),
+                    },
+                )
+                if status == "accepted":
+                    self.fakes_accepted += 1
+
+    def state_key(self):
+        return super().state_key() + (self.attempted, self.fakes_accepted)
+
+
+class AbortAfterCommit(CbcParty):
+    """Votes commit and rescinds immediately, skipping the grace wait."""
+
+    strategy_name = "abort_after_commit"
+
+    def on_validated(self, ctx):
+        self.publish_cbc_vote(ctx, "commit")
+        self.publish_cbc_vote(ctx, "abort")
+
+
+# -- the registry -------------------------------------------------------------------
+
+STRATEGIES: Dict[str, type] = {
+    cls.strategy_name: cls
+    for cls in (
+        CompliantParty,
+        SilentCrash,
+        OfflineWindow,
+        SelectiveCommunication,
+        Overpay,
+        WithholdVote,
+        VoteNoForward,
+        ReplayVotes,
+        LateClaim,
+        ForgedSignature,
+        FakeCertificate,
+        AbortAfterCommit,
+        Explored,
+    )
+}
+
+
+@functools.cache
+def controller_class(name: str, protocol: str) -> type:
+    """The controller class that plays strategy `name` under `protocol`.
+
+    A protocol-generic strategy is composed with the protocol's compliant
+    base; under a protocol the strategy does not cover, the party plays
+    the compliant base.
+    """
+    strategy = STRATEGIES[name]
+    base = CbcParty if protocol == "cbc" else TimelockParty
+    if protocol not in strategy.protocols or issubclass(base, strategy):
+        return base
+    if issubclass(strategy, base):
+        return strategy
+    return type(strategy.__name__, (strategy, base), {})

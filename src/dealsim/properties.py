@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from .cbc import ABORTED, COMMITTED
+from .cbc import ABORTED, COMMITTED, Certificate, ValidatorService, verify_certificate
+from .crypto import SignatureScheme
 from .deals import DealSpec, is_acceptable, payoff_of_run, wallet_delta_payoff
 
 
@@ -157,9 +158,6 @@ def check_agreement(trace) -> Verdict:
     certificates, and compliant escrows must all resolve the same way."""
     if trace.scenario["protocol"] != "cbc":
         return Verdict("agreement", None, "inapplicable: not a certified-ledger run")
-    from .cbc import Certificate, ValidatorService, verify_certificate
-    from .crypto import SignatureScheme
-
     scheme = SignatureScheme(seed=f"run-{trace.seed}")
     cbc_cfg = trace.scenario["cbc"]
     service = ValidatorService(scheme, cbc_cfg["f"], cbc_cfg["corrupt"])

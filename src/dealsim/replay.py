@@ -1,11 +1,12 @@
 """Replay a recorded trace through fresh contract state machines.
 
 Replay applies the trace's published entries, in order, to contracts
-rebuilt from the embedded scenario.  Every entry must produce the status
-the trace recorded and the terminal ownership must match the snapshot;
-the first inconsistency is reported by record index.  Verdicts and costs
-are then re-derived from the replayed trace, so a faithful replay yields
-the original report.
+rebuilt from the embedded scenario.  Every entry must produce the status,
+rejection reason and info the trace recorded; the initial and terminal
+ownership, every escrow resolution and its tick, and the set of
+compliant parties must match as well.  The first inconsistency is reported by record index
+where it has one.  Verdicts and costs are then re-derived from the
+replayed trace, so a faithful replay yields the original report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import List
 
 from .costs import CostReport, GasSchedule, meter
 from .properties import Verdict, run_verdicts
+from .scenario import build_world
 from .trace import RunTrace
 
 
@@ -31,10 +33,9 @@ class ReplayReport:
 
 
 def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> ReplayReport:
-    from .scenario import build_world
-
-    built = build_world(trace.scenario, seed=trace.seed)
-    world = built.world
+    world = build_world(trace.scenario, seed=trace.seed).world
+    if world.wallet_snapshots() != trace.initial_wallets:
+        raise ReplayError("initial ownership does not match the scenario's wallets")
     checked = 0
     for index, event in enumerate(trace.events):
         if event.kind != "publish":
@@ -46,34 +47,30 @@ def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> Repl
             raise ReplayError(
                 f"record {index}: sequence {event.seq} does not follow ledger order"
             )
-        local_now = event.tick + chain.skew
-        status, reason, info = chain.contract.apply(
-            event.payload, event.publisher, chain, local_now, world.scheme
+        _, status, reason, info = chain.append(
+            event.publisher, event.payload, event.tick, world.scheme
         )
-        chain.entries.append(
-            {"seq": event.seq, "publisher": event.publisher, "payload": event.payload,
-             "tick": event.tick, "status": status}
-        )
-        chain.views.append(chain.contract.view())
         checked += 1
         if status != event.status:
             raise ReplayError(
                 f"record {index}: recorded {event.status} but replay produced {status}"
                 + (f" ({reason})" if reason else "")
             )
-    terminal = {cid: world.chains[cid].wallets.snapshot() for cid in sorted(world.chains)}
-    if terminal != trace.terminal_wallets:
+        if reason != event.reason:
+            raise ReplayError(
+                f"record {index}: recorded reason {event.reason!r} but replay produced {reason!r}"
+            )
+        if info != event.info:
+            raise ReplayError(
+                f"record {index}: recorded info {event.info!r} but replay produced {info!r}"
+            )
+    if world.wallet_snapshots() != trace.terminal_wallets:
         raise ReplayError("terminal ownership does not match the recorded snapshot")
-    resolutions = {}
-    for cid in sorted(world.chains):
-        contract = world.chains[cid].contract
-        if hasattr(contract, "resolutions"):
-            for lot, res in contract.resolutions().items():
-                resolutions[f"{cid}/{lot}"] = res
-    recorded = {k: (v[0], v[1]) for k, v in trace.resolutions.items()}
-    replayed = {k: (v[0], v[1]) for k, v in resolutions.items()}
-    if {k: v[0] for k, v in recorded.items()} != {k: v[0] for k, v in replayed.items()}:
+    recorded = {k: tuple(v) for k, v in trace.resolutions.items()}
+    if recorded != world.resolutions():
         raise ReplayError("escrow resolutions do not match the recorded trace")
+    if trace.metadata.get("compliant") != sorted(world.compliant):
+        raise ReplayError("compliant parties do not match the scenario's strategies")
     verdicts = run_verdicts(trace)
     costs = meter(trace, schedule)
     return ReplayReport(trace, verdicts, costs, checked)

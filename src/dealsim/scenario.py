@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -48,10 +49,10 @@ from .cbc import CbcLogContract, ValidatorService
 from .deals import DealSpec
 from .escrow import EscrowContract
 from .ledger import NetworkModel, World
-from .parties import PartyConfig
+from .parties import PROTOCOLS, STRATEGIES, PartyConfig, controller_class
 from .planning import DealPlan, build_plan
+from .trace import payload_digest
 
-PROTOCOLS = ("timelock", "naive", "cbc")
 CBC_CHAIN = "cbc"
 
 
@@ -104,8 +105,6 @@ def validate_scenario(raw: dict) -> dict:
         if party not in deal.parties:
             raise ScenarioError(f"wallet for unknown party {party!r}")
     strategies = sc.setdefault("strategies", {})
-    from .adversary import STRATEGIES  # deferred: adversary imports this module
-
     for party, binding in strategies.items():
         if party not in deal.parties:
             raise ScenarioError(f"strategy bound to unknown party {party!r}")
@@ -189,8 +188,6 @@ def initial_holdings(scenario: dict) -> Dict[str, AssetBundle]:
 
 
 def prepare(scenario: dict) -> Prepared:
-    from .trace import payload_digest
-
     sc = validate_scenario(scenario)
     deal = DealSpec.from_json(sc["deal"])
     holdings = initial_holdings(sc)
@@ -214,9 +211,7 @@ def build_world(
     world = World(sc, network, run_seed, sc["horizon"], choices, prepared.digest)
     world.register_deal(deal.deal_id)
 
-    import random as _random
-
-    skew_rng = _random.Random(f"skew-{run_seed}")
+    skew_rng = random.Random(f"skew-{run_seed}")
     protocol = sc["protocol"]
     for chain_id in deal.chains():
         skew = skew_rng.randint(0, network.skew_max) if network.skew_max else 0
@@ -247,8 +242,6 @@ def build_world(
 
     plan = prepared.plan
 
-    from .adversary import STRATEGIES
-
     def chains_of_interest(party: str) -> List[str]:
         lots = set(plan.source_lots(party)) | set(plan.voting_lots(party))
         lots |= set(plan.escrowed_lots(party))
@@ -272,8 +265,7 @@ def build_world(
             f=sc["cbc"]["f"],
             epoch=0,
         )
-        factory = STRATEGIES[name]
-        controller = factory(party, deal, plan, cfg, params)
+        controller = controller_class(name, protocol)(party, deal, plan, cfg, params)
         world.add_party(party, controller, chains_of_interest(party))
         if name == "compliant":
             world.compliant.add(party)

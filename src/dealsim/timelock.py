@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import PathSignature, SignatureScheme, verify_path
+from .crypto import PathSignature, SignatureScheme, path_defect
 
 ACCEPT = "accepted"
 REJECT = "rejected"
@@ -56,20 +56,9 @@ def judge_vote(
         return VoteRuling(REJECT, "unknown-voter", 0)
     if path.vote.voter in voted:
         return VoteRuling(REJECT, "duplicate", 0)
-    signers = path.signers()
-    if (
-        not signers
-        or signers[0] != path.vote.voter
-        or len(set(signers)) != len(signers)
-        or not set(signers) <= set(plist)
-    ):
-        return VoteRuling(REJECT, "invalid-path", 0)
-    from .crypto import link_message
-
-    for i, (signer, sig) in enumerate(path.links):
-        if not scheme.verify(signer, link_message(path.vote, path.links[:i]), sig):
-            return VoteRuling(REJECT, f"bad-signature@{i}", i + 1)
-    assert verify_path(scheme, path, plist)
+    defect = path_defect(scheme, path, plist)
+    if defect is not None:
+        return VoteRuling(REJECT, *defect)
     return VoteRuling(ACCEPT, None, path.path_len)
 
 

@@ -12,7 +12,7 @@ from dealsim.assets import AssetBundle, Payoff
 from dealsim.deals import payoff_of_run
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
-from dealsim.scenario import swap_deal, ticket_deal
+from dealsim.scenario import ScenarioError, swap_deal, ticket_deal
 
 from conftest import run_scenario_dict
 
@@ -142,6 +142,10 @@ class TestCampaigns:
         report = random_campaign(bases, mix, runs=150, seed=11)
         assert report.violation_count == 0
         assert sum(report.outcomes.values()) == 150
+
+    def test_unknown_strategy_in_mix_is_rejected(self):
+        with pytest.raises(ScenarioError, match="no_such_strategy"):
+            random_campaign([swap_deal("timelock")], ["no_such_strategy"], runs=1, seed=0)
 
     def test_naive_campaign_finds_violations_with_witness(self):
         base = swap_deal("naive")

@@ -5,8 +5,12 @@ import json
 import pytest
 
 from dealsim.cli import main
+from dealsim.costs import meter
+from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
 from dealsim.trace import RunTrace
+
+from conftest import run_scenario_dict
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +134,43 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayError) as err:
             replay_trace(trace)
         assert f"record {expected_index}" in str(err.value)
+
+    @staticmethod
+    def ticket_trace(corpus):
+        _, trace = run_scenario_dict(corpus["ticket_deal_timelock"])
+        return RunTrace.from_json(json.loads(json.dumps(trace.to_json())))
+
+    def test_replay_rejects_tampered_info(self, corpus):
+        trace = self.ticket_trace(corpus)
+        for index, event in enumerate(trace.events):
+            commit = event.payload.get("op") == "commit" and event.status == "accepted"
+            if commit and "finalized" not in event.info:
+                event.info["finalized"] = "committed"  # charges finalize writes
+                break
+        assert meter(trace).gas_total() != meter(self.ticket_trace(corpus)).gas_total()
+        with pytest.raises(ReplayError) as err:
+            replay_trace(trace)
+        assert f"record {index}: recorded info" in str(err.value)
+
+    def test_replay_rejects_tampered_resolution_ticks(self, corpus):
+        trace = self.ticket_trace(corpus)
+        trace.resolutions = {k: (res, tick + 1000) for k, (res, tick) in trace.resolutions.items()}
+        assert not check_weak_liveness(trace).passed
+        with pytest.raises(ReplayError, match="resolutions"):
+            replay_trace(trace)
+
+    def test_replay_rejects_tampered_compliant_set(self, corpus):
+        trace = self.ticket_trace(corpus)
+        trace.metadata["compliant"] = trace.metadata["compliant"][:1]
+        with pytest.raises(ReplayError, match="compliant"):
+            replay_trace(trace)
+
+    def test_replay_rejects_tampered_initial_wallets(self, corpus):
+        trace = self.ticket_trace(corpus)
+        trace.initial_wallets["coin"]["fungible"]["bob"] = {"coin": 200}
+        assert not check_safety(trace).passed
+        with pytest.raises(ReplayError, match="initial ownership"):
+            replay_trace(trace)
 
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dealsim.ledger import ModelViolation, NetworkModel, World
+from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, World
 from dealsim.scenario import ticket_deal
 
 from conftest import run_scenario_dict
@@ -95,8 +95,8 @@ class TestReadState:
         world = tiny_world()
         world.publish("c", "m1", {"n": 0})
         # m2 has not been notified yet: its view is still the initial state
-        assert world.read_state("c", "m2")["count"] == 0
-        assert world.read_state("c", "m1")["count"] == 1  # publisher sees its own entry
+        assert PartyContext(world, "m2").view("c")["count"] == 0
+        assert PartyContext(world, "m1").view("c")["count"] == 1  # publisher sees its own entry
 
 
 class TestDeterminism:

@@ -82,6 +82,16 @@ class TestVoteDeadlines:
         assert (status, reason) == ("rejected", "duplicate")
         assert contract.lots["carol"].voted == before
 
+    def test_accepted_vote_verifies_each_link_once(self, voting_setup):
+        scheme, chain, contract = voting_setup
+        path = vote_of(scheme, "bob", ["alice"])
+        calls = []
+        verify = scheme.verify
+        scheme.verify = lambda *args: calls.append(args) or verify(*args)
+        status, _, _ = submit(contract, chain, scheme, path, T0)
+        assert status == "accepted"
+        assert len(calls) == path.path_len
+
     def test_duplicate_signer_path_rejected(self, voting_setup):
         scheme, chain, contract = voting_setup
         path = vote_of(scheme, "bob", ["alice"])
