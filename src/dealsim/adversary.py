@@ -16,7 +16,7 @@ from . import properties
 from .assets import AssetBundle
 from .ledger import TapeChoices
 from .parties import STRATEGIES
-from .scenario import ScenarioError, build_world, prepare, run_scenario, validate_scenario
+from .scenario import ScenarioError, build_world, run_scenario, validate_scenario
 
 
 def builtin_strategies() -> Dict[str, dict]:
@@ -157,22 +157,26 @@ def exhaustive_explore(
     """Enumerate every schedule in the scenario's choice space.
 
     Schedules are sequences of choice-point decisions (delivery latencies
-    and adversary action timings).  Depth-first re-execution covers one
-    complete schedule per run; branch points whose world state was already
-    visited are pruned, which is sound because runs are deterministic
-    functions of the choice sequence.
+    and adversary action timings), explored depth first in the style of
+    stateless search, except that no schedule re-runs its prefix: one
+    world is built per exploration, and each branch is resumed by
+    restoring the world's snapshot from the start of the event holding
+    the branch point and replaying only that event's picks.  Branch
+    points whose world state was already visited are pruned, which is
+    sound because runs are deterministic functions of the choice sequence.
     """
-    prepared = prepare(scenario)
-    scenario = prepared.scenario
-    if len(scenario["deal"]["parties"]) > bound.max_parties:
+    built = build_world(scenario, choices=TapeChoices([]))
+    if len(built.deal.parties) > bound.max_parties:
         raise ValueError("scenario exceeds exploration party bound")
-    if len(prepared.plan.lots()) > bound.max_lots:
+    if len(built.plan.lots()) > bound.max_lots:
         raise ValueError("scenario exceeds exploration lot bound")
     if evaluate is None:
         def evaluate(trace):
             return properties.evaluate_run(trace)["failures"]
 
-    stack: List[List[int]] = [[]]
+    world = built.world
+    # (absolute tape, picks made before the resumed event, snapshot at its start)
+    stack: List[tuple] = [([], 0, world.snapshot())]
     visited = set()
     runs = 0
     terminals = 0
@@ -184,10 +188,10 @@ def exhaustive_explore(
         if runs >= bound.max_runs:
             complete = False
             break
-        tape = stack.pop()
-        choices = TapeChoices(tape)
-        built = build_world(scenario, choices=choices, prepared=prepared)
-        trace = built.world.run()
+        tape, base, snap = stack.pop()
+        world.restore(snap)
+        choices = world.choices = TapeChoices(tape[base:])
+        trace = world.run()
         runs += 1
         terminals += 1
         failures = evaluate(trace)
@@ -202,10 +206,14 @@ def exhaustive_explore(
             if len(witnesses) < keep_witnesses:
                 witnesses.append(trace)
         log = choices.log
-        if len(log) > bound.max_choice_points:
+        if base + len(log) > bound.max_choice_points:
             complete = False
             continue
-        for j in range(len(tape), len(log)):
+        # The resumed event began before the tape ran out, so its start is
+        # the restored snapshot rather than one of choices.starts.
+        starts = [(0, snap)] + choices.starts
+        event = 0
+        for j in range(len(tape) - base, len(log)):
             label, n, chosen, key = log[j]
             if n <= 1:
                 continue
@@ -213,9 +221,12 @@ def exhaustive_explore(
                 continue
             visited.add(key)
             branch_points += 1
-            prefix = choices.chosen_prefix(j)
+            while event + 1 < len(starts) and starts[event + 1][0] <= j:
+                event += 1
+            first, event_snap = starts[event]
+            prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
-                stack.append(prefix + [k])
+                stack.append((prefix + [k], base + first, event_snap))
     if violations:
         verdict = "VIOLATION"
     elif complete:

@@ -141,6 +141,12 @@ class CbcLogContract:
     def view(self) -> dict:
         return {"entries": [dict(e) for e in self.entries]}
 
+    def snapshot(self) -> int:
+        return len(self.entries)
+
+    def restore(self, length: int):
+        del self.entries[length:]
+
     def state_key(self) -> tuple:
         return tuple(
             tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in e.items()))

@@ -134,7 +134,10 @@ def cmd_run(args) -> int:
         return EXIT_PROPERTY if result.verdict == "VIOLATION" else EXIT_OK
 
     if args.runs > 1:
-        report = random_campaign([scenario], ["compliant"], args.runs, args.seed or 0)
+        # Every run keeps the file's strategy bindings; only the seed varies.
+        report = random_campaign(
+            [scenario], ["compliant"], args.runs, args.seed or 0, max_adversaries=0
+        )
         if args.report == "structured":
             print(json.dumps(report.to_json(), indent=1, sort_keys=True))
         else:

@@ -20,6 +20,10 @@ from .timelock import judge_vote, refund_due
 ACTIVE = "active"
 
 
+class EscrowInvariantError(ValueError):
+    """A lot's bookkeeping broke an invariant the contract relies on."""
+
+
 class Lot:
     """One escrow call's assets, with commit-owner and abort-owner views."""
 
@@ -71,10 +75,17 @@ class Lot:
         per_kind: Dict[str, int] = {}
         for owner, kinds in self.c_fun.items():
             for kind, amount in kinds.items():
-                assert amount >= 0
+                if amount < 0:
+                    raise EscrowInvariantError(
+                        f"lot {self.escrower!r}: negative commit balance {owner}/{kind}"
+                    )
                 per_kind[kind] = per_kind.get(kind, 0) + amount
-        assert per_kind == {k: v for k, v in self.fungible.items() if v}
-        assert set(self.c_tok) == self.tokens
+        if per_kind != {k: v for k, v in self.fungible.items() if v}:
+            raise EscrowInvariantError(
+                f"lot {self.escrower!r}: commit view {per_kind} != escrowed {self.fungible}"
+            )
+        if set(self.c_tok) != self.tokens:
+            raise EscrowInvariantError(f"lot {self.escrower!r}: token commit view differs")
 
     def view(self) -> dict:
         return {
@@ -90,6 +101,25 @@ class Lot:
                 for voter, path in self.voted.items()
             },
         }
+
+    def snapshot(self) -> tuple:
+        return (
+            dict(self.fungible),
+            frozenset(self.tokens),
+            {p: dict(kinds) for p, kinds in self.c_fun.items()},
+            dict(self.c_tok),
+            dict(self.voted),
+            self.resolution,
+            self.resolved_tick,
+        )
+
+    def restore(self, snap: tuple):
+        fungible, tokens, c_fun, c_tok, voted, self.resolution, self.resolved_tick = snap
+        self.fungible = dict(fungible)
+        self.tokens = set(tokens)
+        self.c_fun = {p: dict(kinds) for p, kinds in c_fun.items()}
+        self.c_tok = dict(c_tok)
+        self.voted = dict(voted)  # accepted paths are never mutated
 
     def state_key(self) -> tuple:
         # resolved_tick is trace data, not behavior: omitting it lets the
@@ -284,7 +314,8 @@ class EscrowContract:
     # -- resolution ----------------------------------------------------------
 
     def _finalize(self, lot: Lot, outcome: str, chain, now: int):
-        assert lot.resolution == ACTIVE
+        if lot.resolution != ACTIVE:
+            raise EscrowInvariantError(f"lot {lot.escrower!r} is already {lot.resolution}")
         if outcome == COMMITTED:
             for party, kinds in lot.c_fun.items():
                 for kind, amount in kinds.items():
@@ -333,6 +364,16 @@ class EscrowContract:
             cbc,
             tuple((e, lot.state_key()) for e, lot in sorted(self.lots.items())),
         )
+
+    def snapshot(self) -> tuple:
+        return self.cbc, {e: lot.snapshot() for e, lot in self.lots.items()}
+
+    def restore(self, snap: tuple):
+        self.cbc, lots = snap
+        self.lots = {}
+        for escrower, lot_snap in lots.items():
+            lot = self.lots[escrower] = Lot(escrower)
+            lot.restore(lot_snap)
 
     def unresolved_lots(self) -> List[str]:
         return sorted(e for e, lot in self.lots.items() if lot.resolution == ACTIVE)

@@ -5,7 +5,8 @@ one resident contract, plus party controllers that react to delivered
 notifications and timers.  All scheduling randomness flows through a
 single choice source, so a (scenario, seed) pair fixes the entire run;
 swapping in a tape-driven choice source turns the same machinery into an
-exhaustive explorer.
+exhaustive explorer, and `World.snapshot`/`World.restore` let it resume a
+run from any event boundary instead of re-running the events before it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class SeededChoices:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
+    def event_start(self, world):
+        pass
+
     def pick(self, label: tuple, options: list, world=None):
         if len(options) == 1:
             return options[0]
@@ -68,12 +72,20 @@ class TapeChoices:
 
     Every pick is logged with its option count and, at branch points, the
     world's state key, which is what the exhaustive explorer prunes on.
+    Once the tape is used up, the world is also snapshotted at the start
+    of every event, so the explorer can resume a branch from the start of
+    the event that holds it.
     """
 
     def __init__(self, tape: List[int]):
         self.tape = list(tape)
         self.pos = 0
         self.log: List[tuple] = []  # (label, n_options, chosen, state_key | None)
+        self.starts: List[tuple] = []  # (len(log) at the event's start, world snapshot)
+
+    def event_start(self, world):
+        if self.pos >= len(self.tape):
+            self.starts.append((len(self.log), world.snapshot()))
 
     def pick(self, label: tuple, options: list, world=None):
         n = len(options)
@@ -135,7 +147,7 @@ class Wallets:
         toks = [(self.chain_id, t) for t, o in self.tokens.items() if o == party]
         return AssetBundle(fun, toks)
 
-    def snapshot(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "fungible": {
                 p: {k: v for k, v in kinds.items() if v}
@@ -154,6 +166,14 @@ class Wallets:
             tuple(sorted(self.tokens.items())),
         )
 
+    def snapshot(self) -> tuple:
+        return {p: dict(kinds) for p, kinds in self.fungible.items()}, dict(self.tokens)
+
+    def restore(self, snap: tuple):
+        fungible, tokens = snap
+        self.fungible = {p: dict(kinds) for p, kinds in fungible.items()}
+        self.tokens = dict(tokens)
+
 
 class Chain:
     """One ledger: totally ordered entries applied to a resident contract."""
@@ -167,6 +187,7 @@ class Chain:
         self.views: List[dict] = []  # contract view after each entry
         self._initial_view = contract.view()
         self._key_cache: Optional[tuple] = None
+        self._snapshot: Optional[tuple] = None
 
     def view_at(self, frontier: int) -> dict:
         """Contract state as of entry `frontier` (-1 for the initial state)."""
@@ -190,6 +211,7 @@ class Chain:
         """Apply one entry published at `tick` and record it with the view
         after it; returns (seq, status, reason, info)."""
         self._key_cache = None
+        self._snapshot = None
         seq = len(self.entries)
         status, reason, info = self.contract.apply(
             payload, publisher, self, tick + self.skew, scheme
@@ -199,6 +221,23 @@ class Chain:
         )
         self.views.append(self.contract.view())
         return seq, status, reason, info
+
+    def snapshot(self) -> tuple:
+        # Like the state key, a chain changes only by `append`, so one
+        # snapshot serves every event boundary until the next entry.
+        # Entries and views grow together: one length restores both.
+        if self._snapshot is None:
+            self._snapshot = (len(self.entries), self.wallets.snapshot(), self.contract.snapshot())
+        return self._snapshot
+
+    def restore(self, snap: tuple):
+        length, wallets, contract = snap
+        del self.entries[length:]
+        del self.views[length:]
+        self.wallets.restore(wallets)
+        self.contract.restore(contract)
+        self._key_cache = None
+        self._snapshot = snap
 
 
 @dataclass(order=True)
@@ -299,6 +338,7 @@ class World:
         self._seq = 0
         self._timer_scheduled: set = set()
         self._truncated = False
+        self._initial_wallets: Optional[Dict[str, dict]] = None
         self.scheme = SignatureScheme(seed=f"run-{seed}")
 
     # -- construction --------------------------------------------------------
@@ -396,8 +436,15 @@ class World:
     # -- the loop --------------------------------------------------------------
 
     def run(self) -> RunTrace:
-        initial = self.wallet_snapshots()
+        """Process events until the heap drains or passes the horizon.
+
+        After `restore`, the run resumes from the restored event boundary;
+        the trace still starts from the wallets of the first run's start.
+        """
+        if self._initial_wallets is None:
+            self._initial_wallets = self.wallet_snapshots()
         while self._heap:
+            self.choices.event_start(self)
             event = heapq.heappop(self._heap)
             if event.due > self.horizon:
                 self._truncated = True
@@ -428,10 +475,10 @@ class World:
                         TIMER_SENDER,
                         {"op": "timeout", "deal": contract.deal_id, "lot": lot},
                     )
-        return self._build_trace(initial)
+        return self._build_trace()
 
     def wallet_snapshots(self) -> Dict[str, dict]:
-        return {cid: self.chains[cid].wallets.snapshot() for cid in sorted(self.chains)}
+        return {cid: self.chains[cid].wallets.to_json() for cid in sorted(self.chains)}
 
     def resolutions(self) -> Dict[str, Tuple[str, Optional[int]]]:
         """Every escrow lot's (resolution, tick), keyed "chain/escrower"."""
@@ -443,7 +490,7 @@ class World:
                     out[f"{cid}/{lot}"] = res
         return out
 
-    def _build_trace(self, initial) -> RunTrace:
+    def _build_trace(self) -> RunTrace:
         terminal = self.wallet_snapshots()
         resolutions = self.resolutions()
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
@@ -464,8 +511,8 @@ class World:
         return RunTrace(
             scenario=self.scenario,
             seed=self.seed,
-            events=self.trace_events,
-            initial_wallets=initial,
+            events=list(self.trace_events),
+            initial_wallets=self._initial_wallets,
             terminal_wallets=terminal,
             resolutions=resolutions,
             metadata=metadata,
@@ -484,3 +531,33 @@ class World:
                 (p, self.controllers[p].state_key()) for p in sorted(self.controllers)
             ),
         )
+
+    def snapshot(self) -> tuple:
+        """The run's mutable state at an event boundary, for `restore`.
+
+        Containers are copied; append-only lists are kept as lengths.
+        """
+        return (
+            self.now,
+            self._seq,
+            list(self._heap),
+            frozenset(self._timer_scheduled),
+            {p: dict(fr) for p, fr in self.frontiers.items()},
+            self._truncated,
+            len(self.trace_events),
+            [chain.snapshot() for chain in self.chains.values()],
+            [controller.snapshot() for controller in self.controllers.values()],
+        )
+
+    def restore(self, snap: tuple):
+        """Rewind to `snap`; the snapshot stays valid for further restores."""
+        (self.now, self._seq, heap, timers, frontiers, self._truncated,
+         n_events, chains, controllers) = snap
+        self._heap = list(heap)
+        self._timer_scheduled = set(timers)
+        self.frontiers = {p: dict(fr) for p, fr in frontiers.items()}
+        del self.trace_events[n_events:]
+        for chain, chain_snap in zip(self.chains.values(), chains):
+            chain.restore(chain_snap)
+        for controller, controller_snap in zip(self.controllers.values(), controllers):
+            controller.restore(controller_snap)

@@ -54,6 +54,8 @@ from .timelock import vote_payload
 
 PROTOCOLS = ("timelock", "naive", "cbc")
 
+_CONTAINERS = frozenset((dict, set, list))
+
 
 @dataclass
 class PartyConfig:
@@ -267,6 +269,16 @@ class CompliantParty:
         self.on_validated(ctx)
 
     # -- exploration support ------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Every field, containers copied one level deep (their items are
+        never mutated in place)."""
+        return {k: v.copy() if type(v) in _CONTAINERS else v for k, v in vars(self).items()}
+
+    def restore(self, snap: dict):
+        fields = vars(self)
+        fields.clear()
+        fields.update((k, v.copy() if type(v) in _CONTAINERS else v) for k, v in snap.items())
 
     def state_key(self) -> tuple:
         # Ticks that no longer steer behavior (like when validation finished)

@@ -96,7 +96,7 @@ def validate_scenario(raw: dict) -> dict:
     sc["network"] = network
     try:
         deal = DealSpec.from_json(sc["deal"])
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad deal: {exc}") from exc
     if deal.delta != network["delta"]:
         raise ScenarioError("deal delta and network delta must agree")
@@ -169,46 +169,17 @@ class Built:
     scenario: dict
 
 
-@dataclass
-class Prepared:
-    """Validated scenario plus everything immutable across reruns."""
-
-    scenario: dict
-    deal: DealSpec
-    plan: DealPlan
-    holdings: Dict[str, AssetBundle]
-    digest: str
-
-
-def initial_holdings(scenario: dict) -> Dict[str, AssetBundle]:
-    return {
-        party: AssetBundle.from_json(wallet)
-        for party, wallet in scenario.get("wallets", {}).items()
-    }
-
-
-def prepare(scenario: dict) -> Prepared:
+def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Built:
+    """Construct chains, contracts, validator service, and controllers."""
     sc = validate_scenario(scenario)
     deal = DealSpec.from_json(sc["deal"])
-    holdings = initial_holdings(sc)
+    holdings = {
+        party: AssetBundle.from_json(wallet) for party, wallet in sc.get("wallets", {}).items()
+    }
     plan = build_plan(deal, holdings)
-    return Prepared(sc, deal, plan, holdings, payload_digest(sc))
-
-
-def build_world(
-    scenario: dict,
-    seed: Optional[int] = None,
-    choices=None,
-    prepared: Optional[Prepared] = None,
-) -> Built:
-    """Construct chains, contracts, validator service, and controllers."""
-    if prepared is None:
-        prepared = prepare(scenario)
-    sc = prepared.scenario
-    deal = prepared.deal
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
-    world = World(sc, network, run_seed, sc["horizon"], choices, prepared.digest)
+    world = World(sc, network, run_seed, sc["horizon"], choices, payload_digest(sc))
     world.register_deal(deal.deal_id)
 
     skew_rng = random.Random(f"skew-{run_seed}")
@@ -230,7 +201,7 @@ def build_world(
         world.validator_service = service
         validators = service.members(0)
 
-    for party, bundle in prepared.holdings.items():
+    for party, bundle in holdings.items():
         for (chain_id, kind), amount in bundle.fungible.items():
             if chain_id not in world.chains:
                 raise ScenarioError(f"wallet references unknown chain {chain_id!r}")
@@ -239,8 +210,6 @@ def build_world(
             if chain_id not in world.chains:
                 raise ScenarioError(f"wallet references unknown chain {chain_id!r}")
             world.chains[chain_id].wallets.set_token_owner(token, party)
-
-    plan = prepared.plan
 
     def chains_of_interest(party: str) -> List[str]:
         lots = set(plan.source_lots(party)) | set(plan.voting_lots(party))

@@ -1,7 +1,11 @@
 """Strategy catalog behaviors, campaigns, exploration, and witness replay."""
 
+import copy
+import random
+
 import pytest
 
+from dealsim import properties
 from dealsim.adversary import (
     ExplorationBound,
     builtin_strategies,
@@ -10,9 +14,11 @@ from dealsim.adversary import (
 )
 from dealsim.assets import AssetBundle, Payoff
 from dealsim.deals import payoff_of_run
+from dealsim.ledger import SeededChoices, TapeChoices
+from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
-from dealsim.scenario import ScenarioError, swap_deal, ticket_deal
+from dealsim.scenario import ScenarioError, build_world, swap_deal, ticket_deal
 
 from conftest import run_scenario_dict
 
@@ -190,3 +196,98 @@ class TestExploration:
         a = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
         b = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
         assert a.to_json() == b.to_json()
+
+
+class TestSuffixResumption:
+    """The explorer resumes branches from event-boundary snapshots; every
+    schedule must equal a from-scratch run of its whole tape."""
+
+    @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
+    def test_every_schedule_matches_a_fresh_run_of_its_tape(self, corpus, name):
+        # Reporting every schedule as a failure records its absolute tape.
+        def evaluate(trace):
+            return [{"property": "probe", "digest": trace.digest()}]
+
+        result = exhaustive_explore(corpus[name], ExplorationBound(), evaluate=evaluate)
+        assert result.complete and len(result.violations) == result.runs
+        for violation in result.violations:
+            fresh = build_world(corpus[name], choices=TapeChoices(violation["tape"]))
+            assert fresh.world.run().digest() == violation["failures"][0]["digest"]
+
+    @pytest.mark.parametrize(
+        "name, runs, branch_points",
+        [("explore_swap_timelock", 1853, 1673), ("explore_swap_naive", 1238, 1058)],
+    )
+    def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
+        out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
+        assert (out["runs"], out["branch_points"], out["terminals"]) == (runs, branch_points, runs)
+        assert out["complete"]
+
+    def test_witness_traces_survive_later_schedules(self, corpus):
+        digests = []
+
+        def evaluate(trace):
+            failures = properties.evaluate_run(trace)["failures"]
+            if failures:
+                digests.append(trace.digest())
+            return failures
+
+        result = exhaustive_explore(
+            corpus["explore_swap_naive"], ExplorationBound(), evaluate=evaluate, keep_witnesses=10
+        )
+        assert len(result.witness_traces) == 10
+        assert [w.digest() for w in result.witness_traces] == digests[:10]
+
+    def test_max_choice_points_counts_absolute_picks(self, corpus):
+        # A resumed schedule logs only its own event's picks onward; the cap
+        # applies to the whole schedule, so 12 cuts schedules that counting
+        # from the resumed event would let through (as a complete SAFE).
+        result = exhaustive_explore(
+            corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
+        )
+        assert (result.verdict, result.complete) == ("PARTIAL", False)
+        assert (result.runs, result.branch_points) == (741, 580)
+
+
+class _MidpointSnapshot(SeededChoices):
+    """Seeded scheduling that snapshots the world at the start of one event
+    and, independently of `snapshot()`, copies each controller's fields
+    there."""
+
+    def __init__(self, seed, at_event):
+        super().__init__(seed)
+        self.at_event = at_event
+        self.events = 0
+        self.snap = None
+        self.fields = None
+
+    def event_start(self, world):
+        if self.events == self.at_event:
+            self.snap = world.snapshot()
+            self.fields = {
+                party: {
+                    k: copy.copy(v) if isinstance(v, (dict, set, list)) else v
+                    for k, v in vars(controller).items()
+                }
+                for party, controller in world.controllers.items()
+            }
+        self.events += 1
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_restore_rewinds_every_controller_field(name, protocol):
+    scenario = ticket_deal(protocol, seed=61)
+    params = STRATEGIES[name].random_params(scenario, random.Random(name))
+    scenario["strategies"] = {"bob": {"name": name, "params": params}}
+    counted = build_world(scenario, choices=_MidpointSnapshot(0, -1)).world
+    counted.run()
+    choices = _MidpointSnapshot(0, counted.choices.events // 2)
+    world = build_world(scenario, choices=choices).world
+    assert type(world.controllers["bob"]) is controller_class(name, protocol)
+    world.run()
+    assert world.snapshot() != choices.snap
+    world.restore(choices.snap)
+    for party, controller in world.controllers.items():
+        assert vars(controller) == choices.fields[party]
+    assert world.snapshot() == choices.snap

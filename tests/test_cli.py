@@ -81,6 +81,23 @@ class TestRunCommand:
         assert code == 0
         assert "campaign: 5 runs, 0 violations" in out
 
+    def test_campaign_mode_keeps_the_scenario_strategies(self, capsys, monkeypatch):
+        from dealsim import adversary
+        from dealsim.scenario import load_scenario
+
+        declared = load_scenario("virus_alice_timelock")["strategies"]
+        seen = []
+        original = adversary.run_scenario
+
+        def recording(scenario, *args, **kwargs):
+            seen.append(scenario["strategies"])
+            return original(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(adversary, "run_scenario", recording)
+        run_cli(capsys, "run", "--scenario", "virus_alice_timelock", "--runs", "20", "--seed", "0")
+        assert len(seen) == 20
+        assert all(strategies == declared for strategies in seen)
+
     def test_naive_regression_run_reports_property_failure(self, capsys):
         code, out, err = run_cli(capsys, "run", "--scenario", "naive_timeout_regression")
         assert code == 3

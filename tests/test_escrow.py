@@ -1,12 +1,16 @@
 """Escrow lot state machine: escrow, tentative transfer, finalize."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from dealsim.assets import AssetBundle
 from dealsim.crypto import SignatureScheme
-from dealsim.escrow import EscrowContract
+from dealsim.escrow import EscrowContract, EscrowInvariantError
 from dealsim.ledger import Wallets
 
 
@@ -235,3 +239,45 @@ class TestConservation:
                 assert total_now() == total
                 for lot in contract.lots.values():
                     lot.check_invariants()
+
+
+class TestInvariantErrors:
+    def test_corrupted_commit_view_raises(self, setup):
+        chain, contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        lot = contract.lots["bob"]
+        lot.c_fun["bob"] = {"coin": 1}
+        with pytest.raises(EscrowInvariantError):
+            lot.check_invariants()
+
+    def test_finalizing_a_resolved_lot_raises(self, setup):
+        chain, contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        lot = contract.lots["bob"]
+        contract._finalize(lot, "aborted", chain, 1)
+        with pytest.raises(EscrowInvariantError):
+            contract._finalize(lot, "committed", chain, 2)
+
+    def test_invariants_fire_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            from dealsim.assets import AssetBundle
+            from dealsim.escrow import EscrowInvariantError, Lot
+
+            assert False, "asserts must be stripped under -O"
+            lot = Lot("alice")
+            lot.add_escrow(AssetBundle.coins("c", "coin", 5))
+            lot.c_fun["alice"]["coin"] = 6
+            try:
+                lot.check_invariants()
+            except EscrowInvariantError:
+                print("raised")
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

@@ -34,6 +34,20 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(sc)
 
+    def test_deal_without_id_rejected(self):
+        sc = ticket_deal("timelock")
+        del sc["deal"]["id"]
+        with pytest.raises(ScenarioError, match="bad deal"):
+            validate_scenario(sc)
+
+    def test_deal_with_non_integer_amount_rejected(self):
+        sc = ticket_deal("timelock")
+        transfer = next(t for t in sc["deal"]["transfers"] if t["bundle"]["fungible"])
+        chain, kind, amount = transfer["bundle"]["fungible"][0]
+        transfer["bundle"]["fungible"][0] = [chain, kind, str(amount)]
+        with pytest.raises(ScenarioError, match="bad deal"):
+            validate_scenario(sc)
+
     def test_strategy_for_unknown_party_rejected(self):
         sc = ticket_deal("timelock")
         sc["strategies"] = {"mallory": {"name": "compliant"}}
