@@ -26,6 +26,8 @@ UNDECIDED = "undecided"
 COMMITTED = "committed"
 ABORTED = "aborted"
 
+CBC_CHAIN = "cbc"  # the shared certified chain's id in every world
+
 
 class CbcError(ValueError):
     pass
@@ -36,10 +38,14 @@ def start_ref(deal_id: str, plist: Sequence[str], position: int) -> str:
     return digest_hex(encode_message("START", deal_id, *plist, str(position)))[:16]
 
 
-def definitive_start(entries: Sequence[dict], deal_id: str):
-    """Earliest startDeal entry for the deal, or None."""
+def definitive_start(entries: Sequence[dict], deal_id: str, h: str | None = None):
+    """Earliest startDeal entry for the deal (with start ref `h`, if given), or None."""
     for entry in entries:
-        if entry["op"] == "start_deal" and entry["deal"] == deal_id:
+        if (
+            entry["op"] == "start_deal"
+            and entry["deal"] == deal_id
+            and (h is None or entry["h"] == h)
+        ):
             return entry
     return None
 
@@ -74,11 +80,7 @@ def decide_votes(votes: Sequence[tuple], parties: Sequence[str]) -> tuple:
 
 def cbc_decide(entries: Sequence[dict], deal_id: str, h: str) -> Decision:
     """Decide a deal's outcome from the shared log, in position order."""
-    start = None
-    for entry in entries:
-        if entry["op"] == "start_deal" and entry["deal"] == deal_id and entry["h"] == h:
-            start = entry
-            break
+    start = definitive_start(entries, deal_id, h)
     if start is None:
         raise CbcError(f"no startDeal with h={h!r} for deal {deal_id!r}")
     votes = []
@@ -113,16 +115,10 @@ class CbcLogContract:
             self.entries.append(entry)
             return "accepted", None, {"h": entry["h"], "position": position}
         if op in ("commit", "abort"):
-            matching = [
-                e
-                for e in self.entries
-                if e["op"] == "start_deal"
-                and e["deal"] == payload["deal"]
-                and e["h"] == payload["h"]
-            ]
-            if not matching:
+            start = definitive_start(self.entries, payload["deal"], payload["h"])
+            if start is None:
                 return "rejected", "unknown-start", {}
-            if payload["voter"] not in matching[0]["plist"]:
+            if payload["voter"] not in start["plist"]:
                 return "rejected", "unknown-voter", {}
             if publisher != payload["voter"]:
                 return "rejected", "voter-mismatch", {}
@@ -141,11 +137,9 @@ class CbcLogContract:
     def view(self) -> dict:
         return {"entries": [dict(e) for e in self.entries]}
 
-    def snapshot(self) -> int:
-        return len(self.entries)
-
-    def restore(self, length: int):
-        del self.entries[length:]
+    def restore(self, view: dict):
+        """Rewind to a view this log recorded: entries are append-only."""
+        del self.entries[len(view["entries"]):]
 
     def state_key(self) -> tuple:
         return tuple(

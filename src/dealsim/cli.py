@@ -166,6 +166,9 @@ def cmd_replay(args) -> int:
         return EXIT_PARSE
     try:
         result = replay_trace(trace, _schedule(args))
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ReplayError as exc:
         print(f"replay inconsistency: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .cbc import CBC_CHAIN
+
 FINALIZE_WRITES = 2
 PHASES = ("escrow", "transfer", "commit")
 
@@ -30,14 +32,9 @@ PHASES = ("escrow", "transfer", "commit")
 class GasSchedule:
     storage_write: int = 5000
     signature_verification: int = 3000
-    per_call: int = 0
 
-    def gas(self, writes: int, verifications: int, calls: int = 0) -> int:
-        return (
-            writes * self.storage_write
-            + verifications * self.signature_verification
-            + calls * self.per_call
-        )
+    def gas(self, writes: int, verifications: int) -> int:
+        return writes * self.storage_write + verifications * self.signature_verification
 
 
 @dataclass
@@ -66,11 +63,11 @@ class CostReport:
         return sum(getattr(pc, field_name) for pc in self.phases.values())
 
     def gas_total(self) -> int:
-        return self.schedule.gas(self.total("writes"), self.total("verifications"), self.total("calls"))
+        return self.schedule.gas(self.total("writes"), self.total("verifications"))
 
     def phase_gas(self, phase: str) -> int:
         pc = self.phases[phase]
-        return self.schedule.gas(pc.writes, pc.verifications, pc.calls)
+        return self.schedule.gas(pc.writes, pc.verifications)
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +119,11 @@ def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
     spans: Dict[str, List[int]] = {name: [] for name in PHASES}
     vote_ticks: List[int] = []
 
+    def charge(phase: str, contract: PhaseCost, writes: int = 0, verifications: int = 0):
+        """One call's cost, counted in its phase and on its contract."""
+        phases[phase].add(writes, verifications, calls=1)
+        contract.add(writes, verifications, calls=1)
+
     for event in trace.events:
         if event.kind != "publish":
             continue
@@ -131,50 +133,40 @@ def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
         if op == "escrow":
             if accepted:
                 escrow_calls += 1
-                phases["escrow"].add(writes=4, calls=1)
-                contract.add(writes=4, calls=1)
+                charge("escrow", contract, writes=4)
             spans["escrow"].append(event.tick)
         elif op == "transfer":
             if accepted:
                 transfers += 1
                 lot = f"{event.where}/{event.payload['lot']}"
                 transfers_per_lot[lot] = transfers_per_lot.get(lot, 0) + 1
-                phases["transfer"].add(writes=2, calls=1)
-                contract.add(writes=2, calls=1)
+                charge("transfer", contract, writes=2)
             spans["transfer"].append(event.tick)
-        elif op == "commit" and event.where != "cbc":
+        elif op == "commit" and event.where != CBC_CHAIN:
             spans["commit"].append(event.tick)
             if accepted:
                 path_len = len(event.payload["path"]["links"])
                 writes = 1 + (FINALIZE_WRITES if event.info.get("finalized") else 0)
-                phases["commit"].add(writes=writes, verifications=path_len, calls=1)
-                contract.add(writes=writes, verifications=path_len, calls=1)
+                charge("commit", contract, writes=writes, verifications=path_len)
                 vote_ticks.append(event.tick)
             else:
-                ver = _rejected_verifications(event.reason)
-                phases["commit"].add(verifications=ver, calls=1)
-                contract.add(verifications=ver, calls=1)
+                charge("commit", contract, verifications=_rejected_verifications(event.reason))
         elif op == "timeout":
             spans["commit"].append(event.tick)
             if accepted:
-                phases["commit"].add(writes=FINALIZE_WRITES, calls=1)
-                contract.add(writes=FINALIZE_WRITES, calls=1)
+                charge("commit", contract, writes=FINALIZE_WRITES)
         elif op == "settle":
             spans["commit"].append(event.tick)
             if accepted:
                 hops = len(event.payload.get("reconfig", []))
                 ver = (hops + 1) * (f + 1)
-                phases["commit"].add(writes=FINALIZE_WRITES, verifications=ver, calls=1)
-                contract.add(writes=FINALIZE_WRITES, verifications=ver, calls=1)
+                charge("commit", contract, writes=FINALIZE_WRITES, verifications=ver)
             else:
-                ver = _rejected_verifications(event.reason)
-                phases["commit"].add(verifications=ver, calls=1)
-                contract.add(verifications=ver, calls=1)
-        elif event.where == "cbc":
+                charge("commit", contract, verifications=_rejected_verifications(event.reason))
+        elif event.where == CBC_CHAIN:
             spans["commit"].append(event.tick)
             if accepted:
-                phases["commit"].add(writes=1, calls=1)
-                contract.add(writes=1, calls=1)
+                charge("commit", contract, writes=1)
                 if op in ("commit", "abort"):
                     vote_ticks.append(event.tick)
 

@@ -60,9 +60,6 @@ class SignatureScheme:
             self._public[party] = digest_hex(encode_message("PUB", priv))
         return KeyPair(party, self._public[party], self._private[party])
 
-    def public_key(self, party: str) -> str:
-        return self.keypair(party).public
-
     def sign(self, keypair: KeyPair, message: bytes) -> str:
         return digest_hex(bytes.fromhex(keypair.private) + message)
 

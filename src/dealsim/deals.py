@@ -69,16 +69,6 @@ class DealSpec:
                     seen.append(chain)
         return tuple(seen)
 
-    def incoming_chains(self, party: str) -> frozenset:
-        return frozenset(
-            c for ts in self.transfers if ts.receiver == party for c in ts.bundle.chains()
-        )
-
-    def outgoing_chains(self, party: str) -> frozenset:
-        return frozenset(
-            c for ts in self.transfers if ts.sender == party for c in ts.bundle.chains()
-        )
-
     def gross_flows(self, party: str) -> Tuple[AssetBundle, AssetBundle]:
         """Gross (incoming, outgoing) bundles for a party over the full script."""
         inc = AssetBundle.empty()

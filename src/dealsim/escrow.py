@@ -96,30 +96,21 @@ class Lot:
             "tokens": sorted(self.tokens),
             "c_fun": {p: dict(kinds) for p, kinds in self.c_fun.items()},
             "c_tok": dict(self.c_tok),
-            "voted": {
-                voter: {"vote": dict(path["vote"]), "links": [list(l) for l in path["links"]]}
-                for voter, path in self.voted.items()
-            },
+            "voted": dict(self.voted),  # accepted paths are never mutated
         }
 
-    def snapshot(self) -> tuple:
-        return (
-            dict(self.fungible),
-            frozenset(self.tokens),
-            {p: dict(kinds) for p, kinds in self.c_fun.items()},
-            dict(self.c_tok),
-            dict(self.voted),
-            self.resolution,
-            self.resolved_tick,
-        )
-
-    def restore(self, snap: tuple):
-        fungible, tokens, c_fun, c_tok, voted, self.resolution, self.resolved_tick = snap
-        self.fungible = dict(fungible)
-        self.tokens = set(tokens)
-        self.c_fun = {p: dict(kinds) for p, kinds in c_fun.items()}
-        self.c_tok = dict(c_tok)
-        self.voted = dict(voted)  # accepted paths are never mutated
+    @classmethod
+    def from_view(cls, view: dict) -> "Lot":
+        """The lot a recorded `view()` describes, copying every container it mutates."""
+        lot = cls(view["escrower"])
+        lot.fungible = dict(view["fungible"])
+        lot.tokens = set(view["tokens"])
+        lot.c_fun = {p: dict(kinds) for p, kinds in view["c_fun"].items()}
+        lot.c_tok = dict(view["c_tok"])
+        lot.voted = dict(view["voted"])
+        lot.resolution = view["resolution"]
+        lot.resolved_tick = view["resolved_tick"]
+        return lot
 
     def state_key(self) -> tuple:
         # resolved_tick is trace data, not behavior: omitting it lets the
@@ -365,15 +356,15 @@ class EscrowContract:
             tuple((e, lot.state_key()) for e, lot in sorted(self.lots.items())),
         )
 
-    def snapshot(self) -> tuple:
-        return self.cbc, {e: lot.snapshot() for e, lot in self.lots.items()}
-
-    def restore(self, snap: tuple):
-        self.cbc, lots = snap
-        self.lots = {}
-        for escrower, lot_snap in lots.items():
-            lot = self.lots[escrower] = Lot(escrower)
-            lot.restore(lot_snap)
+    def restore(self, view: dict):
+        """Rewind to the state a recorded `view()` describes."""
+        cbc = view.get("cbc")
+        self.cbc = (
+            None
+            if cbc is None
+            else CbcConfig(cbc["h"], cbc["epoch"], tuple(cbc["validators"]), cbc["f"])
+        )
+        self.lots = {e: Lot.from_view(lot) for e, lot in view["lots"].items()}
 
     def unresolved_lots(self) -> List[str]:
         return sorted(e for e, lot in self.lots.items() if lot.resolution == ACTIVE)

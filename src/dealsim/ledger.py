@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle
+from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
 from .trace import RunTrace, TraceEvent, payload_digest
 
@@ -138,15 +139,6 @@ class Wallets:
         for c, token in bundle.tokens:
             del self.tokens[token]
 
-    def bundle_of(self, party: str) -> AssetBundle:
-        fun = {
-            (self.chain_id, kind): amount
-            for kind, amount in self.fungible.get(party, {}).items()
-            if amount
-        }
-        toks = [(self.chain_id, t) for t, o in self.tokens.items() if o == party]
-        return AssetBundle(fun, toks)
-
     def to_json(self) -> dict:
         return {
             "fungible": {
@@ -183,8 +175,7 @@ class Chain:
         self.contract = contract
         self.skew = skew
         self.wallets = Wallets(chain_id)
-        self.entries: List[dict] = []
-        self.views: List[dict] = []  # contract view after each entry
+        self.views: List[dict] = []  # contract view after each entry, the ledger's record
         self._initial_view = contract.view()
         self._key_cache: Optional[tuple] = None
         self._snapshot: Optional[tuple] = None
@@ -199,7 +190,7 @@ class Chain:
         if self._key_cache is None:
             self._key_cache = (
                 self.chain_id,
-                len(self.entries),
+                len(self.views),
                 self.contract.state_key(),
                 self.wallets.state_key(),
             )
@@ -212,30 +203,26 @@ class Chain:
         after it; returns (seq, status, reason, info)."""
         self._key_cache = None
         self._snapshot = None
-        seq = len(self.entries)
+        seq = len(self.views)
         status, reason, info = self.contract.apply(
             payload, publisher, self, tick + self.skew, scheme
-        )
-        self.entries.append(
-            {"seq": seq, "publisher": publisher, "payload": payload, "tick": tick, "status": status}
         )
         self.views.append(self.contract.view())
         return seq, status, reason, info
 
     def snapshot(self) -> tuple:
         # Like the state key, a chain changes only by `append`, so one
-        # snapshot serves every event boundary until the next entry.
-        # Entries and views grow together: one length restores both.
+        # snapshot serves every event boundary until the next entry.  The
+        # contract needs no copy: it rewinds from its recorded view.
         if self._snapshot is None:
-            self._snapshot = (len(self.entries), self.wallets.snapshot(), self.contract.snapshot())
+            self._snapshot = (len(self.views), self.wallets.snapshot())
         return self._snapshot
 
     def restore(self, snap: tuple):
-        length, wallets, contract = snap
-        del self.entries[length:]
+        length, wallets = snap
         del self.views[length:]
         self.wallets.restore(wallets)
-        self.contract.restore(contract)
+        self.contract.restore(self.view_at(length - 1))
         self._key_cache = None
         self._snapshot = snap
 
@@ -263,20 +250,10 @@ class PartyContext:
     def scheme(self):
         return self._world.scheme
 
-    @property
-    def network(self) -> NetworkModel:
-        return self._world.network
-
-    def chain_ids(self) -> List[str]:
-        return sorted(self._world.chains)
-
     def view(self, chain_id: str) -> dict:
         world = self._world
         frontier = world.frontiers[self.me].get(chain_id, -1)
         return world.chains[chain_id].view_at(frontier)
-
-    def my_wallet(self, chain_id: str) -> AssetBundle:
-        return self._world.chains[chain_id].wallets.bundle_of(self.me)
 
     def publish(self, chain_id: str, payload: dict) -> Tuple[str, Optional[str], dict]:
         return self._world.publish(chain_id, self.me, payload)
@@ -292,7 +269,7 @@ class PartyContext:
         service = self._world.validator_service
         if service is None:
             raise RuntimeError("no validator service in this world")
-        cbc = self._world.chains[self._world.cbc_chain_id].contract
+        cbc = self._world.chains[CBC_CHAIN].contract
         return service.issue_certificate(cbc.entries, deal_id, h)
 
     def corrupt_signatures(self, message: bytes):
@@ -333,7 +310,6 @@ class World:
         self.deal_ids: set = set()
         self.compliant: set = set()
         self.validator_service = None
-        self.cbc_chain_id: Optional[str] = None
         self._heap: List[_Event] = []
         self._seq = 0
         self._timer_scheduled: set = set()

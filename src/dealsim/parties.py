@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from .assets import AssetBundle, Payoff, net_payoff
 from .cbc import (
     ABORTED,
+    CBC_CHAIN,
     COMMITTED,
     UNDECIDED,
     CbcError,
@@ -59,15 +60,13 @@ _CONTAINERS = frozenset((dict, set, list))
 
 @dataclass
 class PartyConfig:
-    protocol: str = "timelock"  # timelock | naive | cbc
     altruistic: bool = False
     validation_verdict: str = "accept-if-acceptable"  # or "reject"
-    # CBC-only knobs:
+    # CBC-only knobs; escrows are configured with epoch 0's validators.
     grace: int = 10
     patience: int = 60
     validators: Tuple[str, ...] = ()
     f: int = 0
-    epoch: int = 0
 
 
 class CompliantParty:
@@ -395,18 +394,15 @@ class CbcParty(CompliantParty):
         ctx.wake_at(self.cfg.patience, "patience")
         if self.deal.parties[0] == self.me:
             status, reason, info = ctx.publish(
-                self.cbc_chain(ctx),
+                CBC_CHAIN,
                 {"op": "start_deal", "deal": self.deal.deal_id, "plist": list(self.deal.parties)},
             )
             if status == "accepted":
                 self.h = info["h"]
 
-    def cbc_chain(self, ctx) -> str:
-        return "cbc"
-
     def ready_to_escrow(self, ctx) -> bool:
         if self.h is None:
-            entries = ctx.view(self.cbc_chain(ctx)).get("entries", [])
+            entries = ctx.view(CBC_CHAIN).get("entries", [])
             start = definitive_start(entries, self.deal.deal_id)
             if start is not None:
                 self.h = start["h"]
@@ -416,7 +412,7 @@ class CbcParty(CompliantParty):
         return {
             "h": self.h,
             "validators": list(self.cfg.validators),
-            "epoch": self.cfg.epoch,
+            "epoch": 0,
             "f": self.cfg.f,
         }
 
@@ -447,7 +443,7 @@ class CbcParty(CompliantParty):
         if kind == "abort" and self.abort_sent:
             return
         ctx.publish(
-            self.cbc_chain(ctx),
+            CBC_CHAIN,
             {
                 "op": kind,
                 "deal": self.deal.deal_id,
@@ -470,7 +466,7 @@ class CbcParty(CompliantParty):
     def on_grace(self, ctx):
         if not self.commit_sent or self.abort_sent:
             return
-        entries = ctx.view(self.cbc_chain(ctx)).get("entries", [])
+        entries = ctx.view(CBC_CHAIN).get("entries", [])
         if cbc_decide(entries, self.deal.deal_id, self.h).status == UNDECIDED:
             self.publish_cbc_vote(ctx, "abort")
 
@@ -490,7 +486,7 @@ class CbcParty(CompliantParty):
     def try_settle(self, ctx):
         if self.h is None:
             return
-        entries = ctx.view(self.cbc_chain(ctx)).get("entries", [])
+        entries = ctx.view(CBC_CHAIN).get("entries", [])
         try:
             decision = cbc_decide(entries, self.deal.deal_id, self.h)
         except CbcError:
@@ -499,7 +495,7 @@ class CbcParty(CompliantParty):
             return
         cert = ctx.request_certificate(self.deal.deal_id, self.h)
         hops = ()
-        if cert.epoch > self.cfg.epoch:
+        if cert.epoch > 0:
             hops = ctx.reconfig_chain()
         for lot in self.settle_targets(cert.status):
             if lot in self.settled:
@@ -975,7 +971,7 @@ class FakeCertificate(CbcParty):
         if self.attempted or self.h is None:
             return
         self.attempted = True
-        msg = certificate_message(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch)
+        msg = certificate_message(self.deal.deal_id, self.h, self.fake_status, 0)
         corrupt = tuple(ctx.corrupt_signatures(msg))
         own_sig = ctx.scheme.sign(self.keypair(ctx), msg)
         variants = [corrupt]
@@ -984,7 +980,7 @@ class FakeCertificate(CbcParty):
             variants.append(tuple(sorted(corrupt + (corrupt[0],))))
         targets = self.plan.escrowed_lots(self.me) or self.plan.lots()
         for sigs in variants:
-            cert = Certificate(self.deal.deal_id, self.h, self.fake_status, self.cfg.epoch, sigs)
+            cert = Certificate(self.deal.deal_id, self.h, self.fake_status, 0, sigs)
             for lot in targets:
                 chain, escrower = lot
                 status, reason, _ = ctx.publish(

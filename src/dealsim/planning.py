@@ -46,9 +46,6 @@ class DealPlan:
     def lots(self) -> List[LotId]:
         return sorted(self.final_c)
 
-    def lots_on(self, chain: str) -> List[LotId]:
-        return [lot for lot in self.lots() if lot[0] == chain]
-
     def escrow_for(self, party: str, chain: str) -> AssetBundle:
         return self.escrows.get((party, chain), AssetBundle.empty())
 
@@ -77,11 +74,7 @@ class DealPlan:
         return self.final_c.get(lot, {}).get(party, AssetBundle.empty())
 
 
-def build_plan(
-    deal: DealSpec,
-    holdings: Mapping[str, AssetBundle],
-    escrow_overrides: Mapping[Tuple[str, str], AssetBundle] | None = None,
-) -> DealPlan:
+def build_plan(deal: DealSpec, holdings: Mapping[str, AssetBundle]) -> DealPlan:
     """Plan escrows and per-lot transfer routing for the deal script.
 
     Each party escrows, per chain, the part of its scripted outgoing assets
@@ -90,23 +83,18 @@ def build_plan(
     sender's own lot, splitting across lots when needed.
     """
     escrows: Dict[Tuple[str, str], AssetBundle] = {}
-    overrides = dict(escrow_overrides or {})
     for party in deal.parties:
         wallet = holdings.get(party, AssetBundle.empty())
         _, out = deal.gross_flows(party)
         for chain in sorted(out.chains()):
-            if (party, chain) in overrides:
-                bundle = overrides[(party, chain)]
-            else:
-                need = out.restrict(chain)
-                have = wallet.restrict(chain)
-                fun = {
-                    k: min(v, have.fungible.get(k, 0))
-                    for k, v in need.fungible.items()
-                    if have.fungible.get(k, 0)
-                }
-                toks = need.tokens & have.tokens
-                bundle = AssetBundle(fun, toks)
+            need = out.restrict(chain)
+            have = wallet.restrict(chain)
+            fun = {
+                k: min(v, have.fungible.get(k, 0))
+                for k, v in need.fungible.items()
+                if have.fungible.get(k, 0)
+            }
+            bundle = AssetBundle(fun, need.tokens & have.tokens)
             if not bundle.is_empty():
                 escrows[(party, chain)] = bundle
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from .cbc import ABORTED, COMMITTED, Certificate, ValidatorService, verify_certificate
+from .cbc import ABORTED, CBC_CHAIN, COMMITTED, Certificate, ValidatorService, verify_certificate
 from .crypto import SignatureScheme
 from .deals import DealSpec, is_acceptable, payoff_of_run, wallet_delta_payoff
 
@@ -82,8 +82,8 @@ def weak_liveness_bound(trace, deal: Optional[DealSpec] = None) -> int:
     vote_ticks = [
         e.tick
         for e in trace.events
-        if e.kind == "publish" and e.where == "cbc" and e.payload.get("op") in ("commit", "abort")
-        and e.status == "accepted"
+        if e.kind == "publish" and e.where == CBC_CHAIN and e.status == "accepted"
+        and e.payload.get("op") in ("commit", "abort")
     ]
     last_vote = max(vote_ticks, default=trace.scenario["cbc"]["patience"])
     return last_vote + grace + 2 * deal.delta

@@ -43,7 +43,7 @@ def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> Repl
         chain = world.chains.get(event.where)
         if chain is None:
             raise ReplayError(f"record {index}: unknown chain {event.where!r}")
-        if event.seq != len(chain.entries):
+        if event.seq != len(chain.views):
             raise ReplayError(
                 f"record {index}: sequence {event.seq} does not follow ledger order"
             )

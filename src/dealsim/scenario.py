@@ -41,19 +41,17 @@ import copy
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle
-from .cbc import CbcLogContract, ValidatorService
+from .cbc import CBC_CHAIN, CbcLogContract, ValidatorService
 from .deals import DealSpec
 from .escrow import EscrowContract
 from .ledger import NetworkModel, World
 from .parties import PROTOCOLS, STRATEGIES, PartyConfig, controller_class
 from .planning import DealPlan, build_plan
 from .trace import payload_digest
-
-CBC_CHAIN = "cbc"
 
 
 class ScenarioError(ValueError):
@@ -69,6 +67,8 @@ _NETWORK_DEFAULTS = {
     "latency_menu": None,
     "allow_model_violation": False,
 }
+
+_NETWORK_KEYS = frozenset(f.name for f in fields(NetworkModel))
 
 _CBC_DEFAULTS = {"f": 1, "corrupt": 0, "grace": 10, "patience": 60, "reconfigurations": 0}
 
@@ -89,6 +89,9 @@ def validate_scenario(raw: dict) -> dict:
         raise ScenarioError("seed must be an integer")
     network = dict(_NETWORK_DEFAULTS)
     network.update(sc.get("network", {}))
+    unknown = network.keys() - _NETWORK_KEYS
+    if unknown:
+        raise ScenarioError(f"unknown network keys {sorted(unknown)}")
     if network["mode"] not in ("synchronous", "semi-synchronous"):
         raise ScenarioError(f"unknown network mode {network['mode']!r}")
     if network["delta"] <= 0:
@@ -194,7 +197,6 @@ def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Bui
     validators: Tuple[str, ...] = ()
     if protocol == "cbc":
         world.add_chain(CBC_CHAIN, CbcLogContract())
-        world.cbc_chain_id = CBC_CHAIN
         service = ValidatorService(world.scheme, sc["cbc"]["f"], sc["cbc"]["corrupt"])
         for _ in range(sc["cbc"]["reconfigurations"]):
             service.reconfigure()
@@ -225,14 +227,12 @@ def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Bui
         name = binding.get("name", "compliant")
         params = binding.get("params", {})
         cfg = PartyConfig(
-            protocol=protocol,
             altruistic=bool(params.get("altruistic", False)),
             validation_verdict=params.get("validation_verdict", "accept-if-acceptable"),
             grace=sc["cbc"]["grace"],
             patience=sc["cbc"]["patience"],
             validators=validators,
             f=sc["cbc"]["f"],
-            epoch=0,
         )
         controller = controller_class(name, protocol)(party, deal, plan, cfg, params)
         world.add_party(party, controller, chains_of_interest(party))

@@ -291,3 +291,41 @@ def test_restore_rewinds_every_controller_field(name, protocol):
     for party, controller in world.controllers.items():
         assert vars(controller) == choices.fields[party]
     assert world.snapshot() == choices.snap
+
+
+class _MidpointRewind(_MidpointSnapshot):
+    """Also keeps, at the snapshot, the state key, every contract's view
+    and the scheduler's generator state, so a restored run can re-finish."""
+
+    def event_start(self, world):
+        if self.events == self.at_event:
+            self.key = world.state_key()
+            self.contract_views = {cid: c.contract.view() for cid, c in world.chains.items()}
+            self.rng_state = self.rng.getstate()
+        super().event_start(world)
+
+
+# A quarter of the way in, lots still take transfers; halfway, votes and settles.
+@pytest.mark.parametrize("part", [4, 2], ids=["quarter", "half"])
+@pytest.mark.parametrize(
+    "name", ["timelock", "naive", "cbc", "corrupt_validator_cbc", "reconfigured_cbc"]
+)
+def test_contracts_rewind_from_recorded_views(corpus, name, part):
+    # A protocol name stands for that protocol's ticket deal.
+    scenario = corpus[name] if name in corpus else ticket_deal(name)
+    counted = build_world(scenario, choices=_MidpointRewind(scenario["seed"], -1)).world
+    counted.run()
+    choices = _MidpointRewind(scenario["seed"], counted.choices.events // part)
+    world = build_world(scenario, choices=choices).world
+    first = world.run().digest()
+    recorded = {cid: copy.deepcopy(chain.views) for cid, chain in world.chains.items()}
+    assert world.snapshot() != choices.snap
+    world.restore(choices.snap)
+    for cid, chain in world.chains.items():
+        assert chain.contract.view() == chain.view_at(len(chain.views) - 1)
+        assert chain.contract.view() == choices.contract_views[cid]
+    assert world.state_key() == choices.key
+    choices.rng.setstate(choices.rng_state)
+    assert world.run().digest() == first
+    # Re-running from restored contracts leaves every recorded view as it was.
+    assert {cid: chain.views for cid, chain in world.chains.items()} == recorded

@@ -42,6 +42,15 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--scenario", str(bad))
         assert code == 2
 
+    def test_unknown_network_key_is_a_parse_error(self, tmp_path, capsys, corpus):
+        scenario = dict(corpus["ticket_deal_timelock"])
+        scenario["network"] = dict(scenario["network"], latency_jitter=2)
+        path = tmp_path / "jitter.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert "scenario error" in err and "latency_jitter" in err
+
     def test_structured_report_is_json(self, capsys):
         code, out, err = run_cli(
             capsys, "run", "--scenario", "ticket_deal_cbc", "--report", "structured"
@@ -188,6 +197,24 @@ class TestTraceAndReplay:
         assert not check_safety(trace).passed
         with pytest.raises(ReplayError, match="initial ownership"):
             replay_trace(trace)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("protocol", "bogus"), ("network", {"delta": 5, "latency_jitter": 2})],
+        ids=["protocol", "network-key"],
+    )
+    def test_replay_of_invalid_embedded_scenario_is_parse_error(
+        self, tmp_path, capsys, field, value
+    ):
+        trace_path = tmp_path / "run.trace.json"
+        run_cli(capsys, "run", "--scenario", "ticket_deal_timelock", "--trace", str(trace_path))
+        data = json.loads(trace_path.read_text())
+        data["scenario"][field] = value
+        tampered = tmp_path / "invalid.trace.json"
+        tampered.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "replay", str(tampered))
+        assert code == 2
+        assert "scenario error" in err
 
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")

@@ -50,16 +50,17 @@ class TestPublish:
         world = tiny_world()
         for i in range(3):
             world.publish("c", "m1", {"n": i})
-        assert [e["seq"] for e in world.chains["c"].entries] == [0, 1, 2]
+        assert [e.seq for e in world.trace_events if e.kind == "publish"] == [0, 1, 2]
 
     def test_same_tick_publishes_keep_insertion_order(self):
         world = tiny_world()
         world.publish("c", "m1", {"n": "first"})
         world.publish("c", "m2", {"n": "second"})
-        entries = world.chains["c"].entries
-        assert entries[0]["payload"]["n"] == "first"
-        assert entries[1]["payload"]["n"] == "second"
-        assert entries[0]["tick"] == entries[1]["tick"]
+        entries = [e for e in world.trace_events if e.kind == "publish"]
+        assert [e.seq for e in entries] == [0, 1]
+        assert entries[0].payload["n"] == "first"
+        assert entries[1].payload["n"] == "second"
+        assert entries[0].tick == entries[1].tick
 
     def test_unknown_chain_raises(self):
         world = tiny_world()

@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(sc)
 
+    def test_unknown_network_key_rejected(self):
+        sc = ticket_deal("timelock")
+        sc["network"]["latency_jitter"] = 2  # not a NetworkModel field
+        with pytest.raises(ScenarioError, match="latency_jitter"):
+            validate_scenario(sc)
+
     def test_duplicate_deal_id_rejected_per_run(self):
         built = build_world(ticket_deal("timelock"))
         with pytest.raises(ValueError):
