@@ -7,16 +7,23 @@ runs and judges them with `properties.evaluate_run`.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from . import properties
 from .assets import AssetBundle
+from .deals import DealSpec
 from .ledger import TapeChoices
 from .parties import STRATEGIES
-from .scenario import ScenarioError, build_world, run_scenario, validate_scenario
+from .planning import build_plan
+from .scenario import (
+    ScenarioError,
+    assemble_world,
+    build_world,
+    validate_scenario,
+    wallet_holdings,
+)
 
 
 def builtin_strategies() -> Dict[str, dict]:
@@ -64,7 +71,10 @@ def random_campaign(
     """Run seeded simulations with randomized adversary assignments.
 
     Deterministic for fixed (scenarios, mix, runs, seed): the report and
-    every violation witness come out identical on re-run.
+    every violation witness come out identical on re-run.  Each base is
+    validated, parsed and planned once.  A run's scenario is a shallow copy
+    of its base with its own seed and strategy bindings, plus its own
+    wallets and plan when an overpaying party brings extra coins.
     """
     if runs < 1:
         raise ValueError("a campaign needs at least one run")
@@ -75,11 +85,17 @@ def random_campaign(
     outcomes: Dict[str, int] = {}
     violations: List[dict] = []
     witnesses = []
-    bases = [validate_scenario(sc) for sc in base_scenarios]
+    bases = []
+    for raw in base_scenarios:
+        base = validate_scenario(raw)
+        deal = DealSpec.from_json(base["deal"])
+        holdings = wallet_holdings(base)
+        bases.append((base, deal, holdings, build_plan(deal, holdings)))
     for i in range(runs):
-        base = bases[rng.randrange(len(bases))]
-        scenario = copy.deepcopy(base)
+        base, deal, holdings, plan = bases[rng.randrange(len(bases))]
+        scenario = dict(base)
         scenario["seed"] = rng.randrange(1 << 30)
+        scenario["strategies"] = dict(base["strategies"])
         parties = list(scenario["deal"]["parties"])
         n_adv = rng.randrange(0, max_adversaries + 1)
         adversaries = rng.sample(parties, min(n_adv, len(parties) - 1)) if n_adv else []
@@ -90,12 +106,17 @@ def random_campaign(
             scenario["strategies"][party] = {"name": name, "params": params}
             if name == "overpay" and params.get("extra"):
                 wallet_extra[party] = params["extra"]
-        for party, extra in wallet_extra.items():
-            wallet = AssetBundle.from_json(scenario["wallets"].get(party, {"fungible": [], "tokens": []}))
-            scenario["wallets"][party] = wallet.plus(
-                AssetBundle({(c, k): v for c, k, v in extra})
-            ).to_json()
-        built, trace = run_scenario(scenario)
+        if wallet_extra:
+            # The overpayer may now escrow coins of its own: a new plan.
+            scenario["wallets"] = wallets = dict(base["wallets"])
+            for party, extra in wallet_extra.items():
+                wallet = AssetBundle.from_json(wallets.get(party, {"fungible": [], "tokens": []}))
+                wallets[party] = wallet.plus(
+                    AssetBundle({(c, k): v for c, k, v in extra})
+                ).to_json()
+            holdings = wallet_holdings(scenario)
+            plan = build_plan(deal, holdings)
+        trace = assemble_world(scenario, deal, holdings, plan).world.run()
         report = properties.evaluate_run(trace)
         outcomes[report["outcome"]] = outcomes.get(report["outcome"], 0) + 1
         for failure in report["failures"]:

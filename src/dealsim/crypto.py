@@ -52,6 +52,7 @@ class SignatureScheme:
         self._seed = seed
         self._private: dict[str, str] = {}
         self._public: dict[str, str] = {}
+        self._key_bytes: dict[str, bytes] = {}  # party -> decoded private key
 
     def keypair(self, party: str) -> KeyPair:
         if party not in self._private:
@@ -66,8 +67,10 @@ class SignatureScheme:
     def verify(self, party: str, message: bytes, signature: str) -> bool:
         # Key derivation is deterministic, so verification can materialize
         # the registry entry on demand (public keys are known to all).
-        priv = self.keypair(party).private
-        return digest_hex(bytes.fromhex(priv) + message) == signature
+        key = self._key_bytes.get(party)
+        if key is None:
+            key = self._key_bytes[party] = bytes.fromhex(self.keypair(party).private)
+        return digest_hex(key + message) == signature
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,13 @@ def path_defect(
         or path.vote.voter not in members
     ):
         return "invalid-path", 0
+    message = vote_message(path.vote)
     for i, (signer, sig) in enumerate(path.links):
-        if not scheme.verify(signer, link_message(path.vote, path.links[:i]), sig):
+        # Link i signs the vote plus links 0..i-1: `link_message` built
+        # up one link at a time.
+        if not scheme.verify(signer, message, sig):
             return f"bad-signature@{i}", i + 1
+        message += _field(signer) + _field(sig)
     return None
 
 

@@ -41,12 +41,16 @@ class NetworkModel:
     # worst case instead of branching.  Setup phases whose schedules all
     # converge before the commit window don't blow up the search space.
     explore_from: Optional[int] = None
+    _sync_menu: Optional[List[int]] = field(default=None, init=False, repr=False, compare=False)
 
     def sync_menu(self) -> List[int]:
-        menu = self.latency_menu or list(range(1, self.delta + 1))
-        if not self.allow_model_violation and any(l > self.delta for l in menu):
-            raise ModelViolation("latency menu exceeds delta in synchronous mode")
-        return menu
+        """The synchronous latency options, built and checked on first use."""
+        if self._sync_menu is None:
+            menu = self.latency_menu or list(range(1, self.delta + 1))
+            if not self.allow_model_violation and any(l > self.delta for l in menu):
+                raise ModelViolation("latency menu exceeds delta in synchronous mode")
+            self._sync_menu = menu
+        return self._sync_menu
 
     def pre_gst_menu(self) -> List[int]:
         cap = self.pre_gst_cap if self.pre_gst_cap is not None else 4 * self.delta
@@ -219,6 +223,8 @@ class Chain:
         return self._snapshot
 
     def restore(self, snap: tuple):
+        if snap is self._snapshot:
+            return  # no entry since `snap` was taken or restored
         length, wallets = snap
         del self.views[length:]
         self.wallets.restore(wallets)

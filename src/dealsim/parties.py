@@ -219,13 +219,6 @@ class CompliantParty:
             and view.get("delta") == self.deal.delta
         )
 
-    def entitlement_lots(self) -> List[LotId]:
-        return [
-            lot
-            for lot in self.plan.lots()
-            if not self.plan.entitlement(self.me, lot).is_empty()
-        ]
-
     def try_validate(self, ctx):
         """Validate once my own transfers are done and my incoming assets sit
         properly escrowed; the prospective payoff must be acceptable.
@@ -238,8 +231,9 @@ class CompliantParty:
             return
         if not self.escrow_published or self.moves_done < len(self.my_moves):
             return
-        incoming_chains = sorted({lot[0] for lot in self.entitlement_lots()})
-        for lot in self.entitlement_lots():
+        entitled = self.plan.entitlement_lots(self.me)
+        incoming_chains = sorted({lot[0] for lot in entitled})
+        for lot in entitled:
             chain, escrower = lot
             view = ctx.view(chain)
             if not self.deal_config_ok(ctx, view):
@@ -480,7 +474,7 @@ class CbcParty(CompliantParty):
 
     def settle_targets(self, status: str) -> List[LotId]:
         if status == "committed":
-            return self.entitlement_lots()
+            return self.plan.entitlement_lots(self.me)
         return self.plan.escrowed_lots(self.me)
 
     def try_settle(self, ctx):
@@ -492,6 +486,11 @@ class CbcParty(CompliantParty):
         except CbcError:
             return
         if decision.status == UNDECIDED:
+            return
+        # My view is a prefix of the shared log and a decided status never
+        # changes, so the certificate would certify this same decision: with
+        # its targets all settled, it could settle nothing.
+        if self.settled.issuperset(self.settle_targets(decision.status)):
             return
         cert = ctx.request_certificate(self.deal.deal_id, self.h)
         hops = ()

@@ -11,7 +11,7 @@ tops up the caller's lot on that chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from .assets import AssetBundle
@@ -37,14 +37,40 @@ class PlannedMove:
 
 @dataclass
 class DealPlan:
+    """The plan for one deal and one set of starting wallets.
+
+    A plan is never changed once built, so every run from the same wallets
+    can share it; the lot queries are answered once, in `__post_init__`,
+    and each call hands out a fresh list.
+    """
+
     deal: DealSpec
     escrows: Dict[Tuple[str, str], AssetBundle]     # (party, chain) -> bundle
     moves: List[PlannedMove]
     final_c: Dict[LotId, Dict[str, AssetBundle]]    # lot -> commit-owner entitlements
     beneficiaries: Dict[LotId, frozenset]           # lot -> parties receiving through it
+    # The query answers, in lot order; per party, keyed by party.
+    _lots: Tuple[LotId, ...] = field(init=False, repr=False)
+    _voting: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
+    _escrowed: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
+    _source: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
+    _entitled: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lots = self._lots = tuple(sorted(self.final_c))
+        self._voting, self._escrowed, self._source, self._entitled = {}, {}, {}, {}
+        for party in self.deal.parties:
+            escrowed = tuple(lot for lot in lots if lot[1] == party)
+            moved = {m.lot for m in self.moves_by(party)}
+            self._voting[party] = tuple(lot for lot in lots if party in self.beneficiaries[lot])
+            self._escrowed[party] = escrowed
+            self._source[party] = tuple(sorted(moved.union(escrowed)))
+            self._entitled[party] = tuple(
+                lot for lot in lots if not self.entitlement(party, lot).is_empty()
+            )
 
     def lots(self) -> List[LotId]:
-        return sorted(self.final_c)
+        return list(self._lots)
 
     def escrow_for(self, party: str, chain: str) -> AssetBundle:
         return self.escrows.get((party, chain), AssetBundle.empty())
@@ -54,10 +80,10 @@ class DealPlan:
 
     def voting_lots(self, party: str) -> List[LotId]:
         """Lots the party receives assets through: where its commit vote matters."""
-        return [lot for lot in self.lots() if party in self.beneficiaries[lot]]
+        return list(self._voting.get(party, ()))
 
     def escrowed_lots(self, party: str) -> List[LotId]:
-        return [lot for lot in self.lots() if lot[1] == party]
+        return list(self._escrowed.get(party, ()))
 
     def source_lots(self, party: str) -> List[LotId]:
         """Lots holding the party's outgoing assets: what it watches for votes.
@@ -66,9 +92,11 @@ class DealPlan:
         vote accepted there releases something of the party's, so the party
         is motivated to carry that vote onward to the lots paying it.
         """
-        lots = {lot for lot in self.escrowed_lots(party)}
-        lots |= {m.lot for m in self.moves_by(party)}
-        return sorted(lots)
+        return list(self._source.get(party, ()))
+
+    def entitlement_lots(self, party: str) -> List[LotId]:
+        """Lots the script leaves something to the party in."""
+        return list(self._entitled.get(party, ()))
 
     def entitlement(self, party: str, lot: LotId) -> AssetBundle:
         return self.final_c.get(lot, {}).get(party, AssetBundle.empty())

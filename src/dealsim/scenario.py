@@ -37,7 +37,6 @@ Schema (all times are integer ticks):
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import random
@@ -68,7 +67,7 @@ _NETWORK_DEFAULTS = {
     "allow_model_violation": False,
 }
 
-_NETWORK_KEYS = frozenset(f.name for f in fields(NetworkModel))
+_NETWORK_KEYS = frozenset(f.name for f in fields(NetworkModel) if f.init)
 
 _CBC_DEFAULTS = {"f": 1, "corrupt": 0, "grace": 10, "patience": 60, "reconfigurations": 0}
 
@@ -77,7 +76,7 @@ def validate_scenario(raw: dict) -> dict:
     """Fill defaults and reject inconsistent scenarios; returns a new dict."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    sc = copy.deepcopy(raw)
+    sc = _copy_json(raw)
     for key in ("protocol", "deal"):
         if key not in sc:
             raise ScenarioError(f"scenario missing {key!r}")
@@ -87,48 +86,87 @@ def validate_scenario(raw: dict) -> dict:
     sc.setdefault("seed", 0)
     if not isinstance(sc["seed"], int):
         raise ScenarioError("seed must be an integer")
-    network = dict(_NETWORK_DEFAULTS)
-    network.update(sc.get("network", {}))
+    network = _section(sc, "network", _NETWORK_DEFAULTS)
     unknown = network.keys() - _NETWORK_KEYS
     if unknown:
         raise ScenarioError(f"unknown network keys {sorted(unknown)}")
     if network["mode"] not in ("synchronous", "semi-synchronous"):
         raise ScenarioError(f"unknown network mode {network['mode']!r}")
+    _require_ints("network", network, ("delta", "gst", "skew_max"), ("pre_gst_cap", "explore_from"))
+    menu = network["latency_menu"]
+    if menu is not None and not (isinstance(menu, list) and all(_is_int(l) for l in menu)):
+        raise ScenarioError("network latency_menu must be a list of integers")
     if network["delta"] <= 0:
         raise ScenarioError("delta must be positive")
-    sc["network"] = network
     try:
         deal = DealSpec.from_json(sc["deal"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad deal: {exc}") from exc
     if deal.delta != network["delta"]:
         raise ScenarioError("deal delta and network delta must agree")
-    sc.setdefault("wallets", {})
-    for party in sc["wallets"]:
+    for party, wallet in _section(sc, "wallets", {}).items():
         if party not in deal.parties:
             raise ScenarioError(f"wallet for unknown party {party!r}")
-    strategies = sc.setdefault("strategies", {})
-    for party, binding in strategies.items():
+        try:
+            AssetBundle.from_json(wallet)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad wallet for {party!r}: {exc}") from exc
+    for party, binding in _section(sc, "strategies", {}).items():
         if party not in deal.parties:
             raise ScenarioError(f"strategy bound to unknown party {party!r}")
+        if not isinstance(binding, dict) or not isinstance(binding.get("params", {}), dict):
+            raise ScenarioError(f"strategy for {party!r} must be an object with object params")
         if binding.get("name", "compliant") not in STRATEGIES:
             raise ScenarioError(f"unknown strategy {binding.get('name')!r}")
-    cbc = dict(_CBC_DEFAULTS)
-    cbc.update(sc.get("cbc", {}))
+    cbc = _section(sc, "cbc", _CBC_DEFAULTS)
+    _require_ints("cbc", cbc, tuple(_CBC_DEFAULTS))
     if sc["protocol"] == "cbc":
         if cbc["f"] < 0 or cbc["corrupt"] > cbc["f"]:
             raise ScenarioError("need 0 <= corrupt <= f")
         if cbc["reconfigurations"] not in (0, 1):
             raise ScenarioError("at most one reconfiguration step is supported")
-    sc["cbc"] = cbc
     n = len(deal.parties)
     default_horizon = deal.t0 + (n + 4) * deal.delta + 5
     if sc["protocol"] == "cbc":
         default_horizon = max(default_horizon, cbc["patience"] + cbc["grace"] + 6 * deal.delta)
     sc.setdefault("horizon", default_horizon)
+    if not _is_int(sc["horizon"]):
+        raise ScenarioError("horizon must be an integer")
     if sc["horizon"] <= deal.t0 + (n + 2) * deal.delta:
         raise ScenarioError("horizon too small for the deal's timeout structure")
     return sc
+
+
+def _copy_json(value):
+    """A copy of JSON-shaped data sharing no dict or list with `value`."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
+
+
+def _section(sc: dict, key: str, defaults: dict) -> dict:
+    """Set `sc[key]` to the defaults updated by the scenario's own object."""
+    given = sc.get(key, {})
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{key} must be an object")
+    sc[key] = section = dict(defaults)
+    section.update(given)
+    return section
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(name: str, section: dict, keys, optional=()):
+    for key in keys:
+        if not _is_int(section[key]):
+            raise ScenarioError(f"{name} {key} must be an integer")
+    for key in optional:
+        if section.get(key) is not None and not _is_int(section[key]):
+            raise ScenarioError(f"{name} {key} must be an integer or null")
 
 
 def load_scenario(path_or_name: str) -> dict:
@@ -173,13 +211,32 @@ class Built:
 
 
 def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Built:
-    """Construct chains, contracts, validator service, and controllers."""
+    """Validate the scenario, plan its deal, and construct its world."""
     sc = validate_scenario(scenario)
     deal = DealSpec.from_json(sc["deal"])
-    holdings = {
-        party: AssetBundle.from_json(wallet) for party, wallet in sc.get("wallets", {}).items()
-    }
-    plan = build_plan(deal, holdings)
+    holdings = wallet_holdings(sc)
+    return assemble_world(sc, deal, holdings, build_plan(deal, holdings), seed, choices)
+
+
+def wallet_holdings(sc: dict) -> Dict[str, AssetBundle]:
+    """Each party's starting wallet in a validated scenario."""
+    return {party: AssetBundle.from_json(wallet) for party, wallet in sc["wallets"].items()}
+
+
+def assemble_world(
+    sc: dict,
+    deal: DealSpec,
+    holdings: Dict[str, AssetBundle],
+    plan: DealPlan,
+    seed: Optional[int] = None,
+    choices=None,
+) -> Built:
+    """Construct chains, contracts, validator service, and controllers.
+
+    `sc` must be validated, and `deal`, `holdings` and `plan` derived from
+    it as `build_world` derives them; callers running many worlds from one
+    scenario derive them once.
+    """
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
     world = World(sc, network, run_seed, sc["horizon"], choices, payload_digest(sc))
@@ -215,8 +272,7 @@ def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Bui
 
     def chains_of_interest(party: str) -> List[str]:
         lots = set(plan.source_lots(party)) | set(plan.voting_lots(party))
-        lots |= set(plan.escrowed_lots(party))
-        lots |= {lot for lot in plan.lots() if not plan.entitlement(party, lot).is_empty()}
+        lots |= set(plan.escrowed_lots(party)) | set(plan.entitlement_lots(party))
         chains = {lot[0] for lot in lots}
         if protocol == "cbc":
             chains.add(CBC_CHAIN)

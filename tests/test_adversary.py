@@ -18,7 +18,15 @@ from dealsim.ledger import SeededChoices, TapeChoices
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
-from dealsim.scenario import ScenarioError, build_world, swap_deal, ticket_deal
+from dealsim.scenario import (
+    ScenarioError,
+    build_world,
+    cycle_deal,
+    dual_broker_deal,
+    swap_deal,
+    ticket_deal,
+    validate_scenario,
+)
 
 from conftest import run_scenario_dict
 
@@ -161,6 +169,52 @@ class TestCampaigns:
         replayed = replay_trace(witness)
         safety = [v for v in replayed.verdicts if v.prop == "safety"]
         assert safety[0].passed is False  # the violation replays
+
+
+class TestPreparedCampaigns:
+    """Campaign runs share each base's validated scenario, deal and plan."""
+
+    @staticmethod
+    def bases(protocol):
+        return [
+            swap_deal(protocol),
+            ticket_deal(protocol),
+            dual_broker_deal(protocol),
+            cycle_deal(3, protocol),
+        ]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_run_matches_a_fully_validated_run(self, protocol, monkeypatch):
+        traces = []
+        original = properties.evaluate_run
+
+        def recording(trace):
+            traces.append(trace)
+            return original(trace)
+
+        monkeypatch.setattr(properties, "evaluate_run", recording)
+        bases = self.bases(protocol)
+        random_campaign(bases, sorted(STRATEGIES), runs=300, seed=8, max_adversaries=2)
+        assert len(traces) == 300
+        for trace in traces:
+            assert validate_scenario(trace.scenario) == trace.scenario
+            _, fresh = run_scenario_dict(trace.scenario)
+            assert fresh.digest() == trace.digest(), trace.scenario["strategies"]
+        # Some runs had a broker overpay with coins added to its wallet, so
+        # their plan was rebuilt rather than shared.
+        wallets = {sc["name"]: sc["wallets"] for sc in map(validate_scenario, bases)}
+        assert any(
+            trace.scenario["name"] in (f"ticket_deal_{protocol}", f"dual_broker_{protocol}")
+            and trace.scenario["strategies"].get("alice", {}).get("name") == "overpay"
+            and trace.scenario["wallets"] != wallets[trace.scenario["name"]]
+            for trace in traces
+        )
+
+    def test_campaign_leaves_its_bases_unchanged(self, corpus):
+        bases = self.bases("timelock") + [corpus["virus_alice_timelock"]]
+        before = copy.deepcopy(bases)
+        random_campaign(bases, ["overpay", "selective_communication"], runs=100, seed=4, max_adversaries=2)
+        assert bases == before
 
 
 class TestExploration:

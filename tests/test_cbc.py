@@ -17,7 +17,8 @@ from dealsim.cbc import (
     verify_certificate,
 )
 from dealsim.crypto import SignatureScheme, certificate_message
-from dealsim.scenario import ticket_deal
+from dealsim.ledger import PartyContext
+from dealsim.scenario import bundled_scenarios, ticket_deal
 
 from conftest import run_scenario_dict
 
@@ -277,3 +278,22 @@ class TestCbcRuns:
             assert event.payload["cert"]["epoch"] == 1
             assert len(event.payload["reconfig"]) == 1
         assert {res for res, _ in trace.resolutions.values()} == {COMMITTED}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, sc in bundled_scenarios().items() if sc["protocol"] == "cbc")
+)
+def test_no_certificate_once_every_settle_target_is_settled(corpus, name, monkeypatch):
+    # Per request: were the requester's settle targets already all settled?
+    requests = []
+    original = PartyContext.request_certificate
+
+    def recording(ctx, deal_id, h):
+        controller = ctx._world.controllers[ctx.me]
+        cert = original(ctx, deal_id, h)
+        requests.append(controller.settled.issuperset(controller.settle_targets(cert.status)))
+        return cert
+
+    monkeypatch.setattr(PartyContext, "request_certificate", recording)
+    run_scenario_dict(corpus[name])
+    assert requests and not any(requests)

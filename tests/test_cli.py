@@ -8,6 +8,7 @@ from dealsim.cli import main
 from dealsim.costs import meter
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
+from dealsim.scenario import ticket_deal
 from dealsim.trace import RunTrace
 
 from conftest import run_scenario_dict
@@ -51,6 +52,26 @@ class TestRunCommand:
         assert code == 2
         assert "scenario error" in err and "latency_jitter" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sc: sc.update(network=5),
+            lambda sc: sc.update(cbc=5),
+            lambda sc: sc["network"].update(delta="5"),
+            lambda sc: sc.update(strategies=["x"]),
+            lambda sc: sc["wallets"].update(carol={"fungible": "x", "tokens": []}),
+        ],
+        ids=["network", "cbc", "network-delta", "strategies", "wallet"],
+    )
+    def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
+        scenario = ticket_deal("timelock")
+        edit(scenario)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert "scenario error" in err
+
     def test_structured_report_is_json(self, capsys):
         code, out, err = run_cli(
             capsys, "run", "--scenario", "ticket_deal_cbc", "--report", "structured"
@@ -91,18 +112,18 @@ class TestRunCommand:
         assert "campaign: 5 runs, 0 violations" in out
 
     def test_campaign_mode_keeps_the_scenario_strategies(self, capsys, monkeypatch):
-        from dealsim import adversary
+        from dealsim import properties
         from dealsim.scenario import load_scenario
 
         declared = load_scenario("virus_alice_timelock")["strategies"]
         seen = []
-        original = adversary.run_scenario
+        original = properties.evaluate_run
 
-        def recording(scenario, *args, **kwargs):
-            seen.append(scenario["strategies"])
-            return original(scenario, *args, **kwargs)
+        def recording(trace, *args, **kwargs):
+            seen.append(trace.scenario["strategies"])
+            return original(trace, *args, **kwargs)
 
-        monkeypatch.setattr(adversary, "run_scenario", recording)
+        monkeypatch.setattr(properties, "evaluate_run", recording)
         run_cli(capsys, "run", "--scenario", "virus_alice_timelock", "--runs", "20", "--seed", "0")
         assert len(seen) == 20
         assert all(strategies == declared for strategies in seen)

@@ -3,7 +3,7 @@
 import pytest
 
 from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, World
-from dealsim.scenario import ticket_deal
+from dealsim.scenario import build_world, ticket_deal
 
 from conftest import run_scenario_dict
 
@@ -125,6 +125,13 @@ class TestNetworkModel:
     def test_latency_menu_beyond_delta_is_a_model_violation(self):
         with pytest.raises(ModelViolation):
             NetworkModel(delta=5, latency_menu=[1, 10]).sync_menu()
+
+    def test_model_violation_is_raised_at_the_first_pick_not_at_build(self):
+        scenario = ticket_deal("timelock")
+        scenario["network"]["latency_menu"] = [1, 10]
+        world = build_world(scenario).world
+        with pytest.raises(ModelViolation):
+            world.run()
 
     def test_declared_model_violation_class_is_allowed(self):
         menu = NetworkModel(delta=5, latency_menu=[1, 10], allow_model_violation=True).sync_menu()

@@ -137,6 +137,27 @@ class TestPlanning:
         assert plan.source_lots("carol") == [("coin", "carol")]
         assert set(plan.source_lots("alice")) == {("coin", "carol"), ("ticket", "bob")}
 
+    def test_precomputed_queries_match_scans_of_the_lots(self):
+        for name, scenario in bundled_scenarios().items():
+            built = build_world(scenario)
+            plan = built.plan
+            lots = sorted(plan.final_c)
+            assert plan.lots() == lots, name
+            for party in built.deal.parties:
+                escrowed = [lot for lot in lots if lot[1] == party]
+                moved = {m.lot for m in plan.moves_by(party)}
+                assert plan.escrowed_lots(party) == escrowed, (name, party)
+                assert plan.source_lots(party) == sorted(moved | set(escrowed)), (name, party)
+                assert plan.voting_lots(party) == [
+                    lot for lot in lots if party in plan.beneficiaries[lot]
+                ], (name, party)
+                assert plan.entitlement_lots(party) == [
+                    lot for lot in lots if not plan.entitlement(party, lot).is_empty()
+                ], (name, party)
+                # Callers get their own list; the shared plan stays as built.
+                plan.voting_lots(party).append(("nowhere", party))
+                assert ("nowhere", party) not in plan.voting_lots(party)
+
     def test_infeasible_script_rejected(self):
         deal = DealSpec(
             "d",
