@@ -13,17 +13,10 @@ from typing import Dict, List
 
 from . import properties
 from .assets import AssetBundle
-from .deals import DealSpec
 from .ledger import TapeChoices
 from .parties import STRATEGIES
 from .planning import build_plan
-from .scenario import (
-    ScenarioError,
-    assemble_world,
-    build_world,
-    validate_scenario,
-    wallet_holdings,
-)
+from .scenario import ScenarioError, assemble_world, build_world, prepare, wallet_holdings
 
 
 def builtin_strategies() -> Dict[str, dict]:
@@ -72,9 +65,9 @@ def random_campaign(
 
     Deterministic for fixed (scenarios, mix, runs, seed): the report and
     every violation witness come out identical on re-run.  Each base is
-    validated, parsed and planned once.  A run's scenario is a shallow copy
-    of its base with its own seed and strategy bindings, plus its own
-    wallets and plan when an overpaying party brings extra coins.
+    prepared once.  A run's scenario is a shallow copy of its base with its
+    own seed and strategy bindings, plus its own wallets and plan when an
+    overpaying party brings extra coins.
     """
     if runs < 1:
         raise ValueError("a campaign needs at least one run")
@@ -85,12 +78,7 @@ def random_campaign(
     outcomes: Dict[str, int] = {}
     violations: List[dict] = []
     witnesses = []
-    bases = []
-    for raw in base_scenarios:
-        base = validate_scenario(raw)
-        deal = DealSpec.from_json(base["deal"])
-        holdings = wallet_holdings(base)
-        bases.append((base, deal, holdings, build_plan(deal, holdings)))
+    bases = [prepare(raw) for raw in base_scenarios]
     for i in range(runs):
         base, deal, holdings, plan = bases[rng.randrange(len(bases))]
         scenario = dict(base)

@@ -296,6 +296,15 @@ class ValidatorService:
         self.epochs.append(members)
         self.corrupt_ids = frozenset(members[:corrupt])
 
+    @classmethod
+    def for_scenario(cls, scheme: SignatureScheme, cbc: dict) -> "ValidatorService":
+        """The service a scenario's `cbc` section describes, with its
+        reconfigurations already made."""
+        service = cls(scheme, cbc["f"], cbc["corrupt"])
+        for _ in range(cbc.get("reconfigurations", 0)):
+            service.reconfigure()
+        return service
+
     def _fresh_members(self, epoch: int) -> Tuple[str, ...]:
         members = tuple(f"{self._seed}-e{epoch}-v{i}" for i in range(3 * self.f + 1))
         for vid in members:

@@ -106,49 +106,54 @@ def _bundle_str(bundle_json: dict) -> str:
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
+        if args.explore:
+            return _explore(args, scenario)
+        if args.runs > 1:
+            return _campaign(args, scenario)
+        return _single_run(args, scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    schedule = _schedule(args)
 
-    if args.explore:
-        bound = ExplorationBound(max_runs=args.max_runs, max_choice_points=args.max_depth)
-        result = exhaustive_explore(scenario, bound)
-        if args.report == "structured":
-            print(json.dumps(result.to_json(), indent=1, sort_keys=True))
-        else:
-            print(f"exploration: {result.verdict}")
-            print(
-                f"  runs={result.runs} branch_points={result.branch_points}"
-                f" complete={result.complete}"
-            )
-            for violation in result.violations[:3]:
-                print(f"  violation tape={violation['tape']}")
-                for failure in violation["failures"]:
-                    print(f"    {failure['property']}: {failure['details']}")
-                    for item in failure["witness"]:
-                        print(f"      witness: {json.dumps(item, sort_keys=True)}")
-        if args.trace and result.witness_traces:
-            result.witness_traces[0].dump(args.trace)
-            print(f"witness trace written to {args.trace}")
-        return EXIT_PROPERTY if result.verdict == "VIOLATION" else EXIT_OK
 
-    if args.runs > 1:
-        # Every run keeps the file's strategy bindings; only the seed varies.
-        report = random_campaign(
-            [scenario], ["compliant"], args.runs, args.seed or 0, max_adversaries=0
+def _explore(args, scenario: dict) -> int:
+    bound = ExplorationBound(max_runs=args.max_runs, max_choice_points=args.max_depth)
+    result = exhaustive_explore(scenario, bound)
+    if args.report == "structured":
+        print(json.dumps(result.to_json(), indent=1, sort_keys=True))
+    else:
+        print(f"exploration: {result.verdict}")
+        print(
+            f"  runs={result.runs} branch_points={result.branch_points}"
+            f" complete={result.complete}"
         )
-        if args.report == "structured":
-            print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-        else:
-            print(f"campaign: {report.runs} runs, {report.violation_count} violations")
-            for name, count in sorted(report.outcomes.items()):
-                print(f"  {name}: {count}")
-        return EXIT_PROPERTY if report.violations else EXIT_OK
+        for violation in result.violations[:3]:
+            print(f"  violation tape={violation['tape']}")
+            for failure in violation["failures"]:
+                print(f"    {failure['property']}: {failure['details']}")
+                for item in failure["witness"]:
+                    print(f"      witness: {json.dumps(item, sort_keys=True)}")
+    if args.trace and result.witness_traces:
+        result.witness_traces[0].dump(args.trace)
+        print(f"witness trace written to {args.trace}")
+    return EXIT_PROPERTY if result.verdict == "VIOLATION" else EXIT_OK
 
-    built = build_world(scenario, seed=args.seed)
-    trace = built.world.run()
-    report = build_report(trace, schedule)
+
+def _campaign(args, scenario: dict) -> int:
+    # Every run keeps the file's strategy bindings; only the seed varies.
+    report = random_campaign([scenario], ["compliant"], args.runs, args.seed or 0, max_adversaries=0)
+    if args.report == "structured":
+        print(json.dumps(report.to_json(), indent=1, sort_keys=True))
+    else:
+        print(f"campaign: {report.runs} runs, {report.violation_count} violations")
+        for name, count in sorted(report.outcomes.items()):
+            print(f"  {name}: {count}")
+    return EXIT_PROPERTY if report.violations else EXIT_OK
+
+
+def _single_run(args, scenario: dict) -> int:
+    trace = build_world(scenario, seed=args.seed).world.run()
+    report = build_report(trace, _schedule(args))
     if args.trace:
         trace.dump(args.trace)
     if args.report == "structured":

@@ -54,6 +54,11 @@ class SignatureScheme:
         self._public: dict[str, str] = {}
         self._key_bytes: dict[str, bytes] = {}  # party -> decoded private key
 
+    @classmethod
+    def for_run(cls, seed: int) -> "SignatureScheme":
+        """The keys of the run with this seed; checkers re-derive them from a trace."""
+        return cls(seed=f"run-{seed}")
+
     def keypair(self, party: str) -> KeyPair:
         if party not in self._private:
             priv = digest_hex(encode_message("PRIV", self._seed, party))

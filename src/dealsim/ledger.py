@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .assets import AssetBundle
 from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
+from .timelock import refund_deadline
 from .trace import RunTrace, TraceEvent, payload_digest
 
 TIMER_SENDER = "@timer"
@@ -321,7 +322,7 @@ class World:
         self._timer_scheduled: set = set()
         self._truncated = False
         self._initial_wallets: Optional[Dict[str, dict]] = None
-        self.scheme = SignatureScheme(seed=f"run-{seed}")
+        self.scheme = SignatureScheme.for_run(seed)
 
     # -- construction --------------------------------------------------------
 
@@ -407,12 +408,12 @@ class World:
         return status, reason, info
 
     def _after_accept(self, chain_id: str, payload: dict, info: dict):
+        # Only escrow contracts accept an escrow.
+        if payload.get("op") != "escrow":
+            return
         contract = self.chains[chain_id].contract
-        if payload.get("op") == "escrow" and getattr(contract, "protocol", None) in (
-            "timelock",
-            "naive",
-        ):
-            due = contract.t0 + len(contract.plist) * contract.delta
+        if contract.protocol in ("timelock", "naive"):
+            due = refund_deadline(contract.t0, contract.delta, len(contract.plist))
             self.schedule_lot_timeout(chain_id, info["lot"], due)
 
     # -- the loop --------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional
 from .cbc import ABORTED, CBC_CHAIN, COMMITTED, Certificate, ValidatorService, verify_certificate
 from .crypto import SignatureScheme
 from .deals import DealSpec, is_acceptable, payoff_of_run, wallet_delta_payoff
+from .timelock import refund_deadline
 
 
 @dataclass
@@ -77,7 +78,7 @@ def weak_liveness_bound(trace, deal: Optional[DealSpec] = None) -> int:
     protocol = trace.scenario["protocol"]
     n = len(deal.parties)
     if protocol in ("timelock", "naive"):
-        return deal.t0 + n * deal.delta + deal.delta
+        return refund_deadline(deal.t0, deal.delta, n) + deal.delta
     grace = trace.scenario["cbc"]["grace"]
     vote_ticks = [
         e.tick
@@ -158,11 +159,9 @@ def check_agreement(trace) -> Verdict:
     certificates, and compliant escrows must all resolve the same way."""
     if trace.scenario["protocol"] != "cbc":
         return Verdict("agreement", None, "inapplicable: not a certified-ledger run")
-    scheme = SignatureScheme(seed=f"run-{trace.seed}")
+    scheme = SignatureScheme.for_run(trace.seed)
     cbc_cfg = trace.scenario["cbc"]
-    service = ValidatorService(scheme, cbc_cfg["f"], cbc_cfg["corrupt"])
-    for _ in range(cbc_cfg.get("reconfigurations", 0)):
-        service.reconfigure()
+    service = ValidatorService.for_scenario(scheme, cbc_cfg)
     hops = service.reconfig_chain()
     verified: Dict[tuple, set] = {}
     for event in trace.events:

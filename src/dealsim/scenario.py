@@ -3,8 +3,9 @@
 A scenario is a JSON document with the deal, starting wallets, network
 model, protocol choice, per-party strategy bindings, and the seed that
 drives every random choice in the run.  `build_world` turns a scenario
-into a ready-to-run world; the builders at the bottom generate the
-bundled corpus.
+into a ready-to-run world.  `scenario_for` turns a deal's JSON and its
+parties' wallets into an all-compliant scenario; the deal builders at the
+bottom use it, and their variants make up the bundled corpus.
 
 Schema (all times are integer ticks):
 
@@ -49,7 +50,7 @@ from .deals import DealSpec
 from .escrow import EscrowContract
 from .ledger import NetworkModel, World
 from .parties import PROTOCOLS, STRATEGIES, PartyConfig, controller_class
-from .planning import DealPlan, build_plan
+from .planning import DealPlan, PlanError, build_plan
 from .trace import payload_digest
 
 
@@ -212,10 +213,21 @@ class Built:
 
 def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Built:
     """Validate the scenario, plan its deal, and construct its world."""
+    return assemble_world(*prepare(scenario), seed, choices)
+
+
+def prepare(scenario: dict) -> Tuple[dict, DealSpec, Dict[str, AssetBundle], DealPlan]:
+    """The validated scenario with its deal, starting holdings and plan.
+
+    Wallets that cannot fund the script raise the plan's `PlanError` as `ScenarioError`."""
     sc = validate_scenario(scenario)
     deal = DealSpec.from_json(sc["deal"])
     holdings = wallet_holdings(sc)
-    return assemble_world(sc, deal, holdings, build_plan(deal, holdings), seed, choices)
+    try:
+        plan = build_plan(deal, holdings)
+    except PlanError as exc:
+        raise ScenarioError(f"infeasible deal: {exc}") from exc
+    return sc, deal, holdings, plan
 
 
 def wallet_holdings(sc: dict) -> Dict[str, AssetBundle]:
@@ -233,9 +245,8 @@ def assemble_world(
 ) -> Built:
     """Construct chains, contracts, validator service, and controllers.
 
-    `sc` must be validated, and `deal`, `holdings` and `plan` derived from
-    it as `build_world` derives them; callers running many worlds from one
-    scenario derive them once.
+    `sc`, `deal`, `holdings` and `plan` are what `prepare` returns;
+    callers running many worlds from one scenario prepare it once.
     """
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
@@ -254,20 +265,16 @@ def assemble_world(
     validators: Tuple[str, ...] = ()
     if protocol == "cbc":
         world.add_chain(CBC_CHAIN, CbcLogContract())
-        service = ValidatorService(world.scheme, sc["cbc"]["f"], sc["cbc"]["corrupt"])
-        for _ in range(sc["cbc"]["reconfigurations"]):
-            service.reconfigure()
-        world.validator_service = service
-        validators = service.members(0)
+        world.validator_service = ValidatorService.for_scenario(world.scheme, sc["cbc"])
+        validators = world.validator_service.members(0)
 
     for party, bundle in holdings.items():
+        unknown = bundle.chains() - world.chains.keys()
+        if unknown:
+            raise ScenarioError(f"wallet references unknown chain {min(unknown)!r}")
         for (chain_id, kind), amount in bundle.fungible.items():
-            if chain_id not in world.chains:
-                raise ScenarioError(f"wallet references unknown chain {chain_id!r}")
             world.chains[chain_id].wallets.deposit_fungible(party, kind, amount)
         for chain_id, token in bundle.tokens:
-            if chain_id not in world.chains:
-                raise ScenarioError(f"wallet references unknown chain {chain_id!r}")
             world.chains[chain_id].wallets.set_token_owner(token, party)
 
     def chains_of_interest(party: str) -> List[str]:
@@ -309,282 +316,175 @@ def run_scenario(scenario: dict, seed: Optional[int] = None, choices=None):
 # ---------------------------------------------------------------------------
 
 
-def _bundle_json(fungible=None, tokens=None) -> dict:
-    return AssetBundle(fungible or {}, tokens or []).to_json()
+def scenario_for(deal: dict, wallets: dict, protocol: str, seed: int, name: str) -> dict:
+    """A synchronous, all-compliant scenario running `deal` from `wallets`.
+
+    `deal` and each wallet are JSON, as `DealSpec.to_json` and `AssetBundle.to_json`
+    give them.  CBC validators tolerate one fault, and none is corrupt.
+    """
+    delta = deal["delta"]
+    return {
+        "name": name,
+        "protocol": protocol,
+        "seed": seed,
+        "network": {"mode": "synchronous", "delta": delta},
+        "wallets": wallets,
+        "deal": deal,
+        "strategies": {},
+        "cbc": {"f": 1, "corrupt": 0, "grace": 2 * delta, "patience": deal["t0"] + 4 * delta},
+    }
+
+
+def _bundle(*coins, tokens=()) -> dict:
+    """Bundle JSON of (chain, kind, amount) coins and (chain, token) tokens, in sorted order."""
+    return {"fungible": [list(c) for c in coins], "tokens": [list(t) for t in tokens]}
+
+
+def _deal(deal_id: str, parties: list, t0: int, delta: int, *script) -> dict:
+    """Deal JSON whose i-th (sender, receiver, bundle) transfer runs at step i."""
+    transfers = [
+        {"from": sender, "to": receiver, "step": i, "bundle": bundle}
+        for i, (sender, receiver, bundle) in enumerate(script)
+    ]
+    return {"id": deal_id, "parties": parties, "t0": t0, "delta": delta, "transfers": transfers}
 
 
 def ticket_deal(protocol: str = "timelock", seed: int = 42, delta: int = 5, t0: int = 30) -> dict:
     """The three-party broker deal: tickets for coins with a 1-coin commission."""
-    return {
-        "name": f"ticket_deal_{protocol}",
-        "protocol": protocol,
-        "seed": seed,
-        "network": {"mode": "synchronous", "delta": delta},
-        "wallets": {
-            "bob": _bundle_json(tokens=[["ticket", "tkt1"], ["ticket", "tkt2"]]),
-            "carol": _bundle_json({("coin", "coin"): 150}),
-        },
-        "deal": {
-            "id": "ticket-deal",
-            "parties": ["alice", "bob", "carol"],
-            "t0": t0,
-            "delta": delta,
-            "transfers": [
-                {
-                    "from": "bob",
-                    "to": "alice",
-                    "step": 0,
-                    "bundle": _bundle_json(tokens=[["ticket", "tkt1"], ["ticket", "tkt2"]]),
-                },
-                {
-                    "from": "alice",
-                    "to": "carol",
-                    "step": 1,
-                    "bundle": _bundle_json(tokens=[["ticket", "tkt1"], ["ticket", "tkt2"]]),
-                },
-                {
-                    "from": "carol",
-                    "to": "alice",
-                    "step": 2,
-                    "bundle": _bundle_json({("coin", "coin"): 101}),
-                },
-                {
-                    "from": "alice",
-                    "to": "bob",
-                    "step": 3,
-                    "bundle": _bundle_json({("coin", "coin"): 100}),
-                },
-            ],
-        },
-        "strategies": {},
-        "cbc": {"f": 1, "corrupt": 0, "grace": 2 * delta, "patience": t0 + 4 * delta},
-    }
+    tickets = (("ticket", "tkt1"), ("ticket", "tkt2"))
+    deal = _deal(
+        "ticket-deal", ["alice", "bob", "carol"], t0, delta,
+        ("bob", "alice", _bundle(tokens=tickets)),
+        ("alice", "carol", _bundle(tokens=tickets)),
+        ("carol", "alice", _bundle(("coin", "coin", 101))),
+        ("alice", "bob", _bundle(("coin", "coin", 100))),
+    )
+    # alice only brokers, and carol holds more than the 101 coins she pays.
+    wallets = {"bob": _bundle(tokens=tickets), "carol": _bundle(("coin", "coin", 150))}
+    return scenario_for(deal, wallets, protocol, seed, f"ticket_deal_{protocol}")
 
 
 def dual_broker_deal(protocol: str = "timelock", seed: int = 7, delta: int = 5, t0: int = 30) -> dict:
     """Two coin kinds brokered through a middle party holding inventory of both."""
-    return {
-        "name": f"dual_broker_{protocol}",
-        "protocol": protocol,
-        "seed": seed,
-        "network": {"mode": "synchronous", "delta": delta},
-        "wallets": {
-            "bob": _bundle_json({("bcoin", "b-coin"): 101}),
-            "carol": _bundle_json({("ccoin", "c-coin"): 101}),
-            "alice": _bundle_json({("bcoin", "b-coin"): 100, ("ccoin", "c-coin"): 100}),
-        },
-        "deal": {
-            "id": "dual-broker",
-            "parties": ["alice", "bob", "carol"],
-            "t0": t0,
-            "delta": delta,
-            "transfers": [
-                {
-                    "from": "bob",
-                    "to": "alice",
-                    "step": 0,
-                    "bundle": _bundle_json({("bcoin", "b-coin"): 101}),
-                },
-                {
-                    "from": "alice",
-                    "to": "carol",
-                    "step": 1,
-                    "bundle": _bundle_json({("bcoin", "b-coin"): 100}),
-                },
-                {
-                    "from": "carol",
-                    "to": "alice",
-                    "step": 2,
-                    "bundle": _bundle_json({("ccoin", "c-coin"): 101}),
-                },
-                {
-                    "from": "alice",
-                    "to": "bob",
-                    "step": 3,
-                    "bundle": _bundle_json({("ccoin", "c-coin"): 100}),
-                },
-            ],
-        },
-        "strategies": {},
-        "cbc": {"f": 1, "corrupt": 0, "grace": 2 * delta, "patience": t0 + 4 * delta},
+    deal = _deal(
+        "dual-broker", ["alice", "bob", "carol"], t0, delta,
+        ("bob", "alice", _bundle(("bcoin", "b-coin", 101))),
+        ("alice", "carol", _bundle(("bcoin", "b-coin", 100))),
+        ("carol", "alice", _bundle(("ccoin", "c-coin", 101))),
+        ("alice", "bob", _bundle(("ccoin", "c-coin", 100))),
+    )
+    wallets = {
+        "bob": _bundle(("bcoin", "b-coin", 101)),
+        "carol": _bundle(("ccoin", "c-coin", 101)),
+        "alice": _bundle(("bcoin", "b-coin", 100), ("ccoin", "c-coin", 100)),
     }
+    return scenario_for(deal, wallets, protocol, seed, f"dual_broker_{protocol}")
 
 
 def swap_deal(protocol: str = "timelock", seed: int = 3, delta: int = 5, t0: int = 20) -> dict:
     """Two-party swap: one x-coin lot against one y-coin lot."""
-    return {
-        "name": f"swap_{protocol}",
-        "protocol": protocol,
-        "seed": seed,
-        "network": {"mode": "synchronous", "delta": delta},
-        "wallets": {
-            "ann": _bundle_json({("xchain", "x-coin"): 10}),
-            "ben": _bundle_json({("ychain", "y-coin"): 20}),
-        },
-        "deal": {
-            "id": "swap-deal",
-            "parties": ["ann", "ben"],
-            "t0": t0,
-            "delta": delta,
-            "transfers": [
-                {
-                    "from": "ann",
-                    "to": "ben",
-                    "step": 0,
-                    "bundle": _bundle_json({("xchain", "x-coin"): 10}),
-                },
-                {
-                    "from": "ben",
-                    "to": "ann",
-                    "step": 1,
-                    "bundle": _bundle_json({("ychain", "y-coin"): 20}),
-                },
-            ],
-        },
-        "strategies": {},
-        "cbc": {"f": 1, "corrupt": 0, "grace": 2 * delta, "patience": t0 + 4 * delta},
-    }
+    deal = _deal(
+        "swap-deal", ["ann", "ben"], t0, delta,
+        ("ann", "ben", _bundle(("xchain", "x-coin", 10))),
+        ("ben", "ann", _bundle(("ychain", "y-coin", 20))),
+    )
+    wallets = {"ann": _bundle(("xchain", "x-coin", 10)), "ben": _bundle(("ychain", "y-coin", 20))}
+    return scenario_for(deal, wallets, protocol, seed, f"swap_{protocol}")
 
 
 def cycle_deal(n: int = 3, protocol: str = "timelock", seed: int = 5, delta: int = 5, t0: int = 20) -> dict:
     """n-party cycle: party i pays 10 coins of its own chain to party i+1."""
     parties = [f"p{i}" for i in range(n)]
-    wallets = {
-        parties[i]: _bundle_json({(f"chain{i}", f"kind{i}"): 10}) for i in range(n)
-    }
-    transfers = [
-        {
-            "from": parties[i],
-            "to": parties[(i + 1) % n],
-            "step": i,
-            "bundle": _bundle_json({(f"chain{i}", f"kind{i}"): 10}),
-        }
-        for i in range(n)
-    ]
-    return {
-        "name": f"cycle{n}_{protocol}",
-        "protocol": protocol,
-        "seed": seed,
-        "network": {"mode": "synchronous", "delta": delta},
-        "wallets": wallets,
-        "deal": {
-            "id": f"cycle-{n}",
-            "parties": parties,
-            "t0": t0,
-            "delta": delta,
-            "transfers": transfers,
-        },
-        "strategies": {},
-        "cbc": {"f": 1, "corrupt": 0, "grace": 2 * delta, "patience": t0 + 4 * delta},
-    }
+    coins = [(f"chain{i}", f"kind{i}", 10) for i in range(n)]
+    deal = _deal(
+        f"cycle-{n}", parties, t0, delta,
+        *[(parties[i], parties[(i + 1) % n], _bundle(coins[i])) for i in range(n)],
+    )
+    wallets = {parties[i]: _bundle(coins[i]) for i in range(n)}
+    return scenario_for(deal, wallets, protocol, seed, f"cycle{n}_{protocol}")
+
+
+def _variant(sc: dict, name: str, **sections: dict) -> dict:
+    """`sc` renamed to `name`, with each named section updated."""
+    sc["name"] = name
+    for key, changes in sections.items():
+        sc[key].update(changes)
+    return sc
+
+
+def _play(strategy: str, **params) -> dict:
+    return {"name": strategy, "params": params}
 
 
 def bundled_scenarios() -> Dict[str, dict]:
     """The corpus shipped as scenario files (name -> scenario dict)."""
     delta = 5
-    out: Dict[str, dict] = {}
-
-    out["ticket_deal_timelock"] = ticket_deal("timelock", seed=42)
-    out["ticket_deal_cbc"] = ticket_deal("cbc", seed=43)
-
-    virus = dual_broker_deal("timelock", seed=7)
-    virus["name"] = "virus_alice_timelock"
-    virus["strategies"] = {
-        "alice": {"name": "selective_communication", "params": {"ignore": ["bob"]}}
-    }
-    out["virus_alice_timelock"] = virus
-
-    overpay = ticket_deal("cbc", seed=11)
-    overpay["name"] = "overpay_carol_cbc"
-    overpay["wallets"]["carol"] = _bundle_json({("coin", "coin"): 1100})
-    overpay["strategies"] = {
-        "carol": {"name": "overpay", "params": {"step": 2, "extra": [["coin", "coin", 900]]}}
-    }
-    out["overpay_carol_cbc"] = overpay
-
-    silent_tl = ticket_deal("timelock", seed=13)
-    silent_tl["name"] = "silent_party_timelock"
-    silent_tl["strategies"] = {"carol": {"name": "silent_crash", "params": {"phase": "commit"}}}
-    out["silent_party_timelock"] = silent_tl
-
-    silent_cbc = ticket_deal("cbc", seed=14)
-    silent_cbc["name"] = "silent_party_cbc"
-    silent_cbc["strategies"] = {"carol": {"name": "silent_crash", "params": {"phase": "commit"}}}
-    out["silent_party_cbc"] = silent_cbc
-
-    naive = swap_deal("naive", seed=17)
-    naive["name"] = "naive_timeout_regression"
-    naive["strategies"] = {
-        "ann": {
-            "name": "late_claim",
-            "params": {"vote_at": naive["deal"]["t0"] + 2 * delta - 1, "forward_with_vote": True},
-        }
-    }
-    out["naive_timeout_regression"] = naive
-
-    corrupt = ticket_deal("cbc", seed=19)
-    corrupt["name"] = "corrupt_validator_cbc"
-    corrupt["cbc"]["corrupt"] = 1
-    corrupt["strategies"] = {
-        "carol": {"name": "fake_certificate", "params": {"status": "aborted"}}
-    }
-    out["corrupt_validator_cbc"] = corrupt
-
-    storm = ticket_deal("cbc", seed=23)
-    storm["name"] = "pre_gst_delay_storm_cbc"
-    storm["network"] = {
-        "mode": "semi-synchronous",
-        "delta": delta,
-        "gst": 400,
-        "pre_gst_cap": 120,
-    }
-    storm["horizon"] = 700
-    out["pre_gst_delay_storm_cbc"] = storm
-
-    zero = swap_deal("timelock", seed=29)
-    zero["name"] = "abort_zero_cost_timelock"
-    zero["strategies"] = {
-        "ann": {"name": "withhold_vote", "params": {}},
-        "ben": {"name": "withhold_vote", "params": {}},
-    }
-    out["abort_zero_cost_timelock"] = zero
-
-    near = ticket_deal("timelock", seed=31)
-    near["name"] = "abort_near_commit_cost_timelock"
-    near["strategies"] = {"carol": {"name": "withhold_vote", "params": {}}}
-    out["abort_near_commit_cost_timelock"] = near
-
-    reconf = ticket_deal("cbc", seed=37)
-    reconf["name"] = "reconfigured_cbc"
-    reconf["cbc"]["reconfigurations"] = 1
-    out["reconfigured_cbc"] = reconf
-
-    explore_swap = swap_deal("timelock", seed=1)
-    explore_swap["name"] = "explore_swap_timelock"
-    explore_swap["network"]["latency_menu"] = [1, delta]
-    explore_swap["strategies"] = {"ann": {"name": "explored", "params": {}}}
-    out["explore_swap_timelock"] = explore_swap
-
-    explore_naive = swap_deal("naive", seed=1)
-    explore_naive["name"] = "explore_swap_naive"
-    explore_naive["network"]["latency_menu"] = [1, delta]
-    explore_naive["strategies"] = {"ann": {"name": "explored", "params": {}}}
-    out["explore_swap_naive"] = explore_naive
-
-    explore_cycle = cycle_deal(3, "timelock", seed=2)
-    explore_cycle["name"] = "explore_cycle3_timelock"
-    explore_cycle["network"]["latency_menu"] = [1, delta]
-    explore_cycle["network"]["explore_from"] = explore_cycle["deal"]["t0"]
-    explore_cycle["strategies"] = {"p0": {"name": "explored", "params": {}}}
-    out["explore_cycle3_timelock"] = explore_cycle
-
-    explore_ticket = ticket_deal("timelock", seed=4, t0=30)
-    explore_ticket["name"] = "explore_ticket_allcompliant"
-    explore_ticket["network"]["latency_menu"] = [1, delta]
-    explore_ticket["network"]["explore_from"] = explore_ticket["deal"]["t0"]
-    out["explore_ticket_allcompliant"] = explore_ticket
-
-    return out
+    swap_t0 = 20
+    corpus = [
+        ticket_deal("timelock", seed=42),
+        ticket_deal("cbc", seed=43),
+        _variant(
+            dual_broker_deal("timelock", seed=7), "virus_alice_timelock",
+            strategies={"alice": _play("selective_communication", ignore=["bob"])},
+        ),
+        _variant(
+            ticket_deal("cbc", seed=11), "overpay_carol_cbc",
+            wallets={"carol": _bundle(("coin", "coin", 1100))},
+            strategies={"carol": _play("overpay", step=2, extra=[["coin", "coin", 900]])},
+        ),
+        _variant(
+            ticket_deal("timelock", seed=13), "silent_party_timelock",
+            strategies={"carol": _play("silent_crash", phase="commit")},
+        ),
+        _variant(
+            ticket_deal("cbc", seed=14), "silent_party_cbc",
+            strategies={"carol": _play("silent_crash", phase="commit")},
+        ),
+        _variant(
+            swap_deal("naive", seed=17, t0=swap_t0), "naive_timeout_regression",
+            strategies={
+                "ann": _play("late_claim", vote_at=swap_t0 + 2 * delta - 1, forward_with_vote=True)
+            },
+        ),
+        _variant(
+            ticket_deal("cbc", seed=19), "corrupt_validator_cbc",
+            cbc={"corrupt": 1},
+            strategies={"carol": _play("fake_certificate", status="aborted")},
+        ),
+        _variant(
+            ticket_deal("cbc", seed=23), "pre_gst_delay_storm_cbc",
+            network={"mode": "semi-synchronous", "gst": 400, "pre_gst_cap": 120},
+        ) | {"horizon": 700},
+        _variant(
+            swap_deal("timelock", seed=29), "abort_zero_cost_timelock",
+            strategies={"ann": _play("withhold_vote"), "ben": _play("withhold_vote")},
+        ),
+        _variant(
+            ticket_deal("timelock", seed=31), "abort_near_commit_cost_timelock",
+            strategies={"carol": _play("withhold_vote")},
+        ),
+        _variant(ticket_deal("cbc", seed=37), "reconfigured_cbc", cbc={"reconfigurations": 1}),
+        _variant(
+            swap_deal("timelock", seed=1), "explore_swap_timelock",
+            network={"latency_menu": [1, delta]},
+            strategies={"ann": _play("explored")},
+        ),
+        _variant(
+            swap_deal("naive", seed=1), "explore_swap_naive",
+            network={"latency_menu": [1, delta]},
+            strategies={"ann": _play("explored")},
+        ),
+        _variant(
+            cycle_deal(3, "timelock", seed=2, t0=20), "explore_cycle3_timelock",
+            network={"latency_menu": [1, delta], "explore_from": 20},
+            strategies={"p0": _play("explored")},
+        ),
+        _variant(
+            ticket_deal("timelock", seed=4, t0=30), "explore_ticket_allcompliant",
+            network={"latency_menu": [1, delta], "explore_from": 30},
+        ),
+    ]
+    return {sc["name"]: sc for sc in corpus}
 
 
 def write_bundled_files(target_dir: Optional[str] = None):

@@ -24,9 +24,14 @@ class VoteRuling:
     verifications: int  # signature checks the contract performed
 
 
+def refund_deadline(t0: int, delta: int, n_parties: int) -> int:
+    """The tick from which a lot still missing some party's vote refunds."""
+    return t0 + n_parties * delta
+
+
 def vote_deadline(t0: int, delta: int, path_len: int, n_parties: int, naive: bool) -> int:
     if naive:
-        return t0 + n_parties * delta
+        return refund_deadline(t0, delta, n_parties)
     return t0 + path_len * delta
 
 
@@ -63,7 +68,7 @@ def judge_vote(
 
 
 def refund_due(t0: int, delta: int, n_parties: int, voted: dict, local_now: int) -> bool:
-    return local_now >= t0 + n_parties * delta and len(voted) < n_parties
+    return local_now >= refund_deadline(t0, delta, n_parties) and len(voted) < n_parties
 
 
 def vote_payload(lot_escrower: str, path: PathSignature, deal_id: str) -> dict:

@@ -72,6 +72,26 @@ class TestRunCommand:
         assert code == 2
         assert "scenario error" in err
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]
+    )
+    @pytest.mark.parametrize(
+        "carol_coins",
+        [
+            [["nochain", "coin", 150]],  # carol cannot fund her step: no plan
+            [["coin", "coin", 150], ["nochain", "coin", 5]],  # a chain no transfer uses
+        ],
+        ids=["infeasible", "unknown-chain"],
+    )
+    def test_inconsistent_scenario_is_a_parse_error(self, tmp_path, capsys, mode, carol_coins):
+        scenario = ticket_deal("timelock")
+        scenario["wallets"]["carol"]["fungible"] = carol_coins
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path), *mode)
+        assert code == 2
+        assert "scenario error" in err
+
     def test_structured_report_is_json(self, capsys):
         code, out, err = run_cli(
             capsys, "run", "--scenario", "ticket_deal_cbc", "--report", "structured"
@@ -221,8 +241,12 @@ class TestTraceAndReplay:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("protocol", "bogus"), ("network", {"delta": 5, "latency_jitter": 2})],
-        ids=["protocol", "network-key"],
+        [
+            ("protocol", "bogus"),
+            ("network", {"delta": 5, "latency_jitter": 2}),
+            ("wallets", {"carol": {"fungible": [["nochain", "coin", 150]], "tokens": []}}),
+        ],
+        ids=["protocol", "network-key", "infeasible"],
     )
     def test_replay_of_invalid_embedded_scenario_is_parse_error(
         self, tmp_path, capsys, field, value

@@ -1,18 +1,24 @@
 """Scenario schema validation, bundled corpus integrity, and planning."""
 
+import pathlib
+
 import pytest
 
 from dealsim.assets import AssetBundle
-from dealsim.deals import DealSpec
+from dealsim.deals import DealSpec, TransferSpec, payoff_of_run
 from dealsim.planning import PlanError, build_plan
 from dealsim.scenario import (
     ScenarioError,
+    bundled_dir,
     bundled_scenarios,
     build_world,
     list_bundled,
     load_scenario,
+    run_scenario,
+    scenario_for,
     ticket_deal,
     validate_scenario,
+    write_bundled_files,
 )
 
 
@@ -90,6 +96,14 @@ class TestBundledCorpus:
             on_disk = load_scenario(name)
             assert on_disk == validate_scenario(scenario), name
 
+    def test_regenerated_files_are_byte_identical(self, tmp_path):
+        write_bundled_files(str(tmp_path))
+        committed = pathlib.Path(bundled_dir())
+        names = sorted(p.name for p in committed.glob("*.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
     def test_corpus_contains_the_required_scenarios(self):
         names = set(list_bundled())
         assert {
@@ -103,6 +117,48 @@ class TestBundledCorpus:
             "corrupt_validator_cbc",
             "pre_gst_delay_storm_cbc",
         } <= names
+
+
+class TestScenarioFor:
+    """`scenario_for` runs deals that none of the builders makes."""
+
+    PAINTING = AssetBundle.token("art", "painting")
+    GOLD = AssetBundle.coins("metals", "gold", 40)
+    SILVER = AssetBundle.coins("metals", "silver", 25)
+    DEAL = DealSpec(  # two coin kinds on one chain, a token on another
+        "metals-for-art",
+        ("ada", "bo", "cy"),
+        (
+            TransferSpec("ada", "bo", PAINTING, 0),
+            TransferSpec("bo", "cy", GOLD, 1),
+            TransferSpec("cy", "ada", SILVER, 2),
+        ),
+        t0=25,
+        delta=5,
+    )
+
+    def scenario(self, protocol, seed=0):
+        wallets = {
+            "ada": self.PAINTING.to_json(), "bo": self.GOLD.to_json(), "cy": self.SILVER.to_json()
+        }
+        return scenario_for(self.DEAL.to_json(), wallets, protocol, seed, f"metals_{protocol}")
+
+    @pytest.mark.parametrize("protocol", ["timelock", "cbc"])
+    def test_all_compliant_runs_commit_with_full_payoffs(self, protocol):
+        sc = validate_scenario(self.scenario(protocol))
+        assert sc["network"]["delta"] == 5 and sc["strategies"] == {}
+        for seed in range(5):
+            built, trace = run_scenario(sc, seed=seed)
+            assert len(trace.resolutions) == 3
+            assert {res for res, _ in trace.resolutions.values()} == {"committed"}
+            for party in self.DEAL.parties:
+                assert payoff_of_run(trace, party) == self.DEAL.all_payoff(party), (seed, party)
+
+    def test_unfunded_wallets_are_a_scenario_error(self):
+        sc = self.scenario("timelock")
+        del sc["wallets"]["bo"]
+        with pytest.raises(ScenarioError, match="infeasible"):
+            build_world(sc)
 
 
 class TestPlanning:
