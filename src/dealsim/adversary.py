@@ -176,9 +176,9 @@ def exhaustive_explore(
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > bound.max_parties:
-        raise ValueError("scenario exceeds exploration party bound")
+        raise ScenarioError("scenario exceeds exploration party bound")
     if len(built.plan.lots()) > bound.max_lots:
-        raise ValueError("scenario exceeds exploration lot bound")
+        raise ScenarioError("scenario exceeds exploration lot bound")
     if evaluate is None:
         def evaluate(trace):
             return properties.evaluate_run(trace)["failures"]

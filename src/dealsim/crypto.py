@@ -41,17 +41,15 @@ class KeyPair:
     """A party's signing handle; the private half stays with its owner."""
 
     party: str
-    public: str
     private: str
 
 
 class SignatureScheme:
-    """Keyed-hash signatures with a global public-key registry."""
+    """Keyed-hash signatures with a registry of every party's key."""
 
     def __init__(self, seed: str = "keys"):
         self._seed = seed
         self._private: dict[str, str] = {}
-        self._public: dict[str, str] = {}
         self._key_bytes: dict[str, bytes] = {}  # party -> decoded private key
 
     @classmethod
@@ -60,18 +58,18 @@ class SignatureScheme:
         return cls(seed=f"run-{seed}")
 
     def keypair(self, party: str) -> KeyPair:
-        if party not in self._private:
-            priv = digest_hex(encode_message("PRIV", self._seed, party))
-            self._private[party] = priv
-            self._public[party] = digest_hex(encode_message("PUB", priv))
-        return KeyPair(party, self._public[party], self._private[party])
+        priv = self._private.get(party)
+        if priv is None:
+            priv = self._private[party] = digest_hex(encode_message("PRIV", self._seed, party))
+        return KeyPair(party, priv)
 
     def sign(self, keypair: KeyPair, message: bytes) -> str:
         return digest_hex(bytes.fromhex(keypair.private) + message)
 
     def verify(self, party: str, message: bytes, signature: str) -> bool:
-        # Key derivation is deterministic, so verification can materialize
-        # the registry entry on demand (public keys are known to all).
+        # Key derivation is deterministic, so the verifier derives the
+        # signer's key on demand; it holds every party's key (a trusted
+        # verifier MAC, see the module docstring).
         key = self._key_bytes.get(party)
         if key is None:
             key = self._key_bytes[party] = bytes.fromhex(self.keypair(party).private)

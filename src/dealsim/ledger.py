@@ -319,6 +319,9 @@ class World:
         self.validator_service = None
         self._heap: List[_Event] = []
         self._seq = 0
+        # party -> (frontier copy, controller snapshot), valid until the next
+        # event delivered to that party; see `snapshot`.
+        self._party_snaps: Dict[str, tuple] = {}
         self._timer_scheduled: set = set()
         self._truncated = False
         self._initial_wallets: Optional[Dict[str, dict]] = None
@@ -435,12 +438,14 @@ class World:
             self.now = max(self.now, event.due)
             if event.kind == "wake":
                 party, tag = event.data
+                self._party_snaps.pop(party, None)
                 self.trace_events.append(
                     TraceEvent(self.now, party, "wake", "info", {"tag": tag})
                 )
                 self.controllers[party].handle_wake(PartyContext(self, party), tag)
             elif event.kind == "notify":
                 party, chain_id, seq = event.data
+                self._party_snaps.pop(party, None)
                 front = self.frontiers[party]
                 front[chain_id] = max(front[chain_id], seq)
                 self.trace_events.append(
@@ -504,8 +509,11 @@ class World:
     # -- exploration support ----------------------------------------------------
 
     def state_key(self) -> tuple:
+        # Pending events are keyed in pop order without their insertion
+        # counter: equal (due, kind, data) sequences pop alike, and every
+        # later push outranks them all in either world.
         return (
-            tuple((e.due, e.seq, e.kind, e.data) for e in sorted(self._heap)),
+            tuple((e.due, e.kind, e.data) for e in sorted(self._heap)),
             tuple(self.chains[c].state_key() for c in sorted(self.chains)),
             tuple(
                 (p, tuple(sorted(fr.items()))) for p, fr in sorted(self.frontiers.items())
@@ -518,29 +526,40 @@ class World:
     def snapshot(self) -> tuple:
         """The run's mutable state at an event boundary, for `restore`.
 
-        Containers are copied; append-only lists are kept as lengths.
+        Containers are copied; append-only lists are kept as lengths.  Only
+        the party an event is delivered to changes its controller or its
+        frontier, so each party's entry serves every boundary until its
+        next event, as a chain's snapshot does until its next entry.
         """
+        parties = self._party_snaps
+        for party, controller in self.controllers.items():
+            if party not in parties:
+                parties[party] = (dict(self.frontiers[party]), controller.snapshot())
         return (
             self.now,
             self._seq,
             list(self._heap),
             frozenset(self._timer_scheduled),
-            {p: dict(fr) for p, fr in self.frontiers.items()},
             self._truncated,
             len(self.trace_events),
             [chain.snapshot() for chain in self.chains.values()],
-            [controller.snapshot() for controller in self.controllers.values()],
+            [parties[party] for party in self.controllers],
         )
 
     def restore(self, snap: tuple):
         """Rewind to `snap`; the snapshot stays valid for further restores."""
-        (self.now, self._seq, heap, timers, frontiers, self._truncated,
-         n_events, chains, controllers) = snap
+        (self.now, self._seq, heap, timers, self._truncated,
+         n_events, chains, parties) = snap
         self._heap = list(heap)
         self._timer_scheduled = set(timers)
-        self.frontiers = {p: dict(fr) for p, fr in frontiers.items()}
         del self.trace_events[n_events:]
         for chain, chain_snap in zip(self.chains.values(), chains):
             chain.restore(chain_snap)
-        for controller, controller_snap in zip(self.controllers.values(), controllers):
+        cached = self._party_snaps
+        for (party, controller), entry in zip(self.controllers.items(), parties):
+            if cached.get(party) is entry:
+                continue  # no event delivered to `party` since `entry`
+            frontier, controller_snap = entry
+            self.frontiers[party] = dict(frontier)
             controller.restore(controller_snap)
+            cached[party] = entry

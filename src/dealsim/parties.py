@@ -344,23 +344,23 @@ class TimelockParty(CompliantParty):
         if not targets:
             return
         for voter, path_json in sorted(self.observed_votes(ctx).items()):
-            if voter == self.me:
-                continue
-            path = PathSignature.from_json(path_json)
-            if self.me in path.signers():
-                continue
+            if voter == self.me or any(s == self.me for s, _ in path_json["links"]):
+                continue  # my own vote, or a path I already signed
             for lot in targets:
                 if (voter, lot) not in self.forwarded:
-                    self.publish_forward(ctx, voter, path, lot)
+                    self.publish_forward(ctx, voter, path_json, lot)
 
-    def publish_forward(self, ctx, voter: str, path: PathSignature, lot: LotId):
+    def publish_forward(self, ctx, voter: str, path: PathSignature | dict, lot: LotId):
         """Publish `path` extended by my signature at `lot` unless it is
-        resolved or already holds the voter's vote."""
+        resolved or already holds the voter's vote.  A path in JSON form is
+        parsed only when the forward is published."""
         chain, escrower = lot
         lot_view = ctx.view(chain)["lots"].get(escrower)
         if lot_view is None or lot_view["resolution"] != "active":
             return
         if voter not in lot_view["voted"]:
+            if not isinstance(path, PathSignature):
+                path = PathSignature.from_json(path)
             extended = extend_path(ctx.scheme, self.keypair(ctx), path)
             ctx.publish(chain, vote_payload(escrower, extended, self.deal.deal_id))
         self.forwarded.add((voter, lot))

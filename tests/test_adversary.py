@@ -1,6 +1,7 @@
 """Strategy catalog behaviors, campaigns, exploration, and witness replay."""
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from dealsim.scenario import (
     ticket_deal,
     validate_scenario,
 )
+from dealsim.trace import canonical_json
 
 from conftest import run_scenario_dict
 
@@ -246,6 +248,10 @@ class TestExploration:
                 corpus["explore_swap_timelock"], ExplorationBound(max_parties=1)
             )
 
+    def test_lot_bound_is_a_scenario_error(self, corpus):
+        with pytest.raises(ScenarioError, match="exceeds exploration lot bound"):
+            exhaustive_explore(corpus["explore_swap_timelock"], ExplorationBound(max_lots=1))
+
     def test_exploration_is_deterministic(self, corpus):
         a = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
         b = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
@@ -270,7 +276,7 @@ class TestSuffixResumption:
 
     @pytest.mark.parametrize(
         "name, runs, branch_points",
-        [("explore_swap_timelock", 1853, 1673), ("explore_swap_naive", 1238, 1058)],
+        [("explore_swap_timelock", 1677, 1522), ("explore_swap_naive", 1062, 907)],
     )
     def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
@@ -300,7 +306,41 @@ class TestSuffixResumption:
             corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
         )
         assert (result.verdict, result.complete) == ("PARTIAL", False)
-        assert (result.runs, result.branch_points) == (741, 580)
+        assert (result.runs, result.branch_points) == (626, 484)
+
+    # The distinct terminal resolutions (ticks included), recorded from the
+    # search that still keyed pending events by their insertion counter.
+    @pytest.mark.parametrize(
+        "name, outcomes, digest, violating",
+        [
+            (
+                "explore_swap_timelock",
+                28,
+                "ad0324cbb4504006dcd9ae649889b7fccd6ac03a7348b3e5266de3dc9508477b",
+                [],
+            ),
+            (
+                "explore_swap_naive",
+                29,
+                "bb8994b066ee1fb4bee47969b4d24f95aaf6f89d5e53c1a6c7e7a55f33bf4e6d",
+                ['{"xchain/ann":["aborted",30],"ychain/ben":["committed",29]}'],
+            ),
+        ],
+    )
+    def test_outcome_sets_are_unchanged_by_state_merging(
+        self, corpus, name, outcomes, digest, violating
+    ):
+        seen = set()
+
+        def evaluate(trace):
+            seen.add(canonical_json(trace.resolutions))
+            return properties.evaluate_run(trace)["failures"]
+
+        result = exhaustive_explore(corpus[name], ExplorationBound(), evaluate=evaluate)
+        assert result.complete
+        assert len(seen) == outcomes
+        assert hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest() == digest
+        assert sorted({canonical_json(v["resolutions"]) for v in result.violations}) == violating
 
 
 class _MidpointSnapshot(SeededChoices):

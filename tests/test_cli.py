@@ -8,7 +8,7 @@ from dealsim.cli import main
 from dealsim.costs import meter
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
-from dealsim.scenario import ticket_deal
+from dealsim.scenario import cycle_deal, ticket_deal
 from dealsim.trace import RunTrace
 
 from conftest import run_scenario_dict
@@ -91,6 +91,15 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--scenario", str(path), *mode)
         assert code == 2
         assert "scenario error" in err
+
+    def test_exploration_bound_overrun_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "cycle5.json"
+        path.write_text(json.dumps(cycle_deal(5, "timelock")))
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", str(path), "--explore", "--max-runs", "1"
+        )
+        assert code == 2
+        assert "exceeds exploration party bound" in err
 
     def test_structured_report_is_json(self, capsys):
         code, out, err = run_cli(

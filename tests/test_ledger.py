@@ -2,7 +2,7 @@
 
 import pytest
 
-from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, World
+from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, SeededChoices, World
 from dealsim.scenario import build_world, ticket_deal
 
 from conftest import run_scenario_dict
@@ -183,3 +183,69 @@ class TestQuiescence:
 
         params = list(inspect.signature(EscrowContract.apply).parameters)
         assert params == ["self", "payload", "publisher", "chain", "local_now", "scheme"]
+
+
+class SnapshotLoggingParty(IdleParty):
+    """An idle party that logs its own snapshots and restores."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def snapshot(self):
+        self.log.append("snapshot")
+        return len(self.log)
+
+    def restore(self, snap):
+        self.log.append("restore")
+
+
+class SnapshotEveryEvent(SeededChoices):
+    def __init__(self):
+        super().__init__(1)
+        self.snaps = []
+
+    def event_start(self, world):
+        self.snaps.append(world.snapshot())
+
+
+class TestExplorationSupport:
+    """The state key and snapshots that the exhaustive explorer relies on."""
+
+    @staticmethod
+    def two_worlds():
+        scenario = ticket_deal("timelock")
+        return build_world(scenario).world, build_world(scenario).world
+
+    def test_state_key_ignores_the_push_order_of_pending_events(self):
+        a, b = self.two_worlds()
+        a.schedule_wake("alice", 40, "x")
+        a.schedule_wake("bob", 45, "y")
+        b.schedule_wake("bob", 45, "y")
+        b.schedule_wake("alice", 40, "x")
+        assert a.state_key() == b.state_key()
+
+    def test_state_key_keeps_the_pop_order_of_equal_due_events(self):
+        a, b = self.two_worlds()
+        a.schedule_wake("alice", 40, "x")
+        a.schedule_wake("bob", 40, "y")
+        b.schedule_wake("bob", 40, "y")
+        b.schedule_wake("alice", 40, "x")
+        assert a.state_key() != b.state_key()
+
+    def test_party_snapshot_is_reused_until_its_next_event(self):
+        logs = {"m1": [], "m2": []}
+        choices = SnapshotEveryEvent()
+        world = World(
+            {"deal": {"parties": []}}, NetworkModel(), seed=1, horizon=100, choices=choices
+        )
+        world.add_chain("c", RecordingContract())
+        for party, log in logs.items():
+            world.add_party(party, SnapshotLoggingParty(log), ["c"])
+        world.run()  # two events: m1's start wake, then m2's
+        first, second = choices.snaps
+        assert logs == {"m1": ["snapshot"] * 2, "m2": ["snapshot"]}
+        world.restore(first)  # both parties had an event since
+        assert logs == {"m1": ["snapshot"] * 2 + ["restore"], "m2": ["snapshot", "restore"]}
+        world.restore(first)
+        world.restore(second)  # m2 had no event between the two snapshots
+        assert logs == {"m1": ["snapshot"] * 2 + ["restore"] * 2, "m2": ["snapshot", "restore"]}
