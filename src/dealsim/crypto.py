@@ -49,7 +49,7 @@ class SignatureScheme:
 
     def __init__(self, seed: str = "keys"):
         self._seed = seed
-        self._private: dict[str, str] = {}
+        self._keypairs: dict[str, KeyPair] = {}
         self._key_bytes: dict[str, bytes] = {}  # party -> decoded private key
 
     @classmethod
@@ -58,10 +58,11 @@ class SignatureScheme:
         return cls(seed=f"run-{seed}")
 
     def keypair(self, party: str) -> KeyPair:
-        priv = self._private.get(party)
-        if priv is None:
-            priv = self._private[party] = digest_hex(encode_message("PRIV", self._seed, party))
-        return KeyPair(party, priv)
+        pair = self._keypairs.get(party)
+        if pair is None:
+            priv = digest_hex(encode_message("PRIV", self._seed, party))
+            pair = self._keypairs[party] = KeyPair(party, priv)
+        return pair
 
     def sign(self, keypair: KeyPair, message: bytes) -> str:
         return digest_hex(bytes.fromhex(keypair.private) + message)

@@ -20,6 +20,11 @@ those parameters, and -- through its base class -- the protocols it
 covers.  The catalog is necessarily a finite under-approximation of
 "arbitrary deviation"; the exhaustive explorer quantifies over its
 decision points plus scheduler delay choices, nothing more.
+
+A controller class declares the fields a run changes, with their initial
+values, in its `state` class attribute.  Construction initialises them,
+and `snapshot`, `restore` and the explorer's `state_key` read only them;
+every other field (deal, plan, config, parameters) is a run constant.
 """
 
 from __future__ import annotations
@@ -55,7 +60,13 @@ from .timelock import vote_payload
 
 PROTOCOLS = ("timelock", "naive", "cbc")
 
-_CONTAINERS = frozenset((dict, set, list))
+_CONTAINERS = frozenset((dict, set))
+
+
+def _copied(state: dict) -> dict:
+    """`state` with its containers copied one level deep (their items are
+    never mutated in place)."""
+    return {name: v.copy() if type(v) in _CONTAINERS else v for name, v in state.items()}
 
 
 @dataclass
@@ -75,6 +86,21 @@ class CompliantParty:
     strategy_name = "compliant"
     protocols: Tuple[str, ...] = PROTOCOLS
     params: Tuple[str, ...] = ()  # the keys a strategy reads from its params
+    # The fields a run changes and their initial values; each class adds
+    # its own, merged along the MRO by __init_subclass__.
+    state = {
+        "moves_done": 0,
+        "escrow_published": False,
+        "validated": False,
+        "validation_rejected": False,
+    }
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        merged = {}
+        for klass in reversed(cls.__mro__):
+            merged.update(vars(klass).get("state", {}))
+        cls.state = merged
 
     def __init__(self, me: str, deal: DealSpec, plan: DealPlan, cfg: PartyConfig, params: dict):
         self.me = me
@@ -82,12 +108,10 @@ class CompliantParty:
         self.plan = plan
         self.cfg = cfg
         self.my_moves = plan.moves_by(me)
-        self.moves_done = 0
-        self.escrow_published = False
-        self.validated_at: Optional[int] = None
-        self.validation_rejected = False
-        self._keypair = None
-        self._vote: Optional[Vote] = None
+        # setattr, not vars(self).update: materialising the instance dict
+        # slows every later attribute access in the run.
+        for name, value in _copied(self.state).items():
+            setattr(self, name, value)
 
     @classmethod
     def random_params(cls, scenario: dict, rng) -> dict:
@@ -97,15 +121,11 @@ class CompliantParty:
     # -- identity ------------------------------------------------------------
 
     def keypair(self, ctx):
-        if self._keypair is None:
-            self._keypair = ctx.scheme.keypair(self.me)
-        return self._keypair
+        return ctx.scheme.keypair(self.me)
 
     def my_vote(self) -> Vote:
-        if self._vote is None:
-            nonce = digest_hex(encode_message("NONCE", self.deal.deal_id, self.me))[:16]
-            self._vote = Vote(self.deal.deal_id, self.me, nonce)
-        return self._vote
+        nonce = digest_hex(encode_message("NONCE", self.deal.deal_id, self.me))[:16]
+        return Vote(self.deal.deal_id, self.me, nonce)
 
     # -- hooks a strategy may override -----------------------------------------
 
@@ -227,7 +247,7 @@ class CompliantParty:
         deal participant need never observe legs of the deal it has no
         stake in.
         """
-        if self.validated_at is not None or self.validation_rejected:
+        if self.validated or self.validation_rejected:
             return
         if not self.escrow_published or self.moves_done < len(self.my_moves):
             return
@@ -258,42 +278,37 @@ class CompliantParty:
             self.validation_rejected = True
             self.on_validation_failed(ctx)
             return
-        self.validated_at = ctx.now
+        self.validated = True
         self.on_validated(ctx)
 
     # -- exploration support ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Every field, containers copied one level deep (their items are
-        never mutated in place)."""
-        return {k: v.copy() if type(v) in _CONTAINERS else v for k, v in vars(self).items()}
+        fields = vars(self)
+        return _copied({name: fields[name] for name in self.state})
 
     def restore(self, snap: dict):
-        fields = vars(self)
-        fields.clear()
-        fields.update((k, v.copy() if type(v) in _CONTAINERS else v) for k, v in snap.items())
+        vars(self).update(_copied(snap))
 
     def state_key(self) -> tuple:
-        # Ticks that no longer steer behavior (like when validation finished)
-        # stay out of the key so schedules that converge can be pruned.
-        return (
-            self.strategy_name,
-            self.moves_done,
-            self.escrow_published,
-            self.validated_at is not None,
-            self.validation_rejected,
-        )
+        """The state fields' values, sets and dicts as sorted tuples."""
+        fields = vars(self)
+        key = []
+        for name in self.state:
+            value = fields[name]
+            if type(value) is set:
+                value = tuple(sorted(value))
+            elif type(value) is dict:
+                value = tuple(sorted(value.items()))
+            key.append(value)
+        return tuple(key)
 
 
 class TimelockParty(CompliantParty):
     """Votes at the lots it receives through; forwards observed votes there."""
 
     protocols = ("timelock", "naive")
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.voted_lots: set = set()
-        self.forwarded: set = set()
+    state = {"voted_lots": set(), "forwarded": set()}  # lots; (voter, lot) pairs
 
     def on_validated(self, ctx):
         ctx.wake_at(max(ctx.now, self.deal.t0), "vote")
@@ -304,7 +319,7 @@ class TimelockParty(CompliantParty):
         self.forward_votes(ctx)
 
     def should_vote(self, ctx) -> bool:
-        return self.validated_at is not None and ctx.now >= self.deal.t0
+        return self.validated and ctx.now >= self.deal.t0
 
     def publish_votes(self, ctx):
         if not self.should_vote(ctx):
@@ -338,7 +353,7 @@ class TimelockParty(CompliantParty):
         return {voter: pj for voter, (_, pj) in seen.items()}
 
     def forward_votes(self, ctx):
-        if self.validated_at is None:
+        if not self.validated:
             return
         targets = self.forward_targets(ctx)
         if not targets:
@@ -365,24 +380,12 @@ class TimelockParty(CompliantParty):
             ctx.publish(chain, vote_payload(escrower, extended, self.deal.deal_id))
         self.forwarded.add((voter, lot))
 
-    def state_key(self) -> tuple:
-        return super().state_key() + (
-            tuple(sorted(self.voted_lots)),
-            tuple(sorted(self.forwarded)),
-        )
-
 
 class CbcParty(CompliantParty):
     """Votes once on the shared ledger, then settles escrows with certificates."""
 
     protocols = ("cbc",)
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.h: Optional[str] = None
-        self.commit_sent = False
-        self.abort_sent = False
-        self.settled: set = set()
+    state = {"h": None, "commit_sent": False, "abort_sent": False, "settled": set()}
 
     def on_start(self, ctx):
         ctx.wake_at(self.cfg.patience, "patience")
@@ -516,14 +519,6 @@ class CbcParty(CompliantParty):
             ctx.publish(chain, payload)
             self.settled.add(lot)
 
-    def state_key(self) -> tuple:
-        return super().state_key() + (
-            self.h,
-            self.commit_sent,
-            self.abort_sent,
-            tuple(sorted(self.settled)),
-        )
-
 
 # -- deviating strategies -------------------------------------------------------
 #
@@ -576,21 +571,18 @@ class SilentCrash(CompliantParty):
             return
         super().on_validated(ctx)
 
-    def state_key(self):
-        return super().state_key() + (self.stop_tick, self.stop_phase)
-
 
 class OfflineWindow(CompliantParty):
     """Ignores every notification and timer inside a window, then resumes."""
 
     strategy_name = "offline_window"
     params = ("from", "until")
+    state = {"_resume_scheduled": False}
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
         self.off_from = params.get("from", 0)
         self.off_until = params.get("until", 0)
-        self._resume_scheduled = False
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -618,9 +610,6 @@ class OfflineWindow(CompliantParty):
         if not self._resume_scheduled:
             ctx.wake_at(self.off_until, "resume")
             self._resume_scheduled = True
-
-    def state_key(self):
-        return super().state_key() + (self.off_from, self.off_until)
 
 
 class Overpay(CompliantParty):
@@ -662,9 +651,6 @@ class Overpay(CompliantParty):
 
     def acceptability_ok(self, ctx, payoff):
         return True
-
-    def state_key(self):
-        return super().state_key() + (self.extra.canonical(),)
 
 
 class WithholdVote(CompliantParty):
@@ -709,9 +695,6 @@ class SelectiveCommunication(TimelockParty):
     def forward_targets(self, ctx):
         return [l for l in super().forward_targets(ctx) if not self._touches_ignored(l)]
 
-    def state_key(self):
-        return super().state_key() + (tuple(sorted(self.ignore)),)
-
 
 class VoteNoForward(TimelockParty):
     """Votes for itself, then free-rides on everyone else's forwarding."""
@@ -727,13 +710,10 @@ class ReplayVotes(TimelockParty):
     extending path signatures; exercises duplicate and replay rejection."""
 
     strategy_name = "replay_votes"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.replayed: set = set()
+    state = {"replayed": set()}  # (voter, lot) pairs
 
     def forward_votes(self, ctx):
-        if self.validated_at is None:
+        if not self.validated:
             return
         for voter, path_json in sorted(self.observed_votes(ctx).items()):
             for lot in self.forward_targets(ctx):
@@ -744,9 +724,6 @@ class ReplayVotes(TimelockParty):
                 path = PathSignature.from_json(path_json)
                 ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
                 self.replayed.add(key)
-
-    def state_key(self):
-        return super().state_key() + (tuple(sorted(self.replayed)),)
 
 
 class LateClaim(TimelockParty):
@@ -776,7 +753,7 @@ class LateClaim(TimelockParty):
             ctx.wake_at(self.forward_at, "late-forward")
 
     def should_vote(self, ctx) -> bool:
-        return self.validated_at is not None and ctx.now >= self.vote_at
+        return self.validated and ctx.now >= self.vote_at
 
     def forward_votes(self, ctx):
         due = False
@@ -787,15 +764,13 @@ class LateClaim(TimelockParty):
         if due:
             super().forward_votes(ctx)
 
-    def state_key(self):
-        return super().state_key() + (self.vote_at, self.forward_at, self.forward_with_vote)
-
 
 class ForgedSignature(TimelockParty):
     """Attempts votes on a victim's behalf with fabricated signatures."""
 
     strategy_name = "forged_signature"
     params = ("victim", "attempts", "salt")
+    state = {"forgeries_sent": 0, "forgeries_accepted": 0}
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
@@ -803,8 +778,6 @@ class ForgedSignature(TimelockParty):
         self.victim = params.get("victim", others[0])
         self.attempts = params.get("attempts", 6)
         self.salt = str(params.get("salt", 0))
-        self.forgeries_sent = 0
-        self.forgeries_accepted = 0
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -850,9 +823,6 @@ class ForgedSignature(TimelockParty):
                 if status == "accepted":
                     self.forgeries_accepted += 1
 
-    def state_key(self):
-        return super().state_key() + (self.forgeries_sent, self.forgeries_accepted)
-
 
 class Explored(TimelockParty):
     """An adversary whose vote and forward timings are exploration choices.
@@ -865,11 +835,8 @@ class Explored(TimelockParty):
     """
 
     strategy_name = "explored"
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.vote_choice: Dict[tuple, Optional[int]] = {}
-        self.fwd_choice: Dict[tuple, Optional[int]] = {}
+    # lot -> chosen tick (None: never); (voter, lot) -> chosen tick
+    state = {"vote_choice": {}, "fwd_choice": {}}
 
     def _target_lots(self) -> List[tuple]:
         lots = set(self.plan.voting_lots(self.me)) | set(self.plan.escrowed_lots(self.me))
@@ -896,7 +863,7 @@ class Explored(TimelockParty):
                 ctx.wake_at(when, "adv")
 
     def publish_votes(self, ctx):
-        if self.validated_at is None:
+        if not self.validated:
             return
         for lot, when in sorted(
             self.vote_choice.items(), key=lambda kv: (kv[1] is None, kv[1], kv[0])
@@ -905,7 +872,7 @@ class Explored(TimelockParty):
                 self.publish_vote_at(ctx, lot)
 
     def forward_votes(self, ctx):
-        if self.validated_at is None:
+        if not self.validated:
             return
         observed = self.observed_votes(ctx)
         for voter, path_json in sorted(observed.items()):
@@ -930,12 +897,6 @@ class Explored(TimelockParty):
             if self.me not in path.signers():
                 self.publish_forward(ctx, voter, path, lot)
 
-    def state_key(self):
-        return super().state_key() + (
-            tuple(sorted(self.vote_choice.items())),
-            tuple(sorted(self.fwd_choice.items())),
-        )
-
 
 # -- cbc deviations -----------------------------------------------------------------
 
@@ -946,12 +907,11 @@ class FakeCertificate(CbcParty):
 
     strategy_name = "fake_certificate"
     params = ("status",)
+    state = {"attempted": False, "fakes_accepted": 0}
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
         self.fake_status = params.get("status", ABORTED)
-        self.attempted = False
-        self.fakes_accepted = 0
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -963,7 +923,7 @@ class FakeCertificate(CbcParty):
 
     def step(self, ctx):
         super().step(ctx)
-        if self.h is not None and self.validated_at is not None:
+        if self.h is not None and self.validated:
             self._attempt_forgery(ctx)
 
     def _attempt_forgery(self, ctx):
@@ -994,9 +954,6 @@ class FakeCertificate(CbcParty):
                 )
                 if status == "accepted":
                     self.fakes_accepted += 1
-
-    def state_key(self):
-        return super().state_key() + (self.attempted, self.fakes_accepted)
 
 
 class AbortAfterCommit(CbcParty):

@@ -70,6 +70,11 @@ _NETWORK_DEFAULTS = {
 
 _NETWORK_KEYS = frozenset(f.name for f in fields(NetworkModel) if f.init)
 
+# Party options `assemble_world` reads from every binding's params, beside
+# the keys the bound strategy declares; the first verdict is the default.
+_PARTY_OPTIONS = frozenset(("altruistic", "validation_verdict"))
+_VERDICTS = ("accept-if-acceptable", "reject")
+
 _CBC_DEFAULTS = {"f": 1, "corrupt": 0, "grace": 10, "patience": 60, "reconfigurations": 0}
 
 
@@ -117,8 +122,19 @@ def validate_scenario(raw: dict) -> dict:
             raise ScenarioError(f"strategy bound to unknown party {party!r}")
         if not isinstance(binding, dict) or not isinstance(binding.get("params", {}), dict):
             raise ScenarioError(f"strategy for {party!r} must be an object with object params")
-        if binding.get("name", "compliant") not in STRATEGIES:
-            raise ScenarioError(f"unknown strategy {binding.get('name')!r}")
+        name = binding.get("name", "compliant")
+        if name not in STRATEGIES:
+            raise ScenarioError(f"unknown strategy {name!r}")
+        params = binding.get("params", {})
+        unknown = params.keys() - _PARTY_OPTIONS - set(STRATEGIES[name].params)
+        if unknown:
+            raise ScenarioError(f"strategy {name!r} for {party!r} takes no {sorted(unknown)}")
+        if not isinstance(params.get("altruistic", False), bool):
+            raise ScenarioError(f"altruistic for {party!r} must be true or false")
+        if params.get("validation_verdict", _VERDICTS[0]) not in _VERDICTS:
+            raise ScenarioError(f"validation_verdict for {party!r} must be one of {list(_VERDICTS)}")
+        if name == "overpay" and not {"step", "extra"} <= params.keys():
+            raise ScenarioError(f"overpay for {party!r} needs both step and extra")
     cbc = _section(sc, "cbc", _CBC_DEFAULTS)
     _require_ints("cbc", cbc, tuple(_CBC_DEFAULTS))
     if sc["protocol"] == "cbc":
@@ -290,8 +306,8 @@ def assemble_world(
         name = binding.get("name", "compliant")
         params = binding.get("params", {})
         cfg = PartyConfig(
-            altruistic=bool(params.get("altruistic", False)),
-            validation_verdict=params.get("validation_verdict", "accept-if-acceptable"),
+            altruistic=params.get("altruistic", False),
+            validation_verdict=params.get("validation_verdict", _VERDICTS[0]),
             grace=sc["cbc"]["grace"],
             patience=sc["cbc"]["patience"],
             validators=validators,

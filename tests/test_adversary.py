@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dealsim.adversary import (
     random_campaign,
 )
 from dealsim.assets import AssetBundle, Payoff
+from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
 from dealsim.ledger import SeededChoices, TapeChoices
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
@@ -138,10 +140,11 @@ class TestSandboxing:
                 assert not isinstance(value, (World, Chain))
 
     def test_keypair_access_is_own_party_only(self, ticket_timelock_run):
+        """Controllers fetch their own key per signature and keep none."""
         built, trace = ticket_timelock_run
-        for name, controller in built.world.controllers.items():
-            if controller._keypair is not None:
-                assert controller._keypair.party == name
+        for controller in built.world.controllers.values():
+            for value in vars(controller).values():
+                assert not isinstance(value, KeyPair)
 
 
 class TestCampaigns:
@@ -385,6 +388,31 @@ def test_restore_rewinds_every_controller_field(name, protocol):
     for party, controller in world.controllers.items():
         assert vars(controller) == choices.fields[party]
     assert world.snapshot() == choices.snap
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_fields_outside_state_are_run_constants(name, protocol):
+    """Snapshot, restore and the state key read only the declared `state`,
+    so no run may rebind or mutate any other controller field."""
+    scenario = ticket_deal(protocol, seed=61)
+    params = STRATEGIES[name].random_params(scenario, random.Random(name))
+    scenario["strategies"] = {"bob": {"name": name, "params": params}}
+    world = build_world(scenario).world
+    # Pickled bytes fingerprint each value deeply (AssetBundle refuses deepcopy).
+    constants = {
+        party: {
+            k: (v, pickle.dumps(v)) for k, v in vars(controller).items()
+            if k not in controller.state
+        }
+        for party, controller in world.controllers.items()
+    }
+    world.run()
+    for party, controller in world.controllers.items():
+        fields = vars(controller)
+        assert fields.keys() - controller.state.keys() == constants[party].keys()
+        for k, (value, pickled) in constants[party].items():
+            assert fields[k] is value and pickle.dumps(value) == pickled, (party, k)
 
 
 class _MidpointRewind(_MidpointSnapshot):

@@ -20,6 +20,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def bind_bob(strategy, **params):
+    """A scenario edit that binds bob to `strategy` with `params`."""
+    return lambda sc: sc["strategies"].update(bob={"name": strategy, "params": params})
+
+
 class TestRunCommand:
     def test_happy_path_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "run", "--scenario", "ticket_deal_timelock")
@@ -60,8 +65,14 @@ class TestRunCommand:
             lambda sc: sc["network"].update(delta="5"),
             lambda sc: sc.update(strategies=["x"]),
             lambda sc: sc["wallets"].update(carol={"fungible": "x", "tokens": []}),
+            bind_bob("late_claim", vote_a=40),
+            bind_bob("compliant", validation_verdict="rejct"),
+            bind_bob("compliant", altruistic="false"),
+            bind_bob("overpay", extra=[["coin", "coin", 1]]),
+            bind_bob("overpay", step=0),
         ],
-        ids=["network", "cbc", "network-delta", "strategies", "wallet"],
+        ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
+             "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra"],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
