@@ -135,7 +135,8 @@ class CbcLogContract:
         return "rejected", "unknown-op", {}
 
     def view(self) -> dict:
-        return {"entries": [dict(e) for e in self.entries]}
+        # Entries are never mutated once appended, so views share them.
+        return {"entries": list(self.entries)}
 
     def restore(self, view: dict):
         """Rewind to a view this log recorded: entries are append-only."""

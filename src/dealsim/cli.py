@@ -18,6 +18,7 @@ from typing import List, Optional
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
 from .costs import GasSchedule, check_asymptotics, meter
 from .deals import DealSpec, payoff_of_run
+from .ledger import ModelViolation
 from .properties import run_verdicts
 from .replay import ReplayError, replay_trace
 from .scenario import ScenarioError, build_world, list_bundled, load_scenario
@@ -111,7 +112,8 @@ def cmd_run(args) -> int:
         if args.runs > 1:
             return _campaign(args, scenario)
         return _single_run(args, scenario)
-    except ScenarioError as exc:
+    except (ScenarioError, ModelViolation) as exc:
+        # A timing model the scenario breaks is found lazily, at its first pick.
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

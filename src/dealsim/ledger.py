@@ -234,14 +234,6 @@ class Chain:
         self._snapshot = snap
 
 
-@dataclass(order=True)
-class _Event:
-    due: int
-    seq: int
-    kind: str = field(compare=False)
-    data: tuple = field(compare=False)
-
-
 class PartyContext:
     """The only surface a party controller may act through."""
 
@@ -317,7 +309,8 @@ class World:
         self.deal_ids: set = set()
         self.compliant: set = set()
         self.validator_service = None
-        self._heap: List[_Event] = []
+        # (due, seq, kind, data); `seq` is unique, so kind and data are never compared.
+        self._heap: List[tuple] = []
         self._seq = 0
         # party -> (frontier copy, controller snapshot), valid until the next
         # event delivered to that party; see `snapshot`.
@@ -352,7 +345,7 @@ class World:
 
     def _push(self, due: int, kind: str, data: tuple):
         self._seq += 1
-        heapq.heappush(self._heap, _Event(due, self._seq, kind, data))
+        heapq.heappush(self._heap, (due, self._seq, kind, data))
 
     def schedule_wake(self, party: str, tick: int, tag: str):
         self._push(max(tick, self.now), "wake", (party, tag))
@@ -431,20 +424,20 @@ class World:
             self._initial_wallets = self.wallet_snapshots()
         while self._heap:
             self.choices.event_start(self)
-            event = heapq.heappop(self._heap)
-            if event.due > self.horizon:
+            due, _, kind, data = heapq.heappop(self._heap)
+            if due > self.horizon:
                 self._truncated = True
                 break
-            self.now = max(self.now, event.due)
-            if event.kind == "wake":
-                party, tag = event.data
+            self.now = max(self.now, due)
+            if kind == "wake":
+                party, tag = data
                 self._party_snaps.pop(party, None)
                 self.trace_events.append(
                     TraceEvent(self.now, party, "wake", "info", {"tag": tag})
                 )
                 self.controllers[party].handle_wake(PartyContext(self, party), tag)
-            elif event.kind == "notify":
-                party, chain_id, seq = event.data
+            elif kind == "notify":
+                party, chain_id, seq = data
                 self._party_snaps.pop(party, None)
                 front = self.frontiers[party]
                 front[chain_id] = max(front[chain_id], seq)
@@ -454,8 +447,8 @@ class World:
                     )
                 )
                 self.controllers[party].step(PartyContext(self, party))
-            elif event.kind == "timer":
-                chain_id, lot = event.data
+            elif kind == "timer":
+                chain_id, lot = data
                 contract = self.chains[chain_id].contract
                 if lot in contract.unresolved_lots():
                     self.publish(
@@ -513,7 +506,7 @@ class World:
         # counter: equal (due, kind, data) sequences pop alike, and every
         # later push outranks them all in either world.
         return (
-            tuple((e.due, e.kind, e.data) for e in sorted(self._heap)),
+            tuple((due, kind, data) for due, _, kind, data in sorted(self._heap)),
             tuple(self.chains[c].state_key() for c in sorted(self.chains)),
             tuple(
                 (p, tuple(sorted(fr.items()))) for p, fr in sorted(self.frontiers.items())

@@ -15,9 +15,12 @@ Deviating strategies override the compliant controllers' hooks; they act
 only through the party context, so they can publish, schedule wakeups,
 and sign with their own key, but cannot touch other parties' keys or
 wallets or any contract state directly.  Each strategy class carries its
-own catalog entry: its name, its parameter names, a campaign sampler for
-those parameters, and -- through its base class -- the protocols it
-covers.  The catalog is necessarily a finite under-approximation of
+own catalog entry: its name, its `params` declaring each parameter's
+default and accepted values, a campaign sampler for those parameters,
+and -- through its base class -- the protocols it covers.  Scenario
+validation (`check_args`) and construction (`args`) read only that
+declaration and `PARTY_OPTIONS`, which declares every binding's options
+alike.  The catalog is necessarily a finite under-approximation of
 "arbitrary deviation"; the exhaustive explorer quantifies over its
 decision points plus scheduler delay choices, nothing more.
 
@@ -30,7 +33,7 @@ every other field (deal, plan, config, parameters) is a run constant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle, Payoff, net_payoff
@@ -55,7 +58,7 @@ from .crypto import (
     link_message,
 )
 from .deals import DealSpec, is_acceptable
-from .planning import DealPlan, LotId, PlannedMove
+from .planning import DealPlan, LotId
 from .timelock import vote_payload
 
 PROTOCOLS = ("timelock", "naive", "cbc")
@@ -69,15 +72,62 @@ def _copied(state: dict) -> dict:
     return {name: v.copy() if type(v) in _CONTAINERS else v for name, v in state.items()}
 
 
+REQUIRED = object()  # the default of a param every binding must give
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def list_of(test):
+    """A test admitting lists whose every item passes `test`."""
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def _is_coin(value) -> bool:  # [chain, kind, amount >= 0]
+    return (
+        isinstance(value, list) and len(value) == 3
+        and _is_str(value[0]) and _is_str(value[1]) and is_int(value[2]) and value[2] >= 0
+    )
+
+
+PARTY_OPTIONS = {
+    "altruistic": (False, is_bool),  # vote at every lot, not only those I receive through
+    "validation_verdict": ("accept-if-acceptable", ("accept-if-acceptable", "reject")),
+}
+
+
+def check_args(declared: dict, given: dict):
+    """Raise ValueError on a key of `given` that `declared` lacks, a missing
+    REQUIRED one, or a value not in its declared (default, accepts): one of
+    an `accepts` tuple, or passing an `accepts` test; a None default admits null."""
+    unknown = given.keys() - declared.keys()
+    if unknown:
+        raise ValueError(f"takes no {sorted(unknown)}")
+    for name, (default, accepts) in declared.items():
+        value = given.get(name, default)
+        if value is REQUIRED:
+            raise ValueError(f"needs {name!r}")
+        ok = value in accepts if isinstance(accepts, tuple) else accepts(value)
+        if not ok and not (value is None and default is None):
+            raise ValueError(f"does not accept {name}={value!r}")
+
+
 @dataclass
 class PartyConfig:
-    altruistic: bool = False
-    validation_verdict: str = "accept-if-acceptable"  # or "reject"
-    # CBC-only knobs; escrows are configured with epoch 0's validators.
-    grace: int = 10
-    patience: int = 60
-    validators: Tuple[str, ...] = ()
-    f: int = 0
+    # Shared-ledger settings; escrows are configured with epoch 0's validators.
+    grace: int
+    patience: int
+    validators: Tuple[str, ...]
+    f: int
 
 
 class CompliantParty:
@@ -85,7 +135,7 @@ class CompliantParty:
 
     strategy_name = "compliant"
     protocols: Tuple[str, ...] = PROTOCOLS
-    params: Tuple[str, ...] = ()  # the keys a strategy reads from its params
+    params: dict = {}  # name -> (default, accepts), beside PARTY_OPTIONS
     # The fields a run changes and their initial values; each class adds
     # its own, merged along the MRO by __init_subclass__.
     state = {
@@ -108,6 +158,9 @@ class CompliantParty:
         self.plan = plan
         self.cfg = cfg
         self.my_moves = plan.moves_by(me)
+        # Keys no declaration names are ignored: under a protocol the bound
+        # strategy does not cover, the party plays the compliant base.
+        self.args = {n: params.get(n, d) for n, (d, _) in {**PARTY_OPTIONS, **self.params}.items()}
         # setattr, not vars(self).update: materialising the instance dict
         # slows every later attribute access in the run.
         for name, value in _copied(self.state).items():
@@ -138,7 +191,7 @@ class CompliantParty:
         return out
 
     def voting_targets(self, ctx) -> List[LotId]:
-        if self.cfg.altruistic:
+        if self.args["altruistic"]:
             return self.plan.lots()
         return self.plan.voting_lots(self.me)
 
@@ -274,7 +327,7 @@ class CompliantParty:
         for chain, bundle in self.escrow_bundles().items():
             gross_out = gross_out.plus(bundle)
         payoff = net_payoff(gross_in, gross_out)
-        if self.cfg.validation_verdict == "reject" or not self.acceptability_ok(ctx, payoff):
+        if self.args["validation_verdict"] == "reject" or not self.acceptability_ok(ctx, payoff):
             self.validation_rejected = True
             self.on_validation_failed(ctx)
             return
@@ -531,21 +584,17 @@ class SilentCrash(CompliantParty):
     """Stops acting for good at a tick or on entering a phase."""
 
     strategy_name = "silent_crash"
-    params = ("at", "phase")
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.stop_tick = params.get("at")
-        self.stop_phase = params.get("phase")
+    params = {"at": (None, is_int), "phase": (None, ("escrow", "transfer", "commit"))}
 
     @classmethod
     def random_params(cls, scenario, rng):
         return {"phase": rng.choice(["escrow", "transfer", "commit"])}
 
     def _crashed(self, now: int) -> bool:
-        if self.stop_tick is not None and now >= self.stop_tick:
+        at = self.args["at"]
+        if at is not None and now >= at:
             return True
-        phase = self.stop_phase
+        phase = self.args["phase"]
         if phase == "escrow":
             return True
         if phase == "transfer" and self.escrow_published:
@@ -576,13 +625,8 @@ class OfflineWindow(CompliantParty):
     """Ignores every notification and timer inside a window, then resumes."""
 
     strategy_name = "offline_window"
-    params = ("from", "until")
+    params = {"from": (0, is_int), "until": (0, is_int)}
     state = {"_resume_scheduled": False}
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.off_from = params.get("from", 0)
-        self.off_until = params.get("until", 0)
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -592,7 +636,7 @@ class OfflineWindow(CompliantParty):
         return {"from": start, "until": start + rng.randrange(1, 3 * d)}
 
     def _offline(self, now: int) -> bool:
-        return self.off_from <= now < self.off_until
+        return self.args["from"] <= now < self.args["until"]
 
     def handle_wake(self, ctx, tag):
         if self._offline(ctx.now):
@@ -608,7 +652,7 @@ class OfflineWindow(CompliantParty):
 
     def _schedule_resume(self, ctx):
         if not self._resume_scheduled:
-            ctx.wake_at(self.off_until, "resume")
+            ctx.wake_at(self.args["until"], "resume")
             self._resume_scheduled = True
 
 
@@ -616,21 +660,16 @@ class Overpay(CompliantParty):
     """Pays extra coins at one transfer step and accepts any payoff."""
 
     strategy_name = "overpay"
-    params = ("step", "extra")
+    params = {"step": (REQUIRED, is_int), "extra": (REQUIRED, list_of(_is_coin))}
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
-        step = params["step"]
-        self.extra = AssetBundle({(c, k): v for c, k, v in params["extra"]})
-        rebuilt = []
-        for move in self.my_moves:
-            if move.step == step:
-                move = PlannedMove(
-                    move.step, move.lot, move.sender, move.receiver,
-                    move.bundle.plus(self.extra),
-                )
-            rebuilt.append(move)
-        self.my_moves = rebuilt
+        self.extra = AssetBundle({(c, k): v for c, k, v in self.args["extra"]})
+        self.my_moves = [
+            replace(move, bundle=move.bundle.plus(self.extra))
+            if move.step == self.args["step"] else move
+            for move in self.my_moves
+        ]
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -674,20 +713,15 @@ class SelectiveCommunication(TimelockParty):
     at or forwards to lots that hold their escrows or pay them out."""
 
     strategy_name = "selective_communication"
-    params = ("ignore",)
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.ignore = frozenset(params.get("ignore", []))
+    params = {"ignore": ([], list_of(_is_str))}
 
     @classmethod
     def random_params(cls, scenario, rng):
         return {"ignore": [rng.choice(list(scenario["deal"]["parties"]))]}
 
     def _touches_ignored(self, lot) -> bool:
-        if lot[1] in self.ignore:
-            return True
-        return any(p in self.ignore for p in self.plan.final_c.get(lot, {}))
+        ignore = self.args["ignore"]
+        return lot[1] in ignore or any(p in ignore for p in self.plan.final_c.get(lot, {}))
 
     def voting_targets(self, ctx):
         return [l for l in super().voting_targets(ctx) if not self._touches_ignored(l)]
@@ -730,13 +764,14 @@ class LateClaim(TimelockParty):
     """Delays its own votes (and optionally its forwards) to a chosen tick."""
 
     strategy_name = "late_claim"
-    params = ("vote_at", "forward_at", "forward_with_vote")
+    params = {  # a None vote_at means t0
+        "vote_at": (None, is_int), "forward_at": (None, is_int), "forward_with_vote": (False, is_bool),
+    }
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
-        self.vote_at = params.get("vote_at", deal.t0)
-        self.forward_at = params.get("forward_at")
-        self.forward_with_vote = params.get("forward_with_vote", False)
+        if self.args["vote_at"] is None:
+            self.args["vote_at"] = deal.t0
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -748,18 +783,19 @@ class LateClaim(TimelockParty):
         }
 
     def on_validated(self, ctx):
-        ctx.wake_at(self.vote_at, "vote")
-        if self.forward_at is not None:
-            ctx.wake_at(self.forward_at, "late-forward")
+        ctx.wake_at(self.args["vote_at"], "vote")
+        if self.args["forward_at"] is not None:
+            ctx.wake_at(self.args["forward_at"], "late-forward")
 
     def should_vote(self, ctx) -> bool:
-        return self.validated and ctx.now >= self.vote_at
+        return self.validated and ctx.now >= self.args["vote_at"]
 
     def forward_votes(self, ctx):
+        args = self.args
         due = False
-        if self.forward_with_vote and ctx.now >= self.vote_at:
+        if args["forward_with_vote"] and ctx.now >= args["vote_at"]:
             due = True
-        if self.forward_at is not None and ctx.now >= self.forward_at:
+        if args["forward_at"] is not None and ctx.now >= args["forward_at"]:
             due = True
         if due:
             super().forward_votes(ctx)
@@ -769,15 +805,16 @@ class ForgedSignature(TimelockParty):
     """Attempts votes on a victim's behalf with fabricated signatures."""
 
     strategy_name = "forged_signature"
-    params = ("victim", "attempts", "salt")
+    params = {  # a None victim means the first other party
+        "victim": (None, _is_str), "attempts": (6, is_int),
+        "salt": (0, lambda value: is_int(value) or _is_str(value)),
+    }
     state = {"forgeries_sent": 0, "forgeries_accepted": 0}
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
-        others = [p for p in deal.parties if p != me]
-        self.victim = params.get("victim", others[0])
-        self.attempts = params.get("attempts", 6)
-        self.salt = str(params.get("salt", 0))
+        if self.args["victim"] is None:
+            self.args["victim"] = next(p for p in deal.parties if p != me)
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -786,12 +823,13 @@ class ForgedSignature(TimelockParty):
     def _forged_paths(self, ctx) -> List[PathSignature]:
         out = []
         deal_id = self.deal.deal_id
-        for i in range(self.attempts):
-            nonce = digest_hex(encode_message("FNONCE", deal_id, self.victim, str(i), self.salt))[:16]
-            vote = Vote(deal_id, self.victim, nonce)
+        victim, salt = self.args["victim"], str(self.args["salt"])
+        for i in range(self.args["attempts"]):
+            nonce = digest_hex(encode_message("FNONCE", deal_id, victim, str(i), salt))[:16]
+            vote = Vote(deal_id, victim, nonce)
             kind = i % 3
             if kind == 0:
-                sig = digest_hex(encode_message("FORGE", deal_id, self.victim, str(i), self.salt))
+                sig = digest_hex(encode_message("FORGE", deal_id, victim, str(i), salt))
             elif kind == 1:
                 observed = self.observed_votes(ctx)
                 base_sig = None
@@ -799,13 +837,13 @@ class ForgedSignature(TimelockParty):
                     base_sig = pj["links"][0][1]
                     break
                 if base_sig is None:
-                    sig = digest_hex(encode_message("FORGE2", deal_id, str(i), self.salt))
+                    sig = digest_hex(encode_message("FORGE2", deal_id, str(i), salt))
                 else:
                     flipped = format(int(base_sig[-1], 16) ^ 1, "x")
                     sig = base_sig[:-1] + flipped
             else:
                 sig = ctx.scheme.sign(self.keypair(ctx), link_message(vote, ()))
-            out.append(PathSignature(vote, ((self.victim, sig),)))
+            out.append(PathSignature(vote, ((victim, sig),)))
         return out
 
     def publish_votes(self, ctx):
@@ -906,12 +944,8 @@ class FakeCertificate(CbcParty):
     settle its own escrows with the resulting under-quorum certificates."""
 
     strategy_name = "fake_certificate"
-    params = ("status",)
+    params = {"status": (ABORTED, _is_str)}
     state = {"attempted": False, "fakes_accepted": 0}
-
-    def __init__(self, me, deal, plan, cfg, params):
-        super().__init__(me, deal, plan, cfg, params)
-        self.fake_status = params.get("status", ABORTED)
 
     @classmethod
     def random_params(cls, scenario, rng):
@@ -930,7 +964,7 @@ class FakeCertificate(CbcParty):
         if self.attempted or self.h is None:
             return
         self.attempted = True
-        msg = certificate_message(self.deal.deal_id, self.h, self.fake_status, 0)
+        msg = certificate_message(self.deal.deal_id, self.h, self.args["status"], 0)
         corrupt = tuple(ctx.corrupt_signatures(msg))
         own_sig = ctx.scheme.sign(self.keypair(ctx), msg)
         variants = [corrupt]
@@ -939,7 +973,7 @@ class FakeCertificate(CbcParty):
             variants.append(tuple(sorted(corrupt + (corrupt[0],))))
         targets = self.plan.escrowed_lots(self.me) or self.plan.lots()
         for sigs in variants:
-            cert = Certificate(self.deal.deal_id, self.h, self.fake_status, 0, sigs)
+            cert = Certificate(self.deal.deal_id, self.h, self.args["status"], 0, sigs)
             for lot in targets:
                 chain, escrower = lot
                 status, reason, _ = ctx.publish(

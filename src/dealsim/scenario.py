@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .assets import AssetBundle
@@ -49,7 +49,10 @@ from .cbc import CBC_CHAIN, CbcLogContract, ValidatorService
 from .deals import DealSpec
 from .escrow import EscrowContract
 from .ledger import NetworkModel, World
-from .parties import PROTOCOLS, STRATEGIES, PartyConfig, controller_class
+from .parties import (
+    PARTY_OPTIONS, PROTOCOLS, STRATEGIES, PartyConfig, check_args, controller_class, is_bool,
+    is_int, list_of,
+)
 from .planning import DealPlan, PlanError, build_plan
 from .trace import payload_digest
 
@@ -58,22 +61,16 @@ class ScenarioError(ValueError):
     """The scenario file is malformed or inconsistent."""
 
 
-_NETWORK_DEFAULTS = {
-    "mode": "synchronous",
-    "delta": 5,
-    "gst": 0,
-    "pre_gst_cap": None,
-    "skew_max": 0,
-    "latency_menu": None,
-    "allow_model_violation": False,
+# Network key -> (default, accepts), as `parties.check_args` reads it.
+_NETWORK = {
+    "mode": ("synchronous", ("synchronous", "semi-synchronous")),
+    "delta": (5, is_int),
+    "gst": (0, is_int),
+    "pre_gst_cap": (None, is_int),  # None: 4*delta
+    "skew_max": (0, is_int),
+    "latency_menu": (None, list_of(is_int)),  # None: 1..delta
+    "allow_model_violation": (False, is_bool),
 }
-
-_NETWORK_KEYS = frozenset(f.name for f in fields(NetworkModel) if f.init)
-
-# Party options `assemble_world` reads from every binding's params, beside
-# the keys the bound strategy declares; the first verdict is the default.
-_PARTY_OPTIONS = frozenset(("altruistic", "validation_verdict"))
-_VERDICTS = ("accept-if-acceptable", "reject")
 
 _CBC_DEFAULTS = {"f": 1, "corrupt": 0, "grace": 10, "patience": 60, "reconfigurations": 0}
 
@@ -92,16 +89,12 @@ def validate_scenario(raw: dict) -> dict:
     sc.setdefault("seed", 0)
     if not isinstance(sc["seed"], int):
         raise ScenarioError("seed must be an integer")
-    network = _section(sc, "network", _NETWORK_DEFAULTS)
-    unknown = network.keys() - _NETWORK_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown network keys {sorted(unknown)}")
-    if network["mode"] not in ("synchronous", "semi-synchronous"):
-        raise ScenarioError(f"unknown network mode {network['mode']!r}")
-    _require_ints("network", network, ("delta", "gst", "skew_max"), ("pre_gst_cap", "explore_from"))
-    menu = network["latency_menu"]
-    if menu is not None and not (isinstance(menu, list) and all(_is_int(l) for l in menu)):
-        raise ScenarioError("network latency_menu must be a list of integers")
+    network = _section(sc, "network", {key: default for key, (default, _) in _NETWORK.items()})
+    try:
+        # The exploration knob explore_from is written into a scenario only when given.
+        check_args({**_NETWORK, "explore_from": (None, is_int)}, network)
+    except ValueError as exc:
+        raise ScenarioError(f"network {exc}") from exc
     if network["delta"] <= 0:
         raise ScenarioError("delta must be positive")
     try:
@@ -125,18 +118,14 @@ def validate_scenario(raw: dict) -> dict:
         name = binding.get("name", "compliant")
         if name not in STRATEGIES:
             raise ScenarioError(f"unknown strategy {name!r}")
-        params = binding.get("params", {})
-        unknown = params.keys() - _PARTY_OPTIONS - set(STRATEGIES[name].params)
-        if unknown:
-            raise ScenarioError(f"strategy {name!r} for {party!r} takes no {sorted(unknown)}")
-        if not isinstance(params.get("altruistic", False), bool):
-            raise ScenarioError(f"altruistic for {party!r} must be true or false")
-        if params.get("validation_verdict", _VERDICTS[0]) not in _VERDICTS:
-            raise ScenarioError(f"validation_verdict for {party!r} must be one of {list(_VERDICTS)}")
-        if name == "overpay" and not {"step", "extra"} <= params.keys():
-            raise ScenarioError(f"overpay for {party!r} needs both step and extra")
+        try:
+            check_args({**PARTY_OPTIONS, **STRATEGIES[name].params}, binding.get("params", {}))
+        except ValueError as exc:
+            raise ScenarioError(f"strategy {name!r} for {party!r} {exc}") from exc
     cbc = _section(sc, "cbc", _CBC_DEFAULTS)
-    _require_ints("cbc", cbc, tuple(_CBC_DEFAULTS))
+    for key in _CBC_DEFAULTS:
+        if not is_int(cbc[key]):
+            raise ScenarioError(f"cbc {key} must be an integer")
     if sc["protocol"] == "cbc":
         if cbc["f"] < 0 or cbc["corrupt"] > cbc["f"]:
             raise ScenarioError("need 0 <= corrupt <= f")
@@ -147,7 +136,7 @@ def validate_scenario(raw: dict) -> dict:
     if sc["protocol"] == "cbc":
         default_horizon = max(default_horizon, cbc["patience"] + cbc["grace"] + 6 * deal.delta)
     sc.setdefault("horizon", default_horizon)
-    if not _is_int(sc["horizon"]):
+    if not is_int(sc["horizon"]):
         raise ScenarioError("horizon must be an integer")
     if sc["horizon"] <= deal.t0 + (n + 2) * deal.delta:
         raise ScenarioError("horizon too small for the deal's timeout structure")
@@ -171,19 +160,6 @@ def _section(sc: dict, key: str, defaults: dict) -> dict:
     sc[key] = section = dict(defaults)
     section.update(given)
     return section
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_ints(name: str, section: dict, keys, optional=()):
-    for key in keys:
-        if not _is_int(section[key]):
-            raise ScenarioError(f"{name} {key} must be an integer")
-    for key in optional:
-        if section.get(key) is not None and not _is_int(section[key]):
-            raise ScenarioError(f"{name} {key} must be an integer or null")
 
 
 def load_scenario(path_or_name: str) -> dict:
@@ -301,19 +277,11 @@ def assemble_world(
             chains.add(CBC_CHAIN)
         return sorted(chains)
 
+    cfg = PartyConfig(sc["cbc"]["grace"], sc["cbc"]["patience"], validators, sc["cbc"]["f"])
     for party in deal.parties:
         binding = sc["strategies"].get(party, {"name": "compliant"})
         name = binding.get("name", "compliant")
-        params = binding.get("params", {})
-        cfg = PartyConfig(
-            altruistic=params.get("altruistic", False),
-            validation_verdict=params.get("validation_verdict", _VERDICTS[0]),
-            grace=sc["cbc"]["grace"],
-            patience=sc["cbc"]["patience"],
-            validators=validators,
-            f=sc["cbc"]["f"],
-        )
-        controller = controller_class(name, protocol)(party, deal, plan, cfg, params)
+        controller = controller_class(name, protocol)(party, deal, plan, cfg, binding.get("params", {}))
         world.add_party(party, controller, chains_of_interest(party))
         if name == "compliant":
             world.compliant.add(party)

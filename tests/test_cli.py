@@ -8,7 +8,7 @@ from dealsim.cli import main
 from dealsim.costs import meter
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
-from dealsim.scenario import cycle_deal, ticket_deal
+from dealsim.scenario import ScenarioError, cycle_deal, ticket_deal, validate_scenario
 from dealsim.trace import RunTrace
 
 from conftest import run_scenario_dict
@@ -20,9 +20,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def bind(party, strategy, **params):
+    """A scenario edit that binds `party` to `strategy` with `params`."""
+    return lambda sc: sc["strategies"].update({party: {"name": strategy, "params": params}})
+
+
 def bind_bob(strategy, **params):
-    """A scenario edit that binds bob to `strategy` with `params`."""
-    return lambda sc: sc["strategies"].update(bob={"name": strategy, "params": params})
+    return bind("bob", strategy, **params)
+
+
+# Mistyped strategy params and the party and param each names.
+MISTYPED_PARAMS = {
+    "crash-at-string": (bind_bob("silent_crash", at="x"), "bob", "at"),
+    "vote-at-string": (bind_bob("late_claim", vote_at="40"), "bob", "vote_at"),
+    "until-string": (bind_bob("offline_window", until="9"), "bob", "until"),
+    "extra-short-coin": (bind("carol", "overpay", step=0, extra=[["coin", "coin"]]), "carol", "extra"),
+    "attempts-string": (bind_bob("forged_signature", attempts="3"), "bob", "attempts"),
+    "ignore-string": (bind_bob("selective_communication", ignore="bob"), "bob", "ignore"),
+    "forward-with-vote-string": (bind_bob("late_claim", forward_with_vote="no"), "bob", "forward_with_vote"),
+    "phase-typo": (bind_bob("silent_crash", phase="validate"), "bob", "phase"),
+}
 
 
 class TestRunCommand:
@@ -70,9 +87,12 @@ class TestRunCommand:
             bind_bob("compliant", altruistic="false"),
             bind_bob("overpay", extra=[["coin", "coin", 1]]),
             bind_bob("overpay", step=0),
+            lambda sc: sc["network"].update(allow_model_violation="false"),
+            *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
         ],
         ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
-             "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra"],
+             "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
+             "model-violation-string", *MISTYPED_PARAMS],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
@@ -82,6 +102,26 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--scenario", str(path))
         assert code == 2
         assert "scenario error" in err
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_PARAMS))
+    def test_mistyped_param_error_names_party_and_param(self, case):
+        edit, party, param = MISTYPED_PARAMS[case]
+        scenario = ticket_deal("timelock")
+        edit(scenario)
+        with pytest.raises(ScenarioError, match=f"for '{party}' does not accept {param}="):
+            validate_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]
+    )
+    def test_broken_timing_model_is_a_parse_error(self, tmp_path, capsys, mode):
+        scenario = ticket_deal("timelock")
+        scenario["network"].update(latency_menu=[1, 9], allow_model_violation=False)
+        path = tmp_path / "violation.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path), *mode)
+        assert code == 2
+        assert "scenario error" in err and "exceeds delta" in err
 
     @pytest.mark.parametrize(
         "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]

@@ -1,11 +1,13 @@
 """Scenario schema validation, bundled corpus integrity, and planning."""
 
+import dataclasses
 import pathlib
 
 import pytest
 
 from dealsim.assets import AssetBundle
 from dealsim.deals import DealSpec, TransferSpec, payoff_of_run
+from dealsim.ledger import NetworkModel
 from dealsim.planning import PlanError, build_plan
 from dealsim.scenario import (
     ScenarioError,
@@ -83,6 +85,12 @@ class TestValidation:
         sc["network"]["latency_jitter"] = 2  # not a NetworkModel field
         with pytest.raises(ScenarioError, match="latency_jitter"):
             validate_scenario(sc)
+
+    def test_network_declaration_covers_the_network_model(self):
+        sc = ticket_deal("timelock")
+        sc["network"]["explore_from"] = 20  # written only when given
+        network = validate_scenario(sc)["network"]
+        assert network.keys() == {f.name for f in dataclasses.fields(NetworkModel) if f.init}
 
     def test_duplicate_deal_id_rejected_per_run(self):
         built = build_world(ticket_deal("timelock"))

@@ -15,8 +15,14 @@ import pytest
 import dealsim
 from dealsim import parties
 from dealsim.adversary import builtin_strategies
-from dealsim.parties import PROTOCOLS, STRATEGIES, CbcParty, CompliantParty, TimelockParty
-from dealsim.scenario import build_world, ticket_deal
+from dealsim.parties import (
+    PARTY_OPTIONS, PROTOCOLS, REQUIRED, STRATEGIES, CbcParty, CompliantParty, TimelockParty,
+    check_args,
+)
+from dealsim.scenario import (
+    build_world, bundled_scenarios, cycle_deal, dual_broker_deal, swap_deal, ticket_deal,
+    validate_scenario,
+)
 
 from conftest import run_scenario_dict
 
@@ -102,3 +108,25 @@ class TestRegistry:
         built, trace = run_scenario_dict(scenario)
         assert type(built.world.controllers["bob"]) is CbcParty
         assert {res for res, _ in trace.resolutions.values()} == {"committed"}
+
+
+class TestParamDeclarations:
+    """Every value the program itself writes passes the declaration that
+    validation checks bindings against."""
+
+    def test_defaults_bundled_bindings_and_campaign_draws_are_accepted(self):
+        for cls in STRATEGIES.values():
+            for name, declaration in {**PARTY_OPTIONS, **cls.params}.items():
+                if declaration[0] is not REQUIRED:
+                    check_args({name: declaration}, {name: declaration[0]})
+        for scenario in bundled_scenarios().values():
+            for binding in scenario["strategies"].values():
+                declared = {**PARTY_OPTIONS, **STRATEGIES[binding["name"]].params}
+                check_args(declared, binding.get("params", {}))
+        for builder in (ticket_deal, dual_broker_deal, swap_deal, lambda p: cycle_deal(4, p)):
+            for protocol in PROTOCOLS:
+                scenario = validate_scenario(builder(protocol))
+                for cls in STRATEGIES.values():
+                    for seed in range(8):
+                        params = cls.random_params(scenario, random.Random(seed))
+                        check_args({**PARTY_OPTIONS, **cls.params}, params)
