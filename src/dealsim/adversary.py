@@ -14,7 +14,7 @@ from typing import Dict, List
 from . import properties
 from .assets import AssetBundle
 from .ledger import TapeChoices
-from .parties import STRATEGIES
+from .parties import STRATEGIES, coin_bundle
 from .planning import build_plan
 from .scenario import ScenarioError, assemble_world, build_world, prepare, wallet_holdings
 
@@ -99,9 +99,7 @@ def random_campaign(
             scenario["wallets"] = wallets = dict(base["wallets"])
             for party, extra in wallet_extra.items():
                 wallet = AssetBundle.from_json(wallets.get(party, {"fungible": [], "tokens": []}))
-                wallets[party] = wallet.plus(
-                    AssetBundle({(c, k): v for c, k, v in extra})
-                ).to_json()
+                wallets[party] = wallet.plus(coin_bundle(extra)).to_json()
             holdings = wallet_holdings(scenario)
             plan = build_plan(deal, holdings)
         trace = assemble_world(scenario, deal, holdings, plan).world.run()

@@ -50,6 +50,13 @@ class AssetBundle:
     def __setattr__(self, name, value):
         raise AttributeError("AssetBundle is immutable")
 
+    # Immutable, so a copy may share the original.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -194,6 +194,13 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of a count: anything but a positive integer is a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dealsim",
@@ -204,10 +211,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p = sub.add_parser("run", help="run one scenario (or a campaign / exploration)")
     run_p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--runs", type=int, default=1, help="campaign mode: number of seeded runs")
+    run_p.add_argument(
+        "--runs", type=_positive_int, default=1, help="campaign mode: number of seeded runs"
+    )
     run_p.add_argument("--explore", action="store_true", help="exhaustive schedule exploration")
-    run_p.add_argument("--max-depth", type=int, default=600, help="exploration choice-point cap")
-    run_p.add_argument("--max-runs", type=int, default=100000, help="exploration run cap")
+    run_p.add_argument(
+        "--max-depth", type=_positive_int, default=600, help="exploration choice-point cap"
+    )
+    run_p.add_argument(
+        "--max-runs", type=_positive_int, default=100000, help="exploration run cap"
+    )
     run_p.add_argument("--report", choices=("text", "structured"), default="text")
     run_p.add_argument("--trace", default=None, help="write the run trace to this path")
     run_p.add_argument("--gas-write", type=int, default=5000)

@@ -35,6 +35,10 @@ class DealSpec:
     `t0` is the commit-phase reference time and `delta` the network latency
     bound used for all timeout arithmetic.  `extra_acceptable` widens a
     party's acceptability base set beyond the default {all, nothing}.
+
+    `cache_acceptable_bases` stores every party's base set, which
+    `acceptable_base` and `all_payoff` then answer from.  Call it before a
+    run, never during one: a run's controllers share the deal.
     """
 
     deal_id: str
@@ -43,6 +47,9 @@ class DealSpec:
     t0: int
     delta: int
     extra_acceptable: Mapping[str, Tuple[Payoff, ...]] = field(default_factory=dict)
+    _bases: Dict[str, Tuple[Payoff, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(set(self.parties)) != len(self.parties) or not self.parties:
@@ -82,13 +89,23 @@ class DealSpec:
 
     def all_payoff(self, party: str) -> Payoff:
         """The net payoff when every agreed transfer takes place."""
+        cached = self._bases.get(party)
+        if cached is not None:
+            return cached[0]
         inc, out = self.gross_flows(party)
         return net_payoff(inc, out)
 
     def acceptable_base(self, party: str) -> Tuple[Payoff, ...]:
+        cached = self._bases.get(party)
+        if cached is not None:
+            return cached
         if party not in self.parties:
             raise DealError(f"unknown party {party!r}")
         return (self.all_payoff(party), NOTHING) + tuple(self.extra_acceptable.get(party, ()))
+
+    def cache_acceptable_bases(self):
+        for party in self.parties:
+            self._bases[party] = self.acceptable_base(party)
 
     def to_json(self) -> dict:
         return {

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .assets import AssetBundle
 from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
+from .deals import DealSpec
 from .timelock import refund_deadline
 from .trace import RunTrace, TraceEvent, payload_digest
 
@@ -293,8 +294,10 @@ class World:
         horizon: int,
         choices=None,
         scenario_digest: Optional[str] = None,
+        deal: Optional[DealSpec] = None,
     ):
         self.scenario = scenario
+        self.deal = deal  # the parsed scenario["deal"], handed to each trace
         self.network = network
         self.seed = seed
         self.horizon = horizon
@@ -497,6 +500,7 @@ class World:
             terminal_wallets=terminal,
             resolutions=resolutions,
             metadata=metadata,
+            deal=self.deal,
         )
 
     # -- exploration support ----------------------------------------------------

@@ -35,6 +35,9 @@ class Verdict:
 
 
 def _deal_of(trace) -> DealSpec:
+    """The live trace's own deal; a loaded trace's is parsed from its scenario."""
+    if trace.deal is not None:
+        return trace.deal
     return DealSpec.from_json(trace.scenario["deal"])
 
 

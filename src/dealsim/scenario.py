@@ -72,14 +72,29 @@ _NETWORK = {
     "allow_model_violation": (False, is_bool),
 }
 
-_CBC_DEFAULTS = {"f": 1, "corrupt": 0, "grace": 10, "patience": 60, "reconfigurations": 0}
+_CBC = {
+    "f": (1, is_int),
+    "corrupt": (0, is_int),
+    "grace": (10, is_int),
+    "patience": (60, is_int),
+    "reconfigurations": (0, is_int),
+}
+
+
+class _Validated(dict):
+    """A scenario `validate_scenario` returned; `deal` is the `DealSpec` it parsed."""
+
+    deal: DealSpec
 
 
 def validate_scenario(raw: dict) -> dict:
-    """Fill defaults and reject inconsistent scenarios; returns a new dict."""
+    """Fill defaults and reject inconsistent scenarios; returns a new dict.
+
+    The dict's `deal` attribute is the `DealSpec` parsed from its deal, which
+    `prepare` reuses."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    sc = _copy_json(raw)
+    sc = _Validated(_copy_json(raw))
     for key in ("protocol", "deal"):
         if key not in sc:
             raise ScenarioError(f"scenario missing {key!r}")
@@ -89,7 +104,7 @@ def validate_scenario(raw: dict) -> dict:
     sc.setdefault("seed", 0)
     if not isinstance(sc["seed"], int):
         raise ScenarioError("seed must be an integer")
-    network = _section(sc, "network", {key: default for key, (default, _) in _NETWORK.items()})
+    network = _section(sc, "network", _NETWORK)
     try:
         # The exploration knob explore_from is written into a scenario only when given.
         check_args({**_NETWORK, "explore_from": (None, is_int)}, network)
@@ -98,19 +113,19 @@ def validate_scenario(raw: dict) -> dict:
     if network["delta"] <= 0:
         raise ScenarioError("delta must be positive")
     try:
-        deal = DealSpec.from_json(sc["deal"])
+        sc.deal = deal = DealSpec.from_json(sc["deal"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad deal: {exc}") from exc
     if deal.delta != network["delta"]:
         raise ScenarioError("deal delta and network delta must agree")
-    for party, wallet in _section(sc, "wallets", {}).items():
+    for party, wallet in _section(sc, "wallets").items():
         if party not in deal.parties:
             raise ScenarioError(f"wallet for unknown party {party!r}")
         try:
             AssetBundle.from_json(wallet)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad wallet for {party!r}: {exc}") from exc
-    for party, binding in _section(sc, "strategies", {}).items():
+    for party, binding in _section(sc, "strategies").items():
         if party not in deal.parties:
             raise ScenarioError(f"strategy bound to unknown party {party!r}")
         if not isinstance(binding, dict) or not isinstance(binding.get("params", {}), dict):
@@ -122,10 +137,11 @@ def validate_scenario(raw: dict) -> dict:
             check_args({**PARTY_OPTIONS, **STRATEGIES[name].params}, binding.get("params", {}))
         except ValueError as exc:
             raise ScenarioError(f"strategy {name!r} for {party!r} {exc}") from exc
-    cbc = _section(sc, "cbc", _CBC_DEFAULTS)
-    for key in _CBC_DEFAULTS:
-        if not is_int(cbc[key]):
-            raise ScenarioError(f"cbc {key} must be an integer")
+    cbc = _section(sc, "cbc", _CBC)
+    try:
+        check_args(_CBC, cbc)
+    except ValueError as exc:
+        raise ScenarioError(f"cbc {exc}") from exc
     if sc["protocol"] == "cbc":
         if cbc["f"] < 0 or cbc["corrupt"] > cbc["f"]:
             raise ScenarioError("need 0 <= corrupt <= f")
@@ -152,12 +168,13 @@ def _copy_json(value):
     return value
 
 
-def _section(sc: dict, key: str, defaults: dict) -> dict:
-    """Set `sc[key]` to the defaults updated by the scenario's own object."""
+def _section(sc: dict, key: str, declared: Optional[dict] = None) -> dict:
+    """Set `sc[key]` to the scenario's own object over the `declared`
+    {key: (default, accepts)} defaults."""
     given = sc.get(key, {})
     if not isinstance(given, dict):
         raise ScenarioError(f"{key} must be an object")
-    sc[key] = section = dict(defaults)
+    sc[key] = section = {name: default for name, (default, _) in (declared or {}).items()}
     section.update(given)
     return section
 
@@ -211,9 +228,11 @@ def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Bui
 def prepare(scenario: dict) -> Tuple[dict, DealSpec, Dict[str, AssetBundle], DealPlan]:
     """The validated scenario with its deal, starting holdings and plan.
 
-    Wallets that cannot fund the script raise the plan's `PlanError` as `ScenarioError`."""
+    The deal answers its acceptable bases from a cache.  Wallets that cannot
+    fund the script raise the plan's `PlanError` as `ScenarioError`."""
     sc = validate_scenario(scenario)
-    deal = DealSpec.from_json(sc["deal"])
+    deal = sc.deal
+    deal.cache_acceptable_bases()
     holdings = wallet_holdings(sc)
     try:
         plan = build_plan(deal, holdings)
@@ -242,7 +261,7 @@ def assemble_world(
     """
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
-    world = World(sc, network, run_seed, sc["horizon"], choices, payload_digest(sc))
+    world = World(sc, network, run_seed, sc["horizon"], choices, payload_digest(sc), deal)
     world.register_deal(deal.deal_id)
 
     skew_rng = random.Random(f"skew-{run_seed}")

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .deals import DealSpec
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -75,7 +77,12 @@ class TraceEvent:
 
 @dataclass
 class RunTrace:
-    """Everything one run produced, in deterministic order."""
+    """Everything one run produced, in deterministic order.
+
+    A live trace also holds its world's `DealSpec` as `deal`, so checkers
+    need not parse `scenario["deal"]`; the JSON form leaves it out, and a
+    loaded trace has `deal` None.
+    """
 
     scenario: dict
     seed: int
@@ -84,6 +91,7 @@ class RunTrace:
     terminal_wallets: Dict[str, dict]
     resolutions: Dict[str, Tuple[str, Optional[int]]]  # "chain/escrower" -> (resolution, tick)
     metadata: dict = field(default_factory=dict)
+    deal: Optional[DealSpec] = field(default=None, compare=False, repr=False)
 
     @property
     def all_resolved(self) -> bool:

@@ -72,6 +72,17 @@ class TestCatalog:
         )
         assert check_safety(trace, compliant=["alice", "bob"]).passed
 
+    def test_overpay_sums_repeated_extra_coins(self):
+        scenario = ticket_deal("timelock")
+        params = {"step": 2, "extra": [["coin", "coin", 5], ["coin", "coin", 7]]}
+        scenario["strategies"] = {"carol": {"name": "overpay", "params": params}}
+        built, trace = run_scenario_dict(scenario)
+        escrows = [
+            e.payload["bundle"] for e in trace.publishes("coin")
+            if e.payload.get("op") == "escrow" and e.publisher == "carol"
+        ]
+        assert escrows == [AssetBundle.coins("coin", "coin", 113).to_json()]
+
     def test_forged_signatures_never_accepted(self):
         scenario = ticket_deal("timelock", seed=55)
         scenario["strategies"] = {
@@ -399,7 +410,7 @@ def test_fields_outside_state_are_run_constants(name, protocol):
     params = STRATEGIES[name].random_params(scenario, random.Random(name))
     scenario["strategies"] = {"bob": {"name": name, "params": params}}
     world = build_world(scenario).world
-    # Pickled bytes fingerprint each value deeply (AssetBundle refuses deepcopy).
+    # Pickled bytes fingerprint each value deeply, the deal's cached bases included.
     constants = {
         party: {
             k: (v, pickle.dumps(v)) for k, v in vars(controller).items()

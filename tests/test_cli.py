@@ -88,11 +88,13 @@ class TestRunCommand:
             bind_bob("overpay", extra=[["coin", "coin", 1]]),
             bind_bob("overpay", step=0),
             lambda sc: sc["network"].update(allow_model_violation="false"),
+            lambda sc: sc["cbc"].update(corupt=1),
+            lambda sc: sc["cbc"].update(grace="10"),
             *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
         ],
         ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
              "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
-             "model-violation-string", *MISTYPED_PARAMS],
+             "model-violation-string", "cbc-corupt", "cbc-grace-string", *MISTYPED_PARAMS],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
@@ -102,6 +104,18 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--scenario", str(path))
         assert code == 2
         assert "scenario error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--runs", "0"], ["--runs", "-4"], ["--explore", "--max-runs", "0"],
+         ["--explore", "--max-depth", "0"], ["--runs", "two"]],
+        ids=["runs-zero", "runs-negative", "max-runs-zero", "max-depth-zero", "runs-word"],
+    )
+    def test_non_positive_count_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "explore_swap_timelock", *argv])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MISTYPED_PARAMS))
     def test_mistyped_param_error_names_party_and_param(self, case):

@@ -1,6 +1,7 @@
 """Deal structure: digraphs, well-formedness, acceptability, run payoffs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from dealsim.deals import (
     is_well_formed,
     payoff_of_run,
 )
-from dealsim.scenario import ticket_deal
+from dealsim.scenario import prepare, ticket_deal
 
 from conftest import run_scenario_dict
 
@@ -122,6 +123,22 @@ class TestAcceptability:
     def test_unknown_party_raises(self):
         with pytest.raises(DealError):
             is_acceptable("mallory", NOTHING, TICKET_DEAL)
+
+    def test_cached_bases_equal_a_fresh_parse(self, corpus):
+        paid = Payoff(AssetBundle.coins("ch1", "c", 1), AssetBundle.empty())
+        widened = replace(simple_deal([("a", "b"), ("b", "a")]), extra_acceptable={"a": (paid,)})
+        widened.cache_acceptable_bases()
+        for deal in [prepare(scenario)[1] for scenario in corpus.values()] + [widened]:
+            fresh = DealSpec.from_json(deal.to_json())
+            assert deal == fresh
+            for party in deal.parties:
+                # A cached base set is the same object on every call.
+                assert deal.acceptable_base(party) is deal.acceptable_base(party)
+                assert deal.acceptable_base(party) == fresh.acceptable_base(party)
+                assert deal.all_payoff(party) == fresh.all_payoff(party)
+            with pytest.raises(DealError):
+                deal.acceptable_base("nobody")
+        assert widened.acceptable_base("a")[2] == paid
 
     def test_monotone_in_dominance(self):
         rng = random.Random(7)

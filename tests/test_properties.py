@@ -1,9 +1,11 @@
 """Safety, liveness, and agreement checkers, with constructed negative controls."""
 
 import copy
+import json
 
 import pytest
 
+from dealsim.deals import DealSpec
 from dealsim.properties import (
     check_agreement,
     check_safety,
@@ -12,6 +14,9 @@ from dealsim.properties import (
     evaluate_run,
     run_verdicts,
 )
+from dealsim.scenario import bundled_scenarios
+from dealsim.trace import RunTrace
+
 from conftest import run_scenario_dict
 
 
@@ -148,3 +153,41 @@ class TestCheckerDiscipline:
         assert evaluate_run(aborted)["outcome"] == "aborted"
         _, split = run_scenario_dict(corpus["virus_alice_timelock"])
         assert evaluate_run(split)["outcome"] == "mixed"
+
+
+def judged(trace) -> tuple:
+    report = evaluate_run(trace)
+    return report["outcome"], [v.to_json() for v in report["verdicts"]], report["failures"]
+
+
+class TestLiveAndLoadedTraces:
+    """A live trace is judged from its world's deal, a loaded one from its scenario."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_round_trip_keeps_verdicts_and_failures(self, corpus, name):
+        scenario = corpus[name]
+        for seed in (scenario["seed"], scenario["seed"] + 1000):
+            built, live = run_scenario_dict(scenario, seed=seed)
+            assert live.deal is built.deal
+            loaded = RunTrace.from_json(json.loads(json.dumps(live.to_json())))
+            assert loaded.deal is None and loaded == live
+            assert judged(loaded) == judged(live)
+
+    def test_deepcopy_keeps_verdicts(self, virus_run):
+        built, trace = virus_run
+        copied = copy.deepcopy(trace)
+        assert copied.deal == trace.deal
+        assert judged(copied) == judged(trace)
+
+    def test_a_judged_run_parses_its_deal_once(self, corpus, monkeypatch):
+        parsed = []
+        parse = DealSpec.from_json.__func__
+
+        def counting(cls, data):
+            parsed.append(data["id"])
+            return parse(cls, data)
+
+        monkeypatch.setattr(DealSpec, "from_json", classmethod(counting))
+        built, trace = run_scenario_dict(corpus["ticket_deal_timelock"])
+        evaluate_run(trace)
+        assert parsed == ["ticket-deal"]
