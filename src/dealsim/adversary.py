@@ -14,7 +14,7 @@ from typing import Dict, List
 from . import properties
 from .assets import AssetBundle
 from .ledger import TapeChoices
-from .parties import STRATEGIES, coin_bundle
+from .parties import STRATEGIES
 from .planning import build_plan
 from .scenario import ScenarioError, assemble_world, build_world, prepare, wallet_holdings
 
@@ -99,7 +99,7 @@ def random_campaign(
             scenario["wallets"] = wallets = dict(base["wallets"])
             for party, extra in wallet_extra.items():
                 wallet = AssetBundle.from_json(wallets.get(party, {"fungible": [], "tokens": []}))
-                wallets[party] = wallet.plus(coin_bundle(extra)).to_json()
+                wallets[party] = wallet.plus(AssetBundle.from_json({"fungible": extra})).to_json()
             holdings = wallet_holdings(scenario)
             plan = build_plan(deal, holdings)
         trace = assemble_world(scenario, deal, holdings, plan).world.run()
@@ -139,7 +139,6 @@ class ExploreResult:
     verdict: str  # "SAFE" | "VIOLATION" | "PARTIAL"
     runs: int
     branch_points: int
-    terminals: int
     complete: bool
     violations: List[dict]
     witness_traces: list = field(default_factory=list, repr=False)
@@ -149,7 +148,6 @@ class ExploreResult:
             "verdict": self.verdict,
             "runs": self.runs,
             "branch_points": self.branch_points,
-            "terminals": self.terminals,
             "complete": self.complete,
             "violations": self.violations,
         }
@@ -186,7 +184,6 @@ def exhaustive_explore(
     stack: List[tuple] = [([], 0, world.snapshot())]
     visited = set()
     runs = 0
-    terminals = 0
     branch_points = 0
     violations: List[dict] = []
     witnesses = []
@@ -200,7 +197,6 @@ def exhaustive_explore(
         choices = world.choices = TapeChoices(tape[base:])
         trace = world.run()
         runs += 1
-        terminals += 1
         failures = evaluate(trace)
         if failures:
             violations.append(
@@ -240,4 +236,4 @@ def exhaustive_explore(
         verdict = "SAFE"
     else:
         verdict = "PARTIAL"
-    return ExploreResult(verdict, runs, branch_points, terminals, complete, violations, witnesses)
+    return ExploreResult(verdict, runs, branch_points, complete, violations, witnesses)

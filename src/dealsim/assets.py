@@ -129,10 +129,15 @@ class AssetBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "AssetBundle":
-        return cls(
-            {(c, k): v for c, k, v in data.get("fungible", [])},
-            [(c, t) for c, t in data.get("tokens", [])],
-        )
+        """The bundle a `to_json()` describes; repeats of a (chain, kind) add up."""
+        entries = data.get("fungible", [])
+        fungible = {(c, k): v for c, k, v in entries}
+        if len(fungible) < len(entries):
+            # Each repeated amount is checked on its own before the sum.
+            fungible = {}
+            for c, k, v in entries:
+                fungible[(c, k)] = fungible.get((c, k), 0) + cls.coins(c, k, v).amount(c, k)
+        return cls(fungible, [(c, t) for c, t in data.get("tokens", [])])
 
     def __eq__(self, other):
         return isinstance(other, AssetBundle) and self.canonical() == other.canonical()

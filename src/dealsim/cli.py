@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
 from .costs import GasSchedule, check_asymptotics, meter
-from .deals import DealSpec, payoff_of_run
+from .deals import payoff_of_run
 from .ledger import ModelViolation
 from .properties import run_verdicts
 from .replay import ReplayError, replay_trace
@@ -38,10 +38,9 @@ def build_report(trace: RunTrace, schedule: GasSchedule) -> dict:
     verdicts = run_verdicts(trace)
     costs = meter(trace, schedule)
     bounds = check_asymptotics(costs)
-    deal = DealSpec.from_json(trace.scenario["deal"])
     payoffs = {}
     if trace.all_resolved:
-        payoffs = {p: payoff_of_run(trace, p).to_json() for p in deal.parties}
+        payoffs = {p: payoff_of_run(trace, p).to_json() for p in trace.deal.parties}
     return {
         "scenario": trace.scenario.get("name", "unnamed"),
         "protocol": trace.scenario["protocol"],

@@ -2,23 +2,26 @@
 
 Costs are dominated by two operations: long-lived storage writes and
 signature verifications.  Metering is a pure fold over the trace's
-published entries; nothing is instrumented inside contracts.  Charged
-constants:
+published entries.  Writes are charged by constant:
 
     escrow call            4 writes
     tentative transfer     2 writes
-    accepted vote          |path| verifications + 1 write
-    accepted settle        (hops+1)*(f+1) verifications + 2 writes
+    accepted vote          1 write
     lot finalization       2 writes (outcome + ownership update)
     shared-ledger entry    1 write (startDeal / commit / abort bookkeeping)
 
-Rejected calls charge only the verifications performed before the failing
-check (encoded in the rejection reason), matching on-chain require-order.
+Verifications are not recomputed here.  Every vote or settle call the
+escrow contract judges, accepted or rejected, records its ruling's
+signature-verification count as `info["verifications"]`, and the meter
+charges that count: |path| for an accepted vote, f+1 per reconfiguration
+hop plus f+1 for the certificate on an accepted settle, and on a rejected
+call only the checks made before the failing one, in on-chain
+require-order (so a settle whose hop verifies but whose certificate's
+first signature is bad costs f+1 + 1).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -95,21 +98,11 @@ class CostReport:
         }
 
 
-_SIG_REASON = re.compile(r"bad-signature@(\d+)$")
-
-
-def _rejected_verifications(reason: Optional[str]) -> int:
-    if not reason:
-        return 0
-    match = _SIG_REASON.search(reason)
-    return int(match.group(1)) + 1 if match else 0
-
-
 def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
     """Fold gas charges and phase durations out of a complete trace."""
     scenario = trace.scenario
     protocol = scenario["protocol"]
-    deal = scenario["deal"]
+    deal = trace.deal
     f = scenario.get("cbc", {}).get("f", 0)
     phases = {name: PhaseCost() for name in PHASES}
     per_contract: Dict[str, PhaseCost] = {}
@@ -142,27 +135,20 @@ def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
                 transfers_per_lot[lot] = transfers_per_lot.get(lot, 0) + 1
                 charge("transfer", contract, writes=2)
             spans["transfer"].append(event.tick)
-        elif op == "commit" and event.where != CBC_CHAIN:
-            spans["commit"].append(event.tick)
-            if accepted:
-                path_len = len(event.payload["path"]["links"])
-                writes = 1 + (FINALIZE_WRITES if event.info.get("finalized") else 0)
-                charge("commit", contract, writes=writes, verifications=path_len)
-                vote_ticks.append(event.tick)
-            else:
-                charge("commit", contract, verifications=_rejected_verifications(event.reason))
         elif op == "timeout":
             spans["commit"].append(event.tick)
             if accepted:
                 charge("commit", contract, writes=FINALIZE_WRITES)
-        elif op == "settle":
+        elif op == "settle" or (op == "commit" and event.where != CBC_CHAIN):
             spans["commit"].append(event.tick)
+            writes = 0
             if accepted:
-                hops = len(event.payload.get("reconfig", []))
-                ver = (hops + 1) * (f + 1)
-                charge("commit", contract, writes=FINALIZE_WRITES, verifications=ver)
-            else:
-                charge("commit", contract, verifications=_rejected_verifications(event.reason))
+                writes = FINALIZE_WRITES if event.info.get("finalized") else 0
+                if op == "commit":
+                    writes += 1
+                    vote_ticks.append(event.tick)
+            verifications = event.info.get("verifications", 0)
+            charge("commit", contract, writes=writes, verifications=verifications)
         elif event.where == CBC_CHAIN:
             spans["commit"].append(event.tick)
             if accepted:
@@ -177,21 +163,21 @@ def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
         durations[name] = (max(ticks) - min(ticks)) if ticks else 0
     if resolution_ticks:
         if protocol in ("timelock", "naive"):
-            start = deal["t0"]
+            start = deal.t0
         else:
-            start = min(vote_ticks) if vote_ticks else deal["t0"]
+            start = min(vote_ticks) if vote_ticks else deal.t0
         durations["commit"] = max(0, max(resolution_ticks) - start)
     else:
         durations["commit"] = 0
 
     lots = {key for key in trace.resolutions}
     params = {
-        "n": len(deal["parties"]),
+        "n": len(deal.parties),
         "m": len(lots),
         "t": transfers,
         "k": max(transfers_per_lot.values(), default=0),
         "f": f,
-        "delta": deal["delta"],
+        "delta": deal.delta,
         "reconfigurations": scenario.get("cbc", {}).get("reconfigurations", 0),
         "synchronous": 1 if scenario["network"]["mode"] == "synchronous" else 0,
     }

@@ -254,10 +254,11 @@ class EscrowContract:
             naive=self.protocol == "naive",
             scheme=scheme,
         )
+        info = {"lot": lot.escrower, "verifications": ruling.verifications}
         if ruling.status != "accepted":
-            return "rejected", ruling.reason, {"lot": lot.escrower}
+            return "rejected", ruling.reason, info
         lot.voted[path.vote.voter] = path.to_json()
-        info = {"lot": lot.escrower, "voter": path.vote.voter, "path_len": path.path_len}
+        info["voter"] = path.vote.voter
         if len(lot.voted) == len(self.plist):
             self._finalize(lot, COMMITTED, chain, local_now)
             info["finalized"] = COMMITTED
@@ -293,14 +294,12 @@ class EscrowContract:
         ruling = verify_certificate(
             cert, self.cbc.epoch, self.cbc.members, self.cbc.f, scheme, hops
         )
+        info = {"lot": lot.escrower, "verifications": ruling.verifications}
         if not ruling.ok:
-            return "rejected", ruling.reason, {"lot": lot.escrower}
+            return "rejected", ruling.reason, info
         self._finalize(lot, cert.status, chain, local_now)
-        return "accepted", None, {
-            "lot": lot.escrower,
-            "finalized": cert.status,
-            "verifications": ruling.verifications,
-        }
+        info["finalized"] = cert.status
+        return "accepted", None, info
 
     # -- resolution ----------------------------------------------------------
 

@@ -367,12 +367,8 @@ class World:
             return min(publish_tick + lat, net.gst + net.delta) - publish_tick
         menu = net.sync_menu()
         if net.explore_from is not None and publish_tick < net.explore_from:
-            lat = max(menu)
-        else:
-            lat = self.choices.pick(("lat", chain_id, seq, monitor), menu, self)
-        if lat > net.delta and not net.allow_model_violation:
-            raise ModelViolation(f"latency {lat} exceeds delta {net.delta}")
-        return lat
+            return max(menu)
+        return self.choices.pick(("lat", chain_id, seq, monitor), menu, self)
 
     # -- the ledger operation ------------------------------------------------
 

@@ -99,14 +99,6 @@ def _is_coin(value) -> bool:  # [chain, kind, amount >= 0]
     )
 
 
-def coin_bundle(coins) -> AssetBundle:
-    """The bundle of [chain, kind, amount] coins; repeats of a (chain, kind) add up."""
-    total: Dict[Tuple[str, str], int] = {}
-    for chain, kind, amount in coins:
-        total[(chain, kind)] = total.get((chain, kind), 0) + amount
-    return AssetBundle(total)
-
-
 PARTY_OPTIONS = {
     "altruistic": (False, is_bool),  # vote at every lot, not only those I receive through
     "validation_verdict": ("accept-if-acceptable", ("accept-if-acceptable", "reject")),
@@ -672,7 +664,7 @@ class Overpay(CompliantParty):
 
     def __init__(self, me, deal, plan, cfg, params):
         super().__init__(me, deal, plan, cfg, params)
-        self.extra = coin_bundle(self.args["extra"])
+        self.extra = AssetBundle.from_json({"fungible": self.args["extra"]})
         self.my_moves = [
             replace(move, bundle=move.bundle.plus(self.extra))
             if move.step == self.args["step"] else move

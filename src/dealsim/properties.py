@@ -1,6 +1,7 @@
 """Post-hoc property checkers over run traces.
 
-Checkers are pure functions of (trace, deal): safety asks whether every
+Checkers are pure functions of a trace, judged by the deal it holds
+(`RunTrace.deal`, live or loaded): safety asks whether every
 compliant party ended with an acceptable payoff; weak liveness whether
 every compliant escrow resolved within the protocol's timeout structure;
 strong liveness whether an all-compliant synchronous run delivered every
@@ -14,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 
 from .cbc import ABORTED, CBC_CHAIN, COMMITTED, Certificate, ValidatorService, verify_certificate
 from .crypto import SignatureScheme
-from .deals import DealSpec, is_acceptable, payoff_of_run, wallet_delta_payoff
+from .deals import is_acceptable, payoff_of_run, wallet_delta_payoff
 from .timelock import refund_deadline
 
 
@@ -32,13 +33,6 @@ class Verdict:
     def to_json(self) -> dict:
         status = "inapplicable" if self.passed is None else ("pass" if self.passed else "fail")
         return {"property": self.prop, "status": status, "details": self.details, "witness": self.witness}
-
-
-def _deal_of(trace) -> DealSpec:
-    """The live trace's own deal; a loaded trace's is parsed from its scenario."""
-    if trace.deal is not None:
-        return trace.deal
-    return DealSpec.from_json(trace.scenario["deal"])
 
 
 def _compliant_of(trace) -> List[str]:
@@ -59,25 +53,24 @@ def compliant_terminated(trace, compliant: Iterable[str]) -> bool:
     return True
 
 
-def check_safety(trace, deal: Optional[DealSpec] = None, compliant: Optional[Iterable[str]] = None) -> Verdict:
+def check_safety(trace, compliant: Optional[Iterable[str]] = None) -> Verdict:
     """Every compliant party's net payoff must be acceptable to it."""
-    deal = deal or _deal_of(trace)
     compliant = list(compliant) if compliant is not None else _compliant_of(trace)
     if not compliant_terminated(trace, compliant):
         raise ValueError("safety undefined: compliant escrows still unresolved")
     witness = []
     for party in compliant:
         payoff = wallet_delta_payoff(trace, party)
-        if not is_acceptable(party, payoff, deal):
+        if not is_acceptable(party, payoff, trace.deal):
             witness.append({"party": party, "payoff": payoff.to_json()})
     if witness:
         return Verdict("safety", False, "compliant party with unacceptable payoff", witness)
     return Verdict("safety", True, f"{len(compliant)} compliant parties acceptable")
 
 
-def weak_liveness_bound(trace, deal: Optional[DealSpec] = None) -> int:
+def weak_liveness_bound(trace) -> int:
     """The resolution deadline implied by the protocol's timeout structure."""
-    deal = deal or _deal_of(trace)
+    deal = trace.deal
     protocol = trace.scenario["protocol"]
     n = len(deal.parties)
     if protocol in ("timelock", "naive"):
@@ -93,16 +86,10 @@ def weak_liveness_bound(trace, deal: Optional[DealSpec] = None) -> int:
     return last_vote + grace + 2 * deal.delta
 
 
-def check_weak_liveness(
-    trace,
-    deal: Optional[DealSpec] = None,
-    compliant: Optional[Iterable[str]] = None,
-    bound: Optional[int] = None,
-) -> Verdict:
+def check_weak_liveness(trace) -> Verdict:
     """No compliant party's escrow stays unresolved past the bound."""
-    deal = deal or _deal_of(trace)
-    compliant = set(compliant) if compliant is not None else set(_compliant_of(trace))
-    bound = bound if bound is not None else weak_liveness_bound(trace, deal)
+    compliant = set(_compliant_of(trace))
+    bound = weak_liveness_bound(trace)
     witness = []
     checked = 0
     for key, (resolution, tick) in sorted(trace.resolutions.items()):
@@ -119,9 +106,9 @@ def check_weak_liveness(
     return Verdict("weak-liveness", True, f"{checked} compliant escrows resolved by {bound}")
 
 
-def check_strong_liveness(trace, deal: Optional[DealSpec] = None) -> Verdict:
+def check_strong_liveness(trace) -> Verdict:
     """All-compliant synchronous runs must realize every party's full payoff."""
-    deal = deal or _deal_of(trace)
+    deal = trace.deal
     parties = set(deal.parties)
     compliant = set(_compliant_of(trace))
     if compliant != parties:
@@ -191,16 +178,15 @@ def check_agreement(trace) -> Verdict:
 
 
 def run_verdicts(trace) -> List[Verdict]:
-    deal = _deal_of(trace)
     compliant = _compliant_of(trace)
     verdicts = []
     if compliant_terminated(trace, compliant):
-        verdicts.append(check_safety(trace, deal, compliant))
+        verdicts.append(check_safety(trace, compliant))
     else:
         verdicts.append(Verdict("safety", False, "compliant escrows unresolved at horizon",
                                 [{"unresolved": trace.metadata.get("unresolved", [])}]))
-    verdicts.append(check_weak_liveness(trace, deal))
-    verdicts.append(check_strong_liveness(trace, deal))
+    verdicts.append(check_weak_liveness(trace))
+    verdicts.append(check_strong_liveness(trace))
     if trace.scenario["protocol"] == "cbc":
         verdicts.append(check_agreement(trace))
     return verdicts
@@ -209,16 +195,8 @@ def run_verdicts(trace) -> List[Verdict]:
 def evaluate_run(trace) -> dict:
     """Summarize a run for campaign and exploration reports."""
     verdicts = run_verdicts(trace)
-    compliant = set(_compliant_of(trace))
-    resolved = set()
-    stuck_compliant = False
-    for key, (res, _) in trace.resolutions.items():
-        if res == "active":
-            if key.split("/", 1)[1] in compliant:
-                stuck_compliant = True
-        else:
-            resolved.add(res)
-    if stuck_compliant:
+    resolved = {res for res, _ in trace.resolutions.values() if res != "active"}
+    if not compliant_terminated(trace, _compliant_of(trace)):
         outcome = "unresolved"
     elif resolved == {COMMITTED}:
         outcome = "committed"

@@ -79,9 +79,12 @@ class TraceEvent:
 class RunTrace:
     """Everything one run produced, in deterministic order.
 
-    A live trace also holds its world's `DealSpec` as `deal`, so checkers
-    need not parse `scenario["deal"]`; the JSON form leaves it out, and a
-    loaded trace has `deal` None.
+    `deal` is the `DealSpec` the checkers judge the run by: a live trace
+    holds its world's, and `from_json` parses the embedded
+    `scenario["deal"]`.  The JSON form leaves it out, since the scenario
+    already embeds the deal's JSON.  Each judged contract call records
+    the signature verifications its ruling performed as
+    `info["verifications"]`, which is what the gas meter charges.
     """
 
     scenario: dict
@@ -131,6 +134,10 @@ class RunTrace:
     def from_json(cls, data: dict) -> "RunTrace":
         if data.get("format") != "dealsim-trace-v1":
             raise ValueError("not a dealsim trace file")
+        try:
+            deal = DealSpec.from_json(data["scenario"]["deal"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad scenario deal: {exc!r}") from exc
         return cls(
             scenario=data["scenario"],
             seed=data["seed"],
@@ -139,6 +146,7 @@ class RunTrace:
             terminal_wallets=data["terminal_wallets"],
             resolutions={k: (v[0], v[1]) for k, v in data["resolutions"].items()},
             metadata=data.get("metadata", {}),
+            deal=deal,
         )
 
     @classmethod

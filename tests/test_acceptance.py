@@ -225,7 +225,7 @@ def test_c05_all_compliant_exploration_commits(corpus):
     report(
         5,
         ok,
-        f"100% of {result.terminals} terminal states committed by t0+3*delta={deadline}",
+        f"100% of {result.runs} schedules committed by t0+3*delta={deadline}",
     )
 
 

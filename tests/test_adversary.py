@@ -294,7 +294,7 @@ class TestSuffixResumption:
     )
     def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
-        assert (out["runs"], out["branch_points"], out["terminals"]) == (runs, branch_points, runs)
+        assert (out["runs"], out["branch_points"]) == (runs, branch_points)
         assert out["complete"]
 
     def test_witness_traces_survive_later_schedules(self, corpus):

@@ -43,6 +43,15 @@ class TestAssetBundle:
         with pytest.raises(AssetError):
             coins(1).minus(coins(2))
 
+    def test_repeated_coins_add_up_in_json(self):
+        bundle = AssetBundle.from_json({"fungible": [["coin", "coin", 150], ["coin", "coin", 7]]})
+        assert bundle == coins(157)
+
+    @pytest.mark.parametrize("first, second", [(-5, 10), (True, 1), (1.5, 2)])
+    def test_repeated_coins_are_checked_one_by_one(self, first, second):
+        with pytest.raises(AssetError):
+            AssetBundle.from_json({"fungible": [["coin", "coin", first], ["coin", "coin", second]]})
+
     def test_token_collision_on_plus(self):
         tok = AssetBundle.token("t", "x")
         with pytest.raises(AssetError):

@@ -293,6 +293,17 @@ class TestTraceAndReplay:
             replay_trace(trace)
         assert f"record {index}: recorded info" in str(err.value)
 
+    def test_replay_rejects_tampered_verification_count(self, corpus):
+        trace = self.ticket_trace(corpus)
+        for index, event in enumerate(trace.events):
+            if event.payload.get("op") == "commit" and event.status == "accepted":
+                event.info["verifications"] += 1
+                break
+        assert meter(trace).gas_total() == meter(self.ticket_trace(corpus)).gas_total() + 3000
+        with pytest.raises(ReplayError) as err:
+            replay_trace(trace)
+        assert f"record {index}: recorded info" in str(err.value)
+
     def test_replay_rejects_tampered_resolution_ticks(self, corpus):
         trace = self.ticket_trace(corpus)
         trace.resolutions = {k: (res, tick + 1000) for k, (res, tick) in trace.resolutions.items()}
@@ -319,8 +330,9 @@ class TestTraceAndReplay:
             ("protocol", "bogus"),
             ("network", {"delta": 5, "latency_jitter": 2}),
             ("wallets", {"carol": {"fungible": [["nochain", "coin", 150]], "tokens": []}}),
+            ("deal", {"id": "ticket-deal", "parties": []}),
         ],
-        ids=["protocol", "network-key", "infeasible"],
+        ids=["protocol", "network-key", "infeasible", "deal"],
     )
     def test_replay_of_invalid_embedded_scenario_is_parse_error(
         self, tmp_path, capsys, field, value
@@ -333,7 +345,8 @@ class TestTraceAndReplay:
         tampered.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "replay", str(tampered))
         assert code == 2
-        assert "scenario error" in err
+        # A trace's deal is parsed as it loads; the rest of its scenario on replay.
+        assert ("trace error: bad scenario deal" if field == "deal" else "scenario error") in err
 
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")

@@ -1,7 +1,11 @@
 """Gas metering constants, closed-form bounds, and delay accounting."""
 
+import copy
+import dataclasses
+
 from dealsim.costs import GasSchedule, check_asymptotics, meter, render_text
-from dealsim.scenario import list_bundled, load_scenario
+from dealsim.scenario import build_world, list_bundled, load_scenario
+from dealsim.trace import TraceEvent
 
 from conftest import run_scenario_dict
 
@@ -101,6 +105,40 @@ class TestBounds:
         f = trace.scenario["cbc"]["f"]
         m = report.params["m"]
         assert report.total("verifications") == m * 2 * (f + 1)  # one hop + statement
+
+    def test_rejected_settle_is_charged_its_rulings_verifications(self, corpus):
+        # A settle whose reconfiguration hop verifies (f+1 checks) but whose
+        # certificate's first signature is bad (one more check).
+        scenario = corpus["reconfigured_cbc"]
+        built, trace = run_scenario_dict(scenario)
+        index, settle = next(
+            (i, e) for i, e in enumerate(trace.events)
+            if e.kind == "publish" and e.payload.get("op") == "settle"
+        )
+        world = build_world(scenario).world
+        for event in trace.events[:index]:
+            if event.kind == "publish":
+                world.chains[event.where].append(
+                    event.publisher, event.payload, event.tick, world.scheme
+                )
+        payload = copy.deepcopy(settle.payload)
+        signatures = payload["cert"]["signatures"]
+        signatures[0][1] = signatures[1][1]
+        _, status, reason, info = world.chains[settle.where].append(
+            settle.publisher, payload, settle.tick, world.scheme
+        )
+        f = scenario["cbc"]["f"]
+        assert (status, reason, info["verifications"]) == ("rejected", "bad-signature@0", f + 2)
+        rejected = TraceEvent(
+            settle.tick, settle.where, "publish", status, payload,
+            settle.seq, settle.publisher, reason, info,
+        )
+        events = list(trace.events)
+        events[index] = rejected
+        tampered = dataclasses.replace(trace, events=events)
+        before = meter(trace).per_contract[settle.where].verifications
+        after = meter(tampered).per_contract[settle.where].verifications
+        assert after == before - 2 * (f + 1) + (f + 2)  # the accepted settle's charge replaced
 
 
 class TestDurations:

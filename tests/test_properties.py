@@ -13,6 +13,7 @@ from dealsim.properties import (
     check_weak_liveness,
     evaluate_run,
     run_verdicts,
+    weak_liveness_bound,
 )
 from dealsim.scenario import bundled_scenarios
 from dealsim.trace import RunTrace
@@ -72,6 +73,20 @@ class TestWeakLiveness:
         verdict = check_weak_liveness(bad)
         assert verdict.passed is False
         assert verdict.witness[0]["lot"] == "ticket/bob"
+
+    @pytest.mark.parametrize(
+        "name, lot, bound",
+        [("ticket_deal_timelock", "ticket/bob", 50), ("ticket_deal_cbc", "ticket/bob", 31)],
+    )
+    def test_resolution_at_the_bound_passes_and_one_past_fails(self, corpus, name, lot, bound):
+        built, trace = run_scenario_dict(corpus[name])
+        assert weak_liveness_bound(trace) == bound
+        for tick, passed in ((bound, True), (bound + 1, False)):
+            edited = copy.deepcopy(trace)
+            edited.resolutions[lot] = (edited.resolutions[lot][0], tick)
+            verdict = check_weak_liveness(edited)
+            assert verdict.passed is passed, tick
+        assert verdict.witness == [{"lot": lot, "resolved_at": bound + 1, "bound": bound}]
 
     def test_late_resolution_fails_bound(self, ticket_timelock_run):
         built, trace = ticket_timelock_run
@@ -161,7 +176,7 @@ def judged(trace) -> tuple:
 
 
 class TestLiveAndLoadedTraces:
-    """A live trace is judged from its world's deal, a loaded one from its scenario."""
+    """A live trace holds its world's deal, a loaded one the deal parsed from its scenario."""
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_round_trip_keeps_verdicts_and_failures(self, corpus, name):
@@ -170,7 +185,7 @@ class TestLiveAndLoadedTraces:
             built, live = run_scenario_dict(scenario, seed=seed)
             assert live.deal is built.deal
             loaded = RunTrace.from_json(json.loads(json.dumps(live.to_json())))
-            assert loaded.deal is None and loaded == live
+            assert loaded.deal == live.deal and loaded == live
             assert judged(loaded) == judged(live)
 
     def test_deepcopy_keeps_verdicts(self, virus_run):

@@ -16,6 +16,7 @@ from dealsim.scenario import (
     build_world,
     list_bundled,
     load_scenario,
+    prepare,
     run_scenario,
     scenario_for,
     ticket_deal,
@@ -91,6 +92,13 @@ class TestValidation:
         sc["network"]["explore_from"] = 20  # written only when given
         network = validate_scenario(sc)["network"]
         assert network.keys() == {f.name for f in dataclasses.fields(NetworkModel) if f.init}
+
+    def test_repeated_wallet_coins_add_up(self):
+        sc = ticket_deal("timelock")
+        sc["wallets"]["carol"]["fungible"] = [["coin", "coin", 150], ["coin", "coin", 7]]
+        _, _, holdings, plan = prepare(sc)
+        assert holdings["carol"].amount("coin", "coin") == 157
+        assert plan.lots()
 
     def test_duplicate_deal_id_rejected_per_run(self):
         built = build_world(ticket_deal("timelock"))

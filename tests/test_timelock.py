@@ -3,11 +3,19 @@
 import pytest
 
 from dealsim.assets import AssetBundle
-from dealsim.crypto import SignatureScheme, Vote, direct_vote, extend_path
+from dealsim.crypto import (
+    PathSignature,
+    SignatureScheme,
+    Vote,
+    direct_vote,
+    extend_path,
+    link_message,
+    path_defect,
+)
 from dealsim.escrow import EscrowContract
 from dealsim.ledger import Wallets
 from dealsim.scenario import ticket_deal
-from dealsim.timelock import vote_payload
+from dealsim.timelock import VoteRuling, judge_vote, vote_payload
 
 from conftest import run_scenario_dict
 
@@ -100,6 +108,23 @@ class TestVoteDeadlines:
             vote_payload("carol", doubled, "deal-1"), "bob", chain, T0, scheme
         )
         assert (status, reason) == ("rejected", "invalid-path")
+
+    def test_impersonated_vote_rejected_before_any_verification(self, voting_setup):
+        # Bob signs alice's vote under his own name, as if he could cast it.
+        scheme, chain, contract = voting_setup
+        vote = Vote("deal-1", "alice", "n-alice")
+        forged = PathSignature(
+            vote, (("bob", scheme.sign(scheme.keypair("bob"), link_message(vote, ()))),)
+        )
+        assert path_defect(scheme, forged, PARTIES) == ("invalid-path", 0)
+        ruling = judge_vote(
+            forged, deal_id="deal-1", plist=PARTIES, voted={}, t0=T0, delta=DELTA,
+            local_now=T0, naive=False, scheme=scheme,
+        )
+        assert ruling == VoteRuling("rejected", "invalid-path", 0)
+        status, reason, info = submit(contract, chain, scheme, forged, T0)
+        assert (status, reason, info["verifications"]) == ("rejected", "invalid-path", 0)
+        assert contract.lots["carol"].voted == {}
 
     def test_vote_for_other_deal_rejected(self, voting_setup):
         scheme, chain, contract = voting_setup
