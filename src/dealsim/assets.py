@@ -19,6 +19,15 @@ class AssetError(ValueError):
     """Malformed bundle or impossible asset arithmetic."""
 
 
+def _checked_amount(key: FungibleKey, amount) -> int:
+    """`amount`, once it is known to be a non-negative integer."""
+    if not isinstance(amount, int) or isinstance(amount, bool):
+        raise AssetError(f"amount for {key!r} must be an integer")
+    if amount < 0:
+        raise AssetError(f"negative amount for {key!r}")
+    return amount
+
+
 class AssetBundle:
     """Immutable collection of fungible amounts and tokens."""
 
@@ -32,11 +41,7 @@ class AssetBundle:
         fun: Dict[FungibleKey, int] = {}
         for key, amount in dict(fungible or {}).items():
             chain, kind = key
-            if not isinstance(amount, int) or isinstance(amount, bool):
-                raise AssetError(f"amount for {key!r} must be an integer")
-            if amount < 0:
-                raise AssetError(f"negative amount for {key!r}")
-            if amount:
+            if _checked_amount(key, amount):
                 fun[(chain, kind)] = amount
         toks = set()
         for chain, token in tokens:
@@ -130,13 +135,10 @@ class AssetBundle:
     @classmethod
     def from_json(cls, data: dict) -> "AssetBundle":
         """The bundle a `to_json()` describes; repeats of a (chain, kind) add up."""
-        entries = data.get("fungible", [])
-        fungible = {(c, k): v for c, k, v in entries}
-        if len(fungible) < len(entries):
-            # Each repeated amount is checked on its own before the sum.
-            fungible = {}
-            for c, k, v in entries:
-                fungible[(c, k)] = fungible.get((c, k), 0) + cls.coins(c, k, v).amount(c, k)
+        fungible: Dict[FungibleKey, int] = {}
+        for c, k, v in data.get("fungible", []):
+            # Each amount is checked on its own before the sum.
+            fungible[(c, k)] = fungible.get((c, k), 0) + _checked_amount((c, k), v)
         return cls(fungible, [(c, t) for c, t in data.get("tokens", [])])
 
     def __eq__(self, other):

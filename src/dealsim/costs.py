@@ -139,16 +139,17 @@ def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
             spans["commit"].append(event.tick)
             if accepted:
                 charge("commit", contract, writes=FINALIZE_WRITES)
-        elif op == "settle" or (op == "commit" and event.where != CBC_CHAIN):
+        elif op == "commit" and event.where != CBC_CHAIN:
             spans["commit"].append(event.tick)
             writes = 0
             if accepted:
-                writes = FINALIZE_WRITES if event.info.get("finalized") else 0
-                if op == "commit":
-                    writes += 1
-                    vote_ticks.append(event.tick)
-            verifications = event.info.get("verifications", 0)
-            charge("commit", contract, writes=writes, verifications=verifications)
+                writes = 1 + (FINALIZE_WRITES if event.info.get("finalized") else 0)
+                vote_ticks.append(event.tick)
+            charge("commit", contract, writes, event.info.get("verifications", 0))
+        elif op == "settle":
+            spans["commit"].append(event.tick)
+            writes = FINALIZE_WRITES if accepted else 0
+            charge("commit", contract, writes, event.info.get("verifications", 0))
         elif event.where == CBC_CHAIN:
             spans["commit"].append(event.tick)
             if accepted:

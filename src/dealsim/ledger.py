@@ -289,12 +289,12 @@ class World:
     def __init__(
         self,
         scenario: dict,
+        deal: DealSpec,
         network: NetworkModel,
         seed: int,
         horizon: int,
         choices=None,
         scenario_digest: Optional[str] = None,
-        deal: Optional[DealSpec] = None,
     ):
         self.scenario = scenario
         self.deal = deal  # the parsed scenario["deal"], handed to each trace

@@ -261,7 +261,7 @@ def assemble_world(
     """
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
-    world = World(sc, network, run_seed, sc["horizon"], choices, payload_digest(sc), deal)
+    world = World(sc, deal, network, run_seed, sc["horizon"], choices, payload_digest(sc))
     world.register_deal(deal.deal_id)
 
     skew_rng = random.Random(f"skew-{run_seed}")

@@ -16,6 +16,10 @@ from typing import Dict, List, Optional, Tuple
 from .deals import DealSpec
 
 
+# v2: judged commit and settle calls record `info["verifications"]`.
+TRACE_FORMAT = "dealsim-trace-v2"
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -93,8 +97,8 @@ class RunTrace:
     initial_wallets: Dict[str, dict]    # chain -> {"fungible": {party: {kind: amt}}, "tokens": {token: owner}}
     terminal_wallets: Dict[str, dict]
     resolutions: Dict[str, Tuple[str, Optional[int]]]  # "chain/escrower" -> (resolution, tick)
+    deal: DealSpec = field(compare=False, repr=False)
     metadata: dict = field(default_factory=dict)
-    deal: Optional[DealSpec] = field(default=None, compare=False, repr=False)
 
     @property
     def all_resolved(self) -> bool:
@@ -115,7 +119,7 @@ class RunTrace:
 
     def to_json(self) -> dict:
         return {
-            "format": "dealsim-trace-v1",
+            "format": TRACE_FORMAT,
             "scenario": self.scenario,
             "seed": self.seed,
             "events": [e.to_json() for e in self.events],
@@ -132,8 +136,8 @@ class RunTrace:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunTrace":
-        if data.get("format") != "dealsim-trace-v1":
-            raise ValueError("not a dealsim trace file")
+        if data.get("format") != TRACE_FORMAT:
+            raise ValueError(f"not a {TRACE_FORMAT} trace file")
         try:
             deal = DealSpec.from_json(data["scenario"]["deal"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -348,6 +348,17 @@ class TestTraceAndReplay:
         # A trace's deal is parsed as it loads; the rest of its scenario on replay.
         assert ("trace error: bad scenario deal" if field == "deal" else "scenario error") in err
 
+    def test_replay_of_older_trace_format_is_parse_error(self, tmp_path, capsys):
+        # v1 traces recorded no verification counts; they cannot be replayed.
+        trace_path = tmp_path / "run.trace.json"
+        run_cli(capsys, "run", "--scenario", "ticket_deal_timelock", "--trace", str(trace_path))
+        data = json.loads(trace_path.read_text())
+        data["format"] = "dealsim-trace-v1"
+        trace_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "replay", str(trace_path))
+        assert code == 2
+        assert "not a dealsim-trace-v2 trace file" in err
+
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")
         assert code == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dealsim.deals import DealSpec
 from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, SeededChoices, World
 from dealsim.scenario import build_world, ticket_deal
 
@@ -25,6 +26,10 @@ class RecordingContract:
         return (len(self.applied),)
 
 
+# A world hands its deal to each trace; these worlds run no transfers.
+IDLE_DEAL = DealSpec(deal_id="idle", parties=("m1", "m2"), transfers=(), t0=0, delta=5)
+
+
 class IdleParty:
     def handle_wake(self, ctx, tag):
         pass
@@ -38,7 +43,7 @@ class IdleParty:
 
 def tiny_world(delta=5, monitors=("m1", "m2")):
     network = NetworkModel(delta=delta)
-    world = World({"deal": {"parties": []}}, network, seed=1, horizon=100)
+    world = World({"deal": {"parties": []}}, IDLE_DEAL, network, seed=1, horizon=100)
     world.add_chain("c", RecordingContract())
     for party in monitors:
         world.add_party(party, IdleParty(), ["c"])
@@ -163,7 +168,7 @@ class TestNetworkModel:
 class TestQuiescence:
     def test_empty_world_produces_empty_trace(self):
         network = NetworkModel(delta=5)
-        world = World({"deal": {"parties": []}}, network, seed=1, horizon=50)
+        world = World({"deal": {"parties": []}}, IDLE_DEAL, network, seed=1, horizon=50)
         trace = world.run()
         assert trace.events == []
         assert trace.resolutions == {}
@@ -236,7 +241,8 @@ class TestExplorationSupport:
         logs = {"m1": [], "m2": []}
         choices = SnapshotEveryEvent()
         world = World(
-            {"deal": {"parties": []}}, NetworkModel(), seed=1, horizon=100, choices=choices
+            {"deal": {"parties": []}}, IDLE_DEAL, NetworkModel(), seed=1, horizon=100,
+            choices=choices,
         )
         world.add_chain("c", RecordingContract())
         for party, log in logs.items():
