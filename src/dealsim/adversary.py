@@ -212,21 +212,17 @@ def exhaustive_explore(
         if base + len(log) > bound.max_choice_points:
             complete = False
             continue
-        # The resumed event began before the tape ran out, so its start is
-        # the restored snapshot rather than one of choices.starts.
-        starts = [(0, snap)] + choices.starts
-        event = 0
         for j in range(len(tape) - base, len(log)):
-            label, n, chosen, key = log[j]
+            label, n, chosen, key, start = log[j]
             if n <= 1:
                 continue
             if key in visited:
                 continue
             visited.add(key)
             branch_points += 1
-            while event + 1 < len(starts) and starts[event + 1][0] <= j:
-                event += 1
-            first, event_snap = starts[event]
+            # A pick in the resumed event has no start of its own: that
+            # event began before the tape ran out, at the restored snapshot.
+            first, event_snap = start or (0, snap)
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
                 stack.append((prefix + [k], base + first, event_snap))

@@ -77,22 +77,25 @@ class SeededChoices:
 class TapeChoices:
     """Replays a recorded choice prefix, then takes first options.
 
-    Every pick is logged with its option count and, at branch points, the
-    world's state key, which is what the exhaustive explorer prunes on.
-    Once the tape is used up, the world is also snapshotted at the start
-    of every event, so the explorer can resume a branch from the start of
-    the event that holds it.
+    Every pick is logged with its option count and, at fresh branch
+    points (beyond the tape), the world's state key, which is what the
+    exhaustive explorer prunes on.  Once the tape is used up, the world
+    is also snapshotted at the start of every event, and each fresh
+    branch point's entry carries its event's start, so the explorer can
+    resume the branch from there.  A branch point in the event where the
+    tape ran out carries None: that event began before any snapshot.
     """
 
     def __init__(self, tape: List[int]):
         self.tape = list(tape)
         self.pos = 0
-        self.log: List[tuple] = []  # (label, n_options, chosen, state_key | None)
-        self.starts: List[tuple] = []  # (len(log) at the event's start, world snapshot)
+        # (label, n_options, chosen, state_key | None, event start | None)
+        self.log: List[tuple] = []
+        self._start: Optional[tuple] = None  # (len(log) at the event's start, world snapshot)
 
     def event_start(self, world):
         if self.pos >= len(self.tape):
-            self.starts.append((len(self.log), world.snapshot()))
+            self._start = (len(self.log), world.snapshot())
 
     def pick(self, label: tuple, options: list, world=None):
         n = len(options)
@@ -100,12 +103,13 @@ class TapeChoices:
         chosen = self.tape[self.pos] if replaying else 0
         if chosen >= n:
             raise IndexError(f"tape choice {chosen} out of range for {label} ({n} options)")
-        key = None
+        key = start = None
         # Keys are only needed where the explorer may branch: fresh picks
         # beyond the replayed prefix.
         if n > 1 and world is not None and not replaying:
             key = (label, world.state_key())
-        self.log.append((label, n, chosen, key))
+            start = self._start
+        self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
 
@@ -155,21 +159,16 @@ class Wallets:
             "tokens": dict(sorted(self.tokens.items())),
         }
 
-    def state_key(self) -> tuple:
-        return (
-            tuple(
-                (p, tuple(sorted((k, v) for k, v in kinds.items() if v)))
-                for p, kinds in sorted(self.fungible.items())
-            ),
-            tuple(sorted(self.tokens.items())),
-        )
-
     def snapshot(self) -> tuple:
-        return {p: dict(kinds) for p, kinds in self.fungible.items()}, dict(self.tokens)
+        """Ownership as frozen sets, so the snapshot is its own state key."""
+        return (
+            frozenset((p, frozenset(kinds.items())) for p, kinds in self.fungible.items()),
+            frozenset(self.tokens.items()),
+        )
 
     def restore(self, snap: tuple):
         fungible, tokens = snap
-        self.fungible = {p: dict(kinds) for p, kinds in fungible.items()}
+        self.fungible = {p: dict(kinds) for p, kinds in fungible}
         self.tokens = dict(tokens)
 
 
@@ -193,13 +192,9 @@ class Chain:
         return self.views[min(frontier, len(self.views) - 1)]
 
     def state_key(self) -> tuple:
+        # The snapshot's entry count and frozen wallets, plus the contract.
         if self._key_cache is None:
-            self._key_cache = (
-                self.chain_id,
-                len(self.views),
-                self.contract.state_key(),
-                self.wallets.state_key(),
-            )
+            self._key_cache = (self.snapshot(), self.contract.state_key())
         return self._key_cache
 
     def append(
@@ -217,9 +212,9 @@ class Chain:
         return seq, status, reason, info
 
     def snapshot(self) -> tuple:
-        # Like the state key, a chain changes only by `append`, so one
-        # snapshot serves every event boundary until the next entry.  The
-        # contract needs no copy: it rewinds from its recorded view.
+        # A chain changes only by `append`, so one snapshot serves every
+        # event boundary and state key until the next entry.  The contract
+        # needs no copy: it rewinds from its recorded view.
         if self._snapshot is None:
             self._snapshot = (len(self.views), self.wallets.snapshot())
         return self._snapshot
@@ -266,21 +261,14 @@ class PartyContext:
         return self._world.choices.pick(label, options, self._world)
 
     def request_certificate(self, deal_id: str, h: str):
-        service = self._world.validator_service
-        if service is None:
-            raise RuntimeError("no validator service in this world")
         cbc = self._world.chains[CBC_CHAIN].contract
-        return service.issue_certificate(cbc.entries, deal_id, h)
+        return self._world.validator_service.issue_certificate(cbc.entries, deal_id, h)
 
     def corrupt_signatures(self, message: bytes):
-        service = self._world.validator_service
-        if service is None:
-            return []
-        return service.corrupt_signatures(message)
+        return self._world.validator_service.corrupt_signatures(message)
 
     def reconfig_chain(self):
-        service = self._world.validator_service
-        return service.reconfig_chain() if service else ()
+        return self._world.validator_service.reconfig_chain()
 
 
 class World:
@@ -294,14 +282,13 @@ class World:
         seed: int,
         horizon: int,
         choices=None,
-        scenario_digest: Optional[str] = None,
     ):
         self.scenario = scenario
         self.deal = deal  # the parsed scenario["deal"], handed to each trace
         self.network = network
         self.seed = seed
         self.horizon = horizon
-        self.scenario_digest = scenario_digest
+        self.scenario_digest = payload_digest(scenario)
         self.choices = choices if choices is not None else SeededChoices(seed)
         self.now = 0
         self.chains: Dict[str, Chain] = {}
@@ -315,8 +302,8 @@ class World:
         # (due, seq, kind, data); `seq` is unique, so kind and data are never compared.
         self._heap: List[tuple] = []
         self._seq = 0
-        # party -> (frontier copy, controller snapshot), valid until the next
-        # event delivered to that party; see `snapshot`.
+        # party -> (frontier items, controller snapshot), valid until the
+        # next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
         self._timer_scheduled: set = set()
         self._truncated = False
@@ -474,8 +461,6 @@ class World:
         terminal = self.wallet_snapshots()
         resolutions = self.resolutions()
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
-        if self.scenario_digest is None:
-            self.scenario_digest = payload_digest(self.scenario)
         metadata = {
             "scenario_digest": self.scenario_digest,
             "truncated": self._truncated,
@@ -501,33 +486,38 @@ class World:
 
     # -- exploration support ----------------------------------------------------
 
+    def _party_entry(self, party: str) -> tuple:
+        """The party's part of a snapshot and of the state key.  A frontier
+        never gains a chain after `add_party`, so its items keep one order."""
+        return tuple(self.frontiers[party].items()), self.controllers[party].snapshot()
+
     def state_key(self) -> tuple:
         # Pending events are keyed in pop order without their insertion
         # counter: equal (due, kind, data) sequences pop alike, and every
-        # later push outranks them all in either world.
+        # later push outranks them all in either world.  Each party is keyed
+        # by its cached snapshot entry.  A party without one, such as the
+        # party the current event is delivered to, gets a fresh entry that
+        # is not cached, since the rest of the event may still change it.
+        parties = self._party_snaps
         return (
             tuple((due, kind, data) for due, _, kind, data in sorted(self._heap)),
-            tuple(self.chains[c].state_key() for c in sorted(self.chains)),
-            tuple(
-                (p, tuple(sorted(fr.items()))) for p, fr in sorted(self.frontiers.items())
-            ),
-            tuple(
-                (p, self.controllers[p].state_key()) for p in sorted(self.controllers)
-            ),
+            tuple(chain.state_key() for chain in self.chains.values()),
+            tuple(parties.get(p) or self._party_entry(p) for p in self.controllers),
         )
 
     def snapshot(self) -> tuple:
         """The run's mutable state at an event boundary, for `restore`.
 
-        Containers are copied; append-only lists are kept as lengths.  Only
-        the party an event is delivered to changes its controller or its
-        frontier, so each party's entry serves every boundary until its
+        The heap is copied and append-only lists are kept as lengths.  Chain
+        and party entries are frozen values that the state key shares.
+        Only the party an event is delivered to changes its controller or
+        its frontier, so each party's entry serves every boundary until its
         next event, as a chain's snapshot does until its next entry.
         """
         parties = self._party_snaps
-        for party, controller in self.controllers.items():
+        for party in self.controllers:
             if party not in parties:
-                parties[party] = (dict(self.frontiers[party]), controller.snapshot())
+                parties[party] = self._party_entry(party)
         return (
             self.now,
             self._seq,

@@ -26,8 +26,13 @@ decision points plus scheduler delay choices, nothing more.
 
 A controller class declares the fields a run changes, with their initial
 values, in its `state` class attribute.  Construction initialises them,
-and `snapshot`, `restore` and the explorer's `state_key` read only them;
-every other field (deal, plan, config, parameters) is a run constant.
+and `snapshot` and `restore` read only them; every other field (deal,
+plan, config, parameters) is a run constant.  A snapshot is a frozen,
+hashable value and is also the controller's part of the explorer's state
+key: sets become frozensets, dicts frozensets of their items, and
+`restore` thaws each field by the type of its declared initial value.  So
+a container field is declared as a dict or a set and read only by
+membership or through `sorted(...)`, because a restore may reorder it.
 """
 
 from __future__ import annotations
@@ -63,13 +68,7 @@ from .timelock import vote_payload
 
 PROTOCOLS = ("timelock", "naive", "cbc")
 
-_CONTAINERS = frozenset((dict, set))
-
-
-def _copied(state: dict) -> dict:
-    """`state` with its containers copied one level deep (their items are
-    never mutated in place)."""
-    return {name: v.copy() if type(v) in _CONTAINERS else v for name, v in state.items()}
+_CONTAINERS = frozenset((dict, set))  # their items are never mutated in place
 
 
 REQUIRED = object()  # the default of a param every binding must give
@@ -137,7 +136,8 @@ class CompliantParty:
     protocols: Tuple[str, ...] = PROTOCOLS
     params: dict = {}  # name -> (default, accepts), beside PARTY_OPTIONS
     # The fields a run changes and their initial values; each class adds
-    # its own, merged along the MRO by __init_subclass__.
+    # its own, merged along the MRO by __init_subclass__.  A container is a
+    # set or a dict, read only by membership or through sorted(...).
     state = {
         "moves_done": 0,
         "escrow_published": False,
@@ -163,8 +163,8 @@ class CompliantParty:
         self.args = {n: params.get(n, d) for n, (d, _) in {**PARTY_OPTIONS, **self.params}.items()}
         # setattr, not vars(self).update: materialising the instance dict
         # slows every later attribute access in the run.
-        for name, value in _copied(self.state).items():
-            setattr(self, name, value)
+        for name, value in self.state.items():
+            setattr(self, name, value.copy() if type(value) in _CONTAINERS else value)
 
     @classmethod
     def random_params(cls, scenario: dict, rng) -> dict:
@@ -336,25 +336,26 @@ class CompliantParty:
 
     # -- exploration support ------------------------------------------------------------
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> tuple:
+        """The state fields' values in declaration order, sets and dicts
+        frozen: hashable, so the explorer keys on it as it stands."""
         fields = vars(self)
-        return _copied({name: fields[name] for name in self.state})
-
-    def restore(self, snap: dict):
-        vars(self).update(_copied(snap))
-
-    def state_key(self) -> tuple:
-        """The state fields' values, sets and dicts as sorted tuples."""
-        fields = vars(self)
-        key = []
+        snap = []
         for name in self.state:
             value = fields[name]
-            if type(value) is set:
-                value = tuple(sorted(value))
-            elif type(value) is dict:
-                value = tuple(sorted(value.items()))
-            key.append(value)
-        return tuple(key)
+            kind = type(value)
+            if kind is set:
+                value = frozenset(value)
+            elif kind is dict:
+                value = frozenset(value.items())
+            snap.append(value)
+        return tuple(snap)
+
+    def restore(self, snap: tuple):
+        fields = vars(self)
+        for (name, initial), value in zip(self.state.items(), snap):
+            kind = type(initial)
+            fields[name] = kind(value) if kind in _CONTAINERS else value
 
 
 class TimelockParty(CompliantParty):

@@ -54,7 +54,6 @@ from .parties import (
     is_int, list_of,
 )
 from .planning import DealPlan, PlanError, build_plan
-from .trace import payload_digest
 
 
 class ScenarioError(ValueError):
@@ -261,7 +260,7 @@ def assemble_world(
     """
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
-    world = World(sc, deal, network, run_seed, sc["horizon"], choices, payload_digest(sc))
+    world = World(sc, deal, network, run_seed, sc["horizon"], choices)
     world.register_deal(deal.deal_id)
 
     skew_rng = random.Random(f"skew-{run_seed}")

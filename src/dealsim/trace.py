@@ -142,16 +142,19 @@ class RunTrace:
             deal = DealSpec.from_json(data["scenario"]["deal"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad scenario deal: {exc!r}") from exc
-        return cls(
-            scenario=data["scenario"],
-            seed=data["seed"],
-            events=[TraceEvent.from_json(e) for e in data["events"]],
-            initial_wallets=data["initial_wallets"],
-            terminal_wallets=data["terminal_wallets"],
-            resolutions={k: (v[0], v[1]) for k, v in data["resolutions"].items()},
-            metadata=data.get("metadata", {}),
-            deal=deal,
-        )
+        try:
+            return cls(
+                scenario=data["scenario"],
+                seed=data["seed"],
+                events=[TraceEvent.from_json(e) for e in data["events"]],
+                initial_wallets=data["initial_wallets"],
+                terminal_wallets=data["terminal_wallets"],
+                resolutions={k: (v[0], v[1]) for k, v in data["resolutions"].items()},
+                metadata=data.get("metadata", {}),
+                deal=deal,
+            )
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trace: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: str) -> "RunTrace":

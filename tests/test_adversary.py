@@ -2,6 +2,8 @@
 
 import copy
 import hashlib
+import itertools
+import json
 import pickle
 import random
 
@@ -17,7 +19,7 @@ from dealsim.adversary import (
 from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
-from dealsim.ledger import SeededChoices, TapeChoices
+from dealsim.ledger import SeededChoices, TapeChoices, World
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
@@ -272,6 +274,51 @@ class TestExploration:
         assert a.to_json() == b.to_json()
 
 
+# The distinct terminal resolutions (ticks included) of the swap
+# explorations, recorded from the search that still keyed pending events by
+# their insertion counter: count and sha256 of the sorted set, and the
+# violating ones.
+SWAP_OUTCOMES = [
+    (
+        "explore_swap_timelock",
+        28,
+        "ad0324cbb4504006dcd9ae649889b7fccd6ac03a7348b3e5266de3dc9508477b",
+        [],
+    ),
+    (
+        "explore_swap_naive",
+        29,
+        "bb8994b066ee1fb4bee47969b4d24f95aaf6f89d5e53c1a6c7e7a55f33bf4e6d",
+        ['{"xchain/ann":["aborted",30],"ychain/ben":["committed",29]}'],
+    ),
+]
+
+
+def explore_outcomes(scenario, rename=lambda key: key):
+    """Explore `scenario`; return the result, its distinct terminal
+    resolutions and its violating ones, each as canonical JSON with every
+    lot key passed through `rename`."""
+    seen = set()
+
+    def canonical(resolutions):
+        return canonical_json({rename(k): v for k, v in resolutions.items()})
+
+    def evaluate(trace):
+        seen.add(canonical(trace.resolutions))
+        return properties.evaluate_run(trace)["failures"]
+
+    result = exhaustive_explore(scenario, ExplorationBound(), evaluate=evaluate)
+    return result, seen, sorted({canonical(v["resolutions"]) for v in result.violations})
+
+
+def check_outcomes(result, seen, found, outcomes, digest, violating):
+    assert result.complete
+    assert result.verdict == ("VIOLATION" if violating else "SAFE")
+    assert len(seen) == outcomes
+    assert hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest() == digest
+    assert found == violating
+
+
 class TestSuffixResumption:
     """The explorer resumes branches from event-boundary snapshots; every
     schedule must equal a from-scratch run of its whole tape."""
@@ -296,6 +343,22 @@ class TestSuffixResumption:
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
         assert (out["runs"], out["branch_points"]) == (runs, branch_points)
         assert out["complete"]
+
+    @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
+    def test_each_branch_resumes_at_the_start_of_its_event(self, corpus, monkeypatch, name):
+        # A resumed schedule replays only the picks of its branch point's
+        # event, so its tape is used up before the next event starts.
+        late = []
+        event_start = TapeChoices.event_start
+
+        def checked(choices, world):
+            if choices.log and choices.pos < len(choices.tape):
+                late.append(choices.tape)
+            event_start(choices, world)
+
+        monkeypatch.setattr(TapeChoices, "event_start", checked)
+        assert exhaustive_explore(corpus[name], ExplorationBound()).complete
+        assert late == []
 
     def test_witness_traces_survive_later_schedules(self, corpus):
         digests = []
@@ -322,39 +385,36 @@ class TestSuffixResumption:
         assert (result.verdict, result.complete) == ("PARTIAL", False)
         assert (result.runs, result.branch_points) == (626, 484)
 
-    # The distinct terminal resolutions (ticks included), recorded from the
-    # search that still keyed pending events by their insertion counter.
-    @pytest.mark.parametrize(
-        "name, outcomes, digest, violating",
-        [
-            (
-                "explore_swap_timelock",
-                28,
-                "ad0324cbb4504006dcd9ae649889b7fccd6ac03a7348b3e5266de3dc9508477b",
-                [],
-            ),
-            (
-                "explore_swap_naive",
-                29,
-                "bb8994b066ee1fb4bee47969b4d24f95aaf6f89d5e53c1a6c7e7a55f33bf4e6d",
-                ['{"xchain/ann":["aborted",30],"ychain/ben":["committed",29]}'],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(
         self, corpus, name, outcomes, digest, violating
     ):
-        seen = set()
+        check_outcomes(*explore_outcomes(corpus[name]), outcomes, digest, violating)
 
-        def evaluate(trace):
-            seen.add(canonical_json(trace.resolutions))
-            return properties.evaluate_run(trace)["failures"]
+    def test_unpruned_search_reaches_the_pinned_outcomes(self, corpus, monkeypatch):
+        # A fresh key at every branch point merges nothing, so this search
+        # runs every schedule: the pinned set is the complete set.
+        name, outcomes, digest, violating = SWAP_OUTCOMES[1]
+        fresh = itertools.count()
+        monkeypatch.setattr(World, "state_key", lambda world: next(fresh))
+        result, seen, found = explore_outcomes(corpus[name])
+        check_outcomes(result, seen, found, outcomes, digest, violating)
+        assert result.runs > 10 * 1062  # the pruned count pinned above
 
-        result = exhaustive_explore(corpus[name], ExplorationBound(), evaluate=evaluate)
-        assert result.complete
-        assert len(seen) == outcomes
-        assert hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest() == digest
-        assert sorted({canonical_json(v["resolutions"]) for v in result.violations}) == violating
+    @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
+    def test_renaming_the_chains_keeps_every_outcome(
+        self, corpus, name, outcomes, digest, violating
+    ):
+        # zchain and achain sort the other way round from xchain and ychain.
+        text = canonical_json(corpus[name])
+        renamed = json.loads(text.replace('"xchain"', '"zchain"').replace('"ychain"', '"achain"'))
+        old_names = {"zchain": "xchain", "achain": "ychain"}
+
+        def original(key):
+            chain, lot = key.split("/")
+            return f"{old_names[chain]}/{lot}"
+
+        check_outcomes(*explore_outcomes(renamed, original), outcomes, digest, violating)
 
 
 class _MidpointSnapshot(SeededChoices):

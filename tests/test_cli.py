@@ -359,6 +359,27 @@ class TestTraceAndReplay:
         assert code == 2
         assert "not a dealsim-trace-v2 trace file" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.pop("events"),
+            lambda data: data.pop("seed"),
+            lambda data: data.pop("resolutions"),
+            lambda data: data["events"][0].pop("tick"),
+            lambda data: data.update(events=5),
+        ],
+        ids=["no-events", "no-seed", "no-resolutions", "event-without-tick", "events-not-a-list"],
+    )
+    def test_malformed_trace_is_parse_error(self, tmp_path, capsys, edit):
+        trace_path = tmp_path / "run.trace.json"
+        run_cli(capsys, "run", "--scenario", "ticket_deal_timelock", "--trace", str(trace_path))
+        data = json.loads(trace_path.read_text())
+        edit(data)
+        trace_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "replay", str(trace_path))
+        assert code == 2
+        assert "trace error: malformed trace" in err
+
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")
         assert code == 2

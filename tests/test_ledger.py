@@ -37,9 +37,6 @@ class IdleParty:
     def step(self, ctx):
         pass
 
-    def state_key(self):
-        return ()
-
 
 def tiny_world(delta=5, monitors=("m1", "m2")):
     network = NetworkModel(delta=delta)
