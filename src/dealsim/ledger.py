@@ -182,7 +182,6 @@ class Chain:
         self.wallets = Wallets(chain_id)
         self.views: List[dict] = []  # contract view after each entry, the ledger's record
         self._initial_view = contract.view()
-        self._key_cache: Optional[tuple] = None
         self._snapshot: Optional[tuple] = None
 
     def view_at(self, frontier: int) -> dict:
@@ -191,18 +190,11 @@ class Chain:
             return self._initial_view
         return self.views[min(frontier, len(self.views) - 1)]
 
-    def state_key(self) -> tuple:
-        # The snapshot's entry count and frozen wallets, plus the contract.
-        if self._key_cache is None:
-            self._key_cache = (self.snapshot(), self.contract.state_key())
-        return self._key_cache
-
     def append(
         self, publisher: str, payload: dict, tick: int, scheme: SignatureScheme
     ) -> Tuple[int, str, Optional[str], dict]:
         """Apply one entry published at `tick` and record it with the view
         after it; returns (seq, status, reason, info)."""
-        self._key_cache = None
         self._snapshot = None
         seq = len(self.views)
         status, reason, info = self.contract.apply(
@@ -213,20 +205,22 @@ class Chain:
 
     def snapshot(self) -> tuple:
         # A chain changes only by `append`, so one snapshot serves every
-        # event boundary and state key until the next entry.  The contract
-        # needs no copy: it rewinds from its recorded view.
+        # event boundary and state key until the next entry.  Restore reads
+        # only the entry count and wallets: the contract rewinds from its
+        # recorded view, and its key is there for the state key.
         if self._snapshot is None:
-            self._snapshot = (len(self.views), self.wallets.snapshot())
+            self._snapshot = (
+                len(self.views), self.wallets.snapshot(), self.contract.state_key()
+            )
         return self._snapshot
 
     def restore(self, snap: tuple):
         if snap is self._snapshot:
             return  # no entry since `snap` was taken or restored
-        length, wallets = snap
+        length, wallets, _ = snap
         del self.views[length:]
         self.wallets.restore(wallets)
         self.contract.restore(self.view_at(length - 1))
-        self._key_cache = None
         self._snapshot = snap
 
 
@@ -296,16 +290,15 @@ class World:
         self.monitors: Dict[str, List[str]] = {}
         self.frontiers: Dict[str, Dict[str, int]] = {}
         self.trace_events: List[TraceEvent] = []
-        self.deal_ids: set = set()
         self.compliant: set = set()
         self.validator_service = None
-        # (due, seq, kind, data); `seq` is unique, so kind and data are never compared.
+        # (due, seq, kind, data); `seq` counts pushes and is unique, so kind
+        # and data are never compared.  `restore` leaves the count running.
         self._heap: List[tuple] = []
         self._seq = 0
         # party -> (frontier items, controller snapshot), valid until the
         # next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
-        self._timer_scheduled: set = set()
         self._truncated = False
         self._initial_wallets: Optional[Dict[str, dict]] = None
         self.scheme = SignatureScheme.for_run(seed)
@@ -326,11 +319,6 @@ class World:
                 self.monitors[chain_id].append(party)
         self.schedule_wake(party, 0, "start")
 
-    def register_deal(self, deal_id: str):
-        if deal_id in self.deal_ids:
-            raise ValueError(f"duplicate deal id {deal_id!r} in this run")
-        self.deal_ids.add(deal_id)
-
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, due: int, kind: str, data: tuple):
@@ -339,12 +327,6 @@ class World:
 
     def schedule_wake(self, party: str, tick: int, tag: str):
         self._push(max(tick, self.now), "wake", (party, tag))
-
-    def schedule_lot_timeout(self, chain_id: str, lot: str, tick: int):
-        key = (chain_id, lot)
-        if key not in self._timer_scheduled:
-            self._timer_scheduled.add(key)
-            self._push(tick, "timer", (chain_id, lot))
 
     def _latency(self, chain_id: str, seq: int, monitor: str, publish_tick: int) -> int:
         net = self.network
@@ -385,18 +367,19 @@ class World:
                 continue
             lat = self._latency(chain_id, seq, monitor, self.now)
             self._push(self.now + max(1, lat), "notify", (monitor, chain_id, seq))
-        if status == "accepted":
-            self._after_accept(chain_id, payload, info)
+        if status == "accepted" and payload.get("op") == "escrow":
+            self._after_escrow(chain_id, seq, info["lot"])
         return status, reason, info
 
-    def _after_accept(self, chain_id: str, payload: dict, info: dict):
-        # Only escrow contracts accept an escrow.
-        if payload.get("op") != "escrow":
-            return
-        contract = self.chains[chain_id].contract
-        if contract.protocol in ("timelock", "naive"):
+    def _after_escrow(self, chain_id: str, seq: int, lot: str):
+        # Only escrow contracts accept an escrow.  The escrow that opens a
+        # lot, absent from the view before it, pushes the lot's refund timer.
+        chain = self.chains[chain_id]
+        contract = chain.contract
+        opens = lot not in chain.view_at(seq - 1)["lots"]
+        if opens and contract.protocol in ("timelock", "naive"):
             due = refund_deadline(contract.t0, contract.delta, len(contract.plist))
-            self.schedule_lot_timeout(chain_id, info["lot"], due)
+            self._push(due, "timer", (chain_id, lot))
 
     # -- the loop --------------------------------------------------------------
 
@@ -501,18 +484,20 @@ class World:
         parties = self._party_snaps
         return (
             tuple((due, kind, data) for due, _, kind, data in sorted(self._heap)),
-            tuple(chain.state_key() for chain in self.chains.values()),
+            tuple(chain.snapshot() for chain in self.chains.values()),
             tuple(parties.get(p) or self._party_entry(p) for p in self.controllers),
         )
 
     def snapshot(self) -> tuple:
-        """The run's mutable state at an event boundary, for `restore`.
+        """The run's state at an event boundary, for `restore`: the tick,
+        a copy of the heap, the trace length, and each chain's and each
+        party's entry.
 
-        The heap is copied and append-only lists are kept as lengths.  Chain
-        and party entries are frozen values that the state key shares.
+        Chain and party entries are frozen values that the state key shares.
         Only the party an event is delivered to changes its controller or
         its frontier, so each party's entry serves every boundary until its
-        next event, as a chain's snapshot does until its next entry.
+        next event, as a chain's snapshot does until its next entry.  What
+        the ledger or the heap determines is not copied; see `restore`.
         """
         parties = self._party_snaps
         for party in self.controllers:
@@ -520,21 +505,24 @@ class World:
                 parties[party] = self._party_entry(party)
         return (
             self.now,
-            self._seq,
             list(self._heap),
-            frozenset(self._timer_scheduled),
-            self._truncated,
             len(self.trace_events),
             [chain.snapshot() for chain in self.chains.values()],
             [parties[party] for party in self.controllers],
         )
 
     def restore(self, snap: tuple):
-        """Rewind to `snap`; the snapshot stays valid for further restores."""
-        (self.now, self._seq, heap, timers, self._truncated,
-         n_events, chains, parties) = snap
+        """Rewind to `snap`; the snapshot stays valid for further restores.
+
+        The push counter keeps running: every later push still outranks
+        every restored pending event, so events pop in the same order.  Only
+        the pop that ends a run past the horizon marks it truncated, and
+        that pop follows its boundary's snapshot, so no snapshot is of a
+        truncated run.
+        """
+        self.now, heap, n_events, chains, parties = snap
         self._heap = list(heap)
-        self._timer_scheduled = set(timers)
+        self._truncated = False
         del self.trace_events[n_events:]
         for chain, chain_snap in zip(self.chains.values(), chains):
             chain.restore(chain_snap)

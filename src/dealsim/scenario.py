@@ -261,7 +261,6 @@ def assemble_world(
     run_seed = sc["seed"] if seed is None else seed
     network = NetworkModel(**sc["network"])
     world = World(sc, deal, network, run_seed, sc["horizon"], choices)
-    world.register_deal(deal.deal_id)
 
     skew_rng = random.Random(f"skew-{run_seed}")
     protocol = sc["protocol"]

@@ -100,11 +100,6 @@ class TestValidation:
         assert holdings["carol"].amount("coin", "coin") == 157
         assert plan.lots()
 
-    def test_duplicate_deal_id_rejected_per_run(self):
-        built = build_world(ticket_deal("timelock"))
-        with pytest.raises(ValueError):
-            built.world.register_deal("ticket-deal")
-
 
 class TestBundledCorpus:
     def test_files_match_builders(self):
