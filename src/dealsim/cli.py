@@ -171,7 +171,7 @@ def cmd_replay(args) -> int:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        result = replay_trace(trace, _schedule(args))
+        replay_trace(trace, _schedule(args))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -182,7 +182,7 @@ def cmd_replay(args) -> int:
     if args.report == "structured":
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
-        print(f"replayed {result.entries_checked} ledger entries: consistent")
+        print(f"replayed {len(trace.publishes())} ledger entries: consistent")
         print(render_report(report))
     return report_exit_code(report)
 

@@ -113,11 +113,10 @@ class Lot:
         return lot
 
     def state_key(self) -> tuple:
-        # resolved_tick is trace data, not behavior: omitting it lets the
-        # explorer merge schedules that differ only in past timing.
         return (
             self.escrower,
             self.resolution,
+            self.resolved_tick,
             tuple(sorted(self.fungible.items())),
             tuple(sorted(self.tokens)),
             tuple((p, tuple(sorted(k.items()))) for p, k in sorted(self.c_fun.items())),

@@ -205,13 +205,10 @@ class Chain:
 
     def snapshot(self) -> tuple:
         # A chain changes only by `append`, so one snapshot serves every
-        # event boundary and state key until the next entry.  Restore reads
-        # only the entry count and wallets: the contract rewinds from its
-        # recorded view, and its key is there for the state key.
+        # event boundary and state key until the next entry.  The contract's
+        # key serves only the state key: it rewinds from its recorded view.
         if self._snapshot is None:
-            self._snapshot = (
-                len(self.views), self.wallets.snapshot(), self.contract.state_key()
-            )
+            self._snapshot = (len(self.views), self.wallets.snapshot(), self.contract.state_key())
         return self._snapshot
 
     def restore(self, snap: tuple):
@@ -292,14 +289,12 @@ class World:
         self.trace_events: List[TraceEvent] = []
         self.compliant: set = set()
         self.validator_service = None
-        # (due, seq, kind, data); `seq` counts pushes and is unique, so kind
-        # and data are never compared.  `restore` leaves the count running.
+        # (due, seq, kind, data); `seq` counts pushes, so kind and data are never compared.
         self._heap: List[tuple] = []
         self._seq = 0
         # party -> (frontier items, controller snapshot), valid until the
         # next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
-        self._truncated = False
         self._initial_wallets: Optional[Dict[str, dict]] = None
         self.scheme = SignatureScheme.for_run(seed)
 
@@ -342,24 +337,13 @@ class World:
     # -- the ledger operation ------------------------------------------------
 
     def publish(self, chain_id: str, publisher: str, payload: dict) -> Tuple[str, Optional[str], dict]:
-        if chain_id not in self.chains:
+        chain = self.chains.get(chain_id)
+        if chain is None:
             raise ValueError(f"unknown chain {chain_id!r}")
-        seq, status, reason, info = self.chains[chain_id].append(
-            publisher, payload, self.now, self.scheme
-        )
-        self.trace_events.append(
-            TraceEvent(
-                tick=self.now,
-                where=chain_id,
-                kind="publish",
-                status=status,
-                payload=payload,
-                seq=seq,
-                publisher=publisher,
-                reason=reason,
-                info=dict(info),
-            )
-        )
+        seq, status, reason, info = chain.append(publisher, payload, self.now, self.scheme)
+        self.trace_events.append(TraceEvent(
+            self.now, chain_id, "publish", status, payload, seq, publisher, reason, dict(info)
+        ))
         if publisher in self.frontiers:
             self.frontiers[publisher][chain_id] = seq
         for monitor in self.monitors[chain_id]:
@@ -367,19 +351,15 @@ class World:
                 continue
             lat = self._latency(chain_id, seq, monitor, self.now)
             self._push(self.now + max(1, lat), "notify", (monitor, chain_id, seq))
+        # Only escrow contracts accept an escrow.  The one that opens a lot,
+        # absent from the view before it, pushes the lot's refund timer.
         if status == "accepted" and payload.get("op") == "escrow":
-            self._after_escrow(chain_id, seq, info["lot"])
+            contract, lot = chain.contract, info["lot"]
+            opens = lot not in chain.view_at(seq - 1)["lots"]
+            if opens and contract.protocol in ("timelock", "naive"):
+                due = refund_deadline(contract.t0, contract.delta, len(contract.plist))
+                self._push(due, "timer", (chain_id, lot))
         return status, reason, info
-
-    def _after_escrow(self, chain_id: str, seq: int, lot: str):
-        # Only escrow contracts accept an escrow.  The escrow that opens a
-        # lot, absent from the view before it, pushes the lot's refund timer.
-        chain = self.chains[chain_id]
-        contract = chain.contract
-        opens = lot not in chain.view_at(seq - 1)["lots"]
-        if opens and contract.protocol in ("timelock", "naive"):
-            due = refund_deadline(contract.t0, contract.delta, len(contract.plist))
-            self._push(due, "timer", (chain_id, lot))
 
     # -- the loop --------------------------------------------------------------
 
@@ -391,11 +371,12 @@ class World:
         """
         if self._initial_wallets is None:
             self._initial_wallets = self.wallet_snapshots()
+        truncated = False
         while self._heap:
             self.choices.event_start(self)
             due, _, kind, data = heapq.heappop(self._heap)
             if due > self.horizon:
-                self._truncated = True
+                truncated = True
                 break
             self.now = max(self.now, due)
             if kind == "wake":
@@ -425,7 +406,7 @@ class World:
                         TIMER_SENDER,
                         {"op": "timeout", "deal": contract.deal_id, "lot": lot},
                     )
-        return self._build_trace()
+        return self._build_trace(truncated)
 
     def wallet_snapshots(self) -> Dict[str, dict]:
         return {cid: self.chains[cid].wallets.to_json() for cid in sorted(self.chains)}
@@ -440,13 +421,13 @@ class World:
                     out[f"{cid}/{lot}"] = res
         return out
 
-    def _build_trace(self) -> RunTrace:
+    def _build_trace(self, truncated: bool) -> RunTrace:
         terminal = self.wallet_snapshots()
         resolutions = self.resolutions()
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
         metadata = {
             "scenario_digest": self.scenario_digest,
-            "truncated": self._truncated,
+            "truncated": truncated,
             "unresolved": unresolved,
             "compliant": sorted(self.compliant),
             "liveness_failure": bool(
@@ -489,15 +470,13 @@ class World:
         )
 
     def snapshot(self) -> tuple:
-        """The run's state at an event boundary, for `restore`: the tick,
-        a copy of the heap, the trace length, and each chain's and each
-        party's entry.
+        """The tick, a heap copy, the trace length and each chain's and
+        party's entry at an event boundary, for `restore`.
 
         Chain and party entries are frozen values that the state key shares.
         Only the party an event is delivered to changes its controller or
         its frontier, so each party's entry serves every boundary until its
-        next event, as a chain's snapshot does until its next entry.  What
-        the ledger or the heap determines is not copied; see `restore`.
+        next event, as a chain's snapshot does until its next entry.
         """
         parties = self._party_snaps
         for party in self.controllers:
@@ -513,16 +492,10 @@ class World:
 
     def restore(self, snap: tuple):
         """Rewind to `snap`; the snapshot stays valid for further restores.
-
-        The push counter keeps running: every later push still outranks
-        every restored pending event, so events pop in the same order.  Only
-        the pop that ends a run past the horizon marks it truncated, and
-        that pop follows its boundary's snapshot, so no snapshot is of a
-        truncated run.
-        """
+        The push count runs on, as every later push still outranks the
+        restored events."""
         self.now, heap, n_events, chains, parties = snap
         self._heap = list(heap)
-        self._truncated = False
         del self.trace_events[n_events:]
         for chain, chain_snap in zip(self.chains.values(), chains):
             chain.restore(chain_snap)

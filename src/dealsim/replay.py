@@ -4,20 +4,21 @@ Replay applies the trace's published entries, in order, to contracts
 rebuilt from the embedded scenario.  Every entry must produce the status,
 rejection reason and info the trace recorded; the initial and terminal
 ownership, every escrow resolution and its tick, and the set of
-compliant parties must match as well.  The first inconsistency is reported by record index
-where it has one.  Verdicts and costs are then re-derived from the
+compliant parties must match as well, and each wake and notify must be
+one the world makes.  The first inconsistency is reported by record
+index where it has one.  Verdicts and costs are then re-derived from the
 replayed trace, so a faithful replay yields the original report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from .costs import CostReport, GasSchedule, meter
 from .properties import Verdict, run_verdicts
 from .scenario import build_world
-from .trace import RunTrace
+from .trace import RunTrace, TraceEvent
 
 
 class ReplayError(ValueError):
@@ -29,28 +30,31 @@ class ReplayReport:
     trace: RunTrace
     verdicts: List[Verdict]
     costs: CostReport
-    entries_checked: int
 
 
 def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> ReplayReport:
     world = build_world(trace.scenario, seed=trace.seed).world
     if world.wallet_snapshots() != trace.initial_wallets:
         raise ReplayError("initial ownership does not match the scenario's wallets")
-    checked = 0
+    published = {}  # (chain, seq) -> (tick, monitors not yet notified) of each publish
+    tick = 0
     for index, event in enumerate(trace.events):
+        if event.tick < tick:
+            raise ReplayError(f"record {index}: tick {event.tick} runs back from tick {tick}")
+        tick = event.tick
         if event.kind != "publish":
+            problem = _delivery_problem(event, world, published)
+            if problem:
+                raise ReplayError(f"record {index}: {problem}")
             continue
         chain = world.chains.get(event.where)
         if chain is None:
             raise ReplayError(f"record {index}: unknown chain {event.where!r}")
         if event.seq != len(chain.views):
-            raise ReplayError(
-                f"record {index}: sequence {event.seq} does not follow ledger order"
-            )
-        _, status, reason, info = chain.append(
-            event.publisher, event.payload, event.tick, world.scheme
-        )
-        checked += 1
+            raise ReplayError(f"record {index}: sequence {event.seq} does not follow ledger order")
+        _, status, reason, info = chain.append(event.publisher, event.payload, tick, world.scheme)
+        due = set(world.monitors[event.where]) - {event.publisher}
+        published[event.where, event.seq] = (tick, due)
         if status != event.status:
             raise ReplayError(
                 f"record {index}: recorded {event.status} but replay produced {status}"
@@ -73,4 +77,31 @@ def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> Repl
         raise ReplayError("compliant parties do not match the scenario's strategies")
     verdicts = run_verdicts(trace)
     costs = meter(trace, schedule)
-    return ReplayReport(trace, verdicts, costs, checked)
+    return ReplayReport(trace, verdicts, costs)
+
+
+def _delivery_problem(event, world, published: dict) -> Optional[str]:
+    """What a wake or notify record gets wrong, if anything: the world wakes
+    a party with a tag, and notifies each monitor of an earlier publish but
+    its publisher once, later than the publish."""
+    party = event.where
+    fields = event.payload if isinstance(event.payload, dict) else {}
+    if event.kind == "wake":
+        if party not in world.controllers:
+            return f"wake for {party!r}, who is not a party"
+        made = TraceEvent(event.tick, party, "wake", "info", {"tag": str(fields.get("tag"))})
+    elif event.kind == "notify":
+        chain_id, seq = fields.get("chain"), fields.get("seq")
+        try:
+            publish_tick, due = published[chain_id, seq]
+        except (KeyError, TypeError):
+            return f"notify {event.payload!r} names no earlier publish"
+        if party not in due:
+            return f"{party!r} is not due a notify of {chain_id} entry {seq}"
+        if event.tick <= publish_tick:
+            return f"notify at tick {event.tick} of an entry published at {publish_tick}"
+        due.remove(party)
+        made = TraceEvent(event.tick, party, "notify", "info", {"chain": chain_id, "seq": seq})
+    else:
+        return f"unknown event kind {event.kind!r}"
+    return None if event == made else f"malformed {event.kind} {event.to_json()}"

@@ -32,7 +32,7 @@ def payload_digest(payload) -> str:
 class TraceEvent:
     tick: int
     where: str      # chain id or party id
-    kind: str       # publish | notify | timer | wake
+    kind: str       # publish | notify | wake
     status: str     # accepted | rejected | info
     payload: dict = field(default_factory=dict)
     seq: Optional[int] = None     # ledger sequence for publish events
@@ -142,6 +142,8 @@ class RunTrace:
             deal = DealSpec.from_json(data["scenario"]["deal"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad scenario deal: {exc!r}") from exc
+        if not isinstance(data.get("metadata", {}), dict):
+            raise ValueError("malformed trace: metadata is not an object")
         try:
             return cls(
                 scenario=data["scenario"],

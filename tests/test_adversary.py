@@ -337,7 +337,7 @@ class TestSuffixResumption:
 
     @pytest.mark.parametrize(
         "name, runs, branch_points",
-        [("explore_swap_timelock", 1677, 1522), ("explore_swap_naive", 1062, 907)],
+        [("explore_swap_timelock", 1733, 1574), ("explore_swap_naive", 1118, 959)],
     )
     def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
@@ -383,7 +383,7 @@ class TestSuffixResumption:
             corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
         )
         assert (result.verdict, result.complete) == ("PARTIAL", False)
-        assert (result.runs, result.branch_points) == (626, 484)
+        assert (result.runs, result.branch_points) == (675, 529)
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(

@@ -234,6 +234,10 @@ class TestRunCommand:
         assert "ticket_deal_timelock" in names and "virus_alice_timelock" in names
 
 
+def first_event(trace, kind, status="accepted"):
+    return next(e for e in trace.events if (e.kind, e.status) == (kind, status))
+
+
 class TestTraceAndReplay:
     def test_trace_round_trip_reproduces_report(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.json"
@@ -317,6 +321,44 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayError, match="compliant"):
             replay_trace(trace)
 
+    # In the ticket trace, records 0 and 1 wake alice and bob, record 7 is
+    # the first notify and record 8 notifies carol of bob's first ticket entry.
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda t: setattr(first_event(t, "publish"), "where", "nochain"), "unknown chain"),
+            (lambda t: setattr(first_event(t, "publish"), "seq", 5), "follow ledger order"),
+            (
+                lambda t: setattr(first_event(t, "publish", "rejected"), "reason", "not-due"),
+                "recorded reason 'not-due'",
+            ),
+            (
+                lambda t: t.terminal_wallets["coin"]["fungible"].update(carol={"coin": 150}),
+                "terminal ownership",
+            ),
+            (lambda t: setattr(t.events[10], "tick", 0), "record 10: tick 0 runs back"),
+            (lambda t: setattr(t.events[0], "kind", "timer"), "record 0: unknown event kind"),
+            (lambda t: setattr(t.events[0], "where", "mallory"), "record 0: wake for 'mallory'"),
+            (lambda t: t.events[0].payload.update(at=3), "record 0: malformed wake"),
+            (lambda t: setattr(t.events[7], "status", "accepted"), "record 7: malformed notify"),
+            (lambda t: t.events[7].payload.update(at=3), "record 7: malformed notify"),
+            (lambda t: t.events[7].payload.update(chain="nochain"), "names no earlier publish"),
+            (lambda t: setattr(t.events[7], "tick", 0), "record 7: notify at tick 0"),
+            (lambda t: setattr(t.events[8], "where", "bob"), "record 8: 'bob' is not due"),
+            (lambda t: setattr(t.events[8], "where", "mallory"), "'mallory' is not due"),
+        ],
+        ids=[
+            "unknown-chain", "sequence", "reason", "terminal-wallets", "tick-back", "kind",
+            "wake-party", "wake-payload", "notify-status", "notify-payload", "notify-chain",
+            "notify-tick", "notify-publisher", "notify-party",
+        ],
+    )
+    def test_replay_rejects_each_tampering(self, corpus, tamper, message):
+        trace = self.ticket_trace(corpus)
+        tamper(trace)
+        with pytest.raises(ReplayError, match=message):
+            replay_trace(trace)
+
     def test_replay_rejects_tampered_initial_wallets(self, corpus):
         trace = self.ticket_trace(corpus)
         trace.initial_wallets["coin"]["fungible"]["bob"] = {"coin": 200}
@@ -367,8 +409,12 @@ class TestTraceAndReplay:
             lambda data: data.pop("resolutions"),
             lambda data: data["events"][0].pop("tick"),
             lambda data: data.update(events=5),
+            lambda data: data.update(metadata=5),
         ],
-        ids=["no-events", "no-seed", "no-resolutions", "event-without-tick", "events-not-a-list"],
+        ids=[
+            "no-events", "no-seed", "no-resolutions", "event-without-tick", "events-not-a-list",
+            "metadata-not-an-object",
+        ],
     )
     def test_malformed_trace_is_parse_error(self, tmp_path, capsys, edit):
         trace_path = tmp_path / "run.trace.json"
@@ -379,6 +425,26 @@ class TestTraceAndReplay:
         code, out, err = run_cli(capsys, "replay", str(trace_path))
         assert code == 2
         assert "trace error: malformed trace" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda events: events[0].update(payload=5), "record 0: malformed wake"),
+            # Record 7 is the first notify.
+            (lambda events: events[7]["payload"].update(seq=99), "record 7: notify"),
+            (lambda events: events.insert(7, events[7]), "record 8: 'alice' is not due"),
+        ],
+        ids=["wake-payload", "notify-seq", "repeated-notify"],
+    )
+    def test_tampered_delivery_is_replay_inconsistency(self, tmp_path, capsys, edit, message):
+        trace_path = tmp_path / "run.trace.json"
+        run_cli(capsys, "run", "--scenario", "ticket_deal_timelock", "--trace", str(trace_path))
+        data = json.loads(trace_path.read_text())
+        edit(data["events"])
+        trace_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "replay", str(trace_path))
+        assert code == 2
+        assert "replay inconsistency: " in err and message in err
 
     def test_missing_trace_file_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "replay", "/nonexistent/trace.json")

@@ -3,8 +3,11 @@
 import pytest
 
 from dealsim.deals import DealSpec
-from dealsim.ledger import ModelViolation, NetworkModel, PartyContext, SeededChoices, World
+from dealsim.ledger import (
+    TIMER_SENDER, ModelViolation, NetworkModel, PartyContext, SeededChoices, World,
+)
 from dealsim.scenario import build_world, ticket_deal
+from dealsim.timelock import refund_deadline
 
 from conftest import run_scenario_dict
 
@@ -233,6 +236,30 @@ class TestExplorationSupport:
         b.schedule_wake("bob", 40, "y")
         b.schedule_wake("alice", 40, "x")
         assert a.state_key() != b.state_key()
+
+    @staticmethod
+    def escrow(world, amount):
+        bundle = {"fungible": [["coin", "coin", amount]], "tokens": []}
+        return {"op": "escrow", "deal": world.deal.deal_id, "party": "carol", "bundle": bundle}
+
+    def test_state_key_holds_the_tick_a_lot_resolved_at(self):
+        a, b = self.two_worlds()
+        deadline = refund_deadline(30, 5, 3)  # ticket_deal's t0, delta and parties
+        for world, tick in ((a, deadline), (b, deadline + 1)):
+            chain = world.chains["coin"]
+            timeout = {"op": "timeout", "deal": world.deal.deal_id, "lot": "carol"}
+            assert chain.append("carol", self.escrow(world, 101), 0, world.scheme)[1] == "accepted"
+            assert chain.append(TIMER_SENDER, timeout, tick, world.scheme)[1] == "accepted"
+        assert a.resolutions() == {"coin/carol": ("aborted", deadline)}
+        assert b.resolutions() == {"coin/carol": ("aborted", deadline + 1)}
+        assert a.state_key() != b.state_key()
+
+    def test_an_escrow_that_tops_up_an_open_lot_pushes_no_second_timer(self):
+        world = build_world(ticket_deal("timelock")).world
+        for amount in (100, 1):
+            assert world.publish("coin", "carol", self.escrow(world, amount))[0] == "accepted"
+        timers = [(due, data) for due, _, kind, data in world._heap if kind == "timer"]
+        assert timers == [(refund_deadline(30, 5, 3), ("coin", "carol"))]
 
     def test_party_snapshot_is_reused_until_its_next_event(self):
         logs = {"m1": [], "m2": []}
