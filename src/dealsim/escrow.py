@@ -114,7 +114,6 @@ class Lot:
 
     def state_key(self) -> tuple:
         return (
-            self.escrower,
             self.resolution,
             self.resolved_tick,
             tuple(sorted(self.fungible.items())),
@@ -128,7 +127,7 @@ class Lot:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CbcConfig:
     h: str
     epoch: int
@@ -344,15 +343,8 @@ class EscrowContract:
         return out
 
     def state_key(self) -> tuple:
-        cbc = None
-        if self.cbc is not None:
-            cbc = (self.cbc.h, self.cbc.epoch, self.cbc.members, self.cbc.f)
-        return (
-            self.deal_id,
-            self.protocol,
-            cbc,
-            tuple((e, lot.state_key()) for e, lot in sorted(self.lots.items())),
-        )
+        # The deal and protocol are fixed for a run; each lot is keyed under its escrower.
+        return self.cbc, tuple((e, lot.state_key()) for e, lot in sorted(self.lots.items()))
 
     def restore(self, view: dict):
         """Rewind to the state a recorded `view()` describes."""

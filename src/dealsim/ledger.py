@@ -341,9 +341,19 @@ class World:
         if chain is None:
             raise ValueError(f"unknown chain {chain_id!r}")
         seq, status, reason, info = chain.append(publisher, payload, self.now, self.scheme)
-        self.trace_events.append(TraceEvent(
-            self.now, chain_id, "publish", status, payload, seq, publisher, reason, dict(info)
-        ))
+        self.trace_events.append(
+            TraceEvent(
+                tick=self.now,
+                where=chain_id,
+                kind="publish",
+                status=status,
+                payload=payload,
+                seq=seq,
+                publisher=publisher,
+                reason=reason,
+                info=dict(info),
+            )
+        )
         if publisher in self.frontiers:
             self.frontiers[publisher][chain_id] = seq
         for monitor in self.monitors[chain_id]:
@@ -364,20 +374,17 @@ class World:
     # -- the loop --------------------------------------------------------------
 
     def run(self) -> RunTrace:
-        """Process events until the heap drains or passes the horizon.
+        """Process events until the heap drains or passes the horizon; a
+        run that leaves events past the horizon is truncated.
 
         After `restore`, the run resumes from the restored event boundary;
         the trace still starts from the wallets of the first run's start.
         """
         if self._initial_wallets is None:
             self._initial_wallets = self.wallet_snapshots()
-        truncated = False
-        while self._heap:
+        while self._heap and self._heap[0][0] <= self.horizon:
             self.choices.event_start(self)
             due, _, kind, data = heapq.heappop(self._heap)
-            if due > self.horizon:
-                truncated = True
-                break
             self.now = max(self.now, due)
             if kind == "wake":
                 party, tag = data
@@ -406,7 +413,7 @@ class World:
                         TIMER_SENDER,
                         {"op": "timeout", "deal": contract.deal_id, "lot": lot},
                     )
-        return self._build_trace(truncated)
+        return self._build_trace()
 
     def wallet_snapshots(self) -> Dict[str, dict]:
         return {cid: self.chains[cid].wallets.to_json() for cid in sorted(self.chains)}
@@ -421,13 +428,13 @@ class World:
                     out[f"{cid}/{lot}"] = res
         return out
 
-    def _build_trace(self, truncated: bool) -> RunTrace:
+    def _build_trace(self) -> RunTrace:
         terminal = self.wallet_snapshots()
         resolutions = self.resolutions()
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
         metadata = {
             "scenario_digest": self.scenario_digest,
-            "truncated": truncated,
+            "truncated": bool(self._heap),
             "unresolved": unresolved,
             "compliant": sorted(self.compliant),
             "liveness_failure": bool(

@@ -410,10 +410,12 @@ class TestTraceAndReplay:
             lambda data: data["events"][0].pop("tick"),
             lambda data: data.update(events=5),
             lambda data: data.update(metadata=5),
+            lambda data: data["events"][0].update(tick="0"),
+            lambda data: data["events"][2].update(publisher=["bob"]),
         ],
         ids=[
             "no-events", "no-seed", "no-resolutions", "event-without-tick", "events-not-a-list",
-            "metadata-not-an-object",
+            "metadata-not-an-object", "tick-not-an-int", "publisher-not-a-name",
         ],
     )
     def test_malformed_trace_is_parse_error(self, tmp_path, capsys, edit):
