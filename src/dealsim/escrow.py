@@ -343,7 +343,7 @@ class EscrowContract:
         return out
 
     def state_key(self) -> tuple:
-        # The deal and protocol are fixed for a run; each lot is keyed under its escrower.
+        # A run never changes the deal's terms; each lot is keyed under its escrower.
         return self.cbc, tuple((e, lot.state_key()) for e, lot in sorted(self.lots.items()))
 
     def restore(self, view: dict):

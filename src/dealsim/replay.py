@@ -18,7 +18,7 @@ from typing import List, Optional
 from .costs import CostReport, GasSchedule, meter
 from .properties import Verdict, run_verdicts
 from .scenario import build_world
-from .trace import RunTrace, TraceEvent
+from .trace import RunTrace
 
 
 class ReplayError(ValueError):
@@ -84,24 +84,27 @@ def _delivery_problem(event, world, published: dict) -> Optional[str]:
     """What a wake or notify record gets wrong, if anything: the world wakes
     a party with a tag, and notifies each monitor of an earlier publish but
     its publisher once, later than the publish."""
-    party = event.where
-    fields = event.payload if isinstance(event.payload, dict) else {}
+    party, payload = event.where, event.payload
+    if event.kind not in ("wake", "notify"):
+        return f"unknown event kind {event.kind!r}"
+    ledger_fields = (event.status, event.seq, event.publisher, event.reason, event.info)
+    if not isinstance(payload, dict) or ledger_fields != ("info", None, None, None, {}):
+        return f"malformed {event.kind} {event.to_json()}"
     if event.kind == "wake":
         if party not in world.controllers:
             return f"wake for {party!r}, who is not a party"
-        made = TraceEvent(event.tick, party, "wake", "info", {"tag": str(fields.get("tag"))})
-    elif event.kind == "notify":
-        chain_id, seq = fields.get("chain"), fields.get("seq")
-        try:
-            publish_tick, due = published[chain_id, seq]
-        except (KeyError, TypeError):
-            return f"notify {event.payload!r} names no earlier publish"
-        if party not in due:
-            return f"{party!r} is not due a notify of {chain_id} entry {seq}"
-        if event.tick <= publish_tick:
-            return f"notify at tick {event.tick} of an entry published at {publish_tick}"
-        due.remove(party)
-        made = TraceEvent(event.tick, party, "notify", "info", {"chain": chain_id, "seq": seq})
-    else:
-        return f"unknown event kind {event.kind!r}"
-    return None if event == made else f"malformed {event.kind} {event.to_json()}"
+        if payload.keys() != {"tag"} or type(payload["tag"]) is not str:
+            return f"malformed wake {event.to_json()}"
+        return None
+    try:
+        publish_tick, due = published[payload["chain"], payload["seq"]]
+    except (KeyError, TypeError):
+        return f"notify {payload!r} names no earlier publish"
+    if len(payload) != 2:
+        return f"malformed notify {event.to_json()}"
+    if party not in due:
+        return f"{party!r} is not due a notify of {payload['chain']} entry {payload['seq']}"
+    if event.tick <= publish_tick:
+        return f"notify at tick {event.tick} of an entry published at {publish_tick}"
+    due.remove(party)
+    return None

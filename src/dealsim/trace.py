@@ -66,9 +66,10 @@ class TraceEvent:
 
     @classmethod
     def from_json(cls, data: dict) -> "TraceEvent":
-        names = (data["where"], data["kind"], data["status"], data.get("publisher", ""))
-        if type(data["tick"]) is not int or not all(isinstance(n, str) for n in names):
-            raise TypeError(f"event {data!r} has a tick or name of the wrong type")
+        if type(data["tick"]) is not int:
+            raise TypeError(f"event tick {data['tick']!r} is not an integer")
+        # join() raises TypeError unless every name is a string.
+        "".join((data["where"], data["kind"], data["status"], data.get("publisher", "")))
         return cls(
             tick=data["tick"],
             where=data["where"],
