@@ -161,14 +161,18 @@ def exhaustive_explore(
 ) -> ExploreResult:
     """Enumerate every schedule in the scenario's choice space.
 
-    Schedules are sequences of choice-point decisions (delivery latencies
-    and adversary action timings), explored depth first in the style of
-    stateless search, except that no schedule re-runs its prefix: one
-    world is built per exploration, and each branch is resumed by
-    restoring the world's snapshot from the start of the event holding
-    the branch point and replaying only that event's picks.  Branch
-    points whose world state was already visited are pruned, which is
-    sound because runs are deterministic functions of the choice sequence.
+    A schedule is a sequence of choice-point decisions: every choice of
+    delivery latency and of the `explored` adversary's action timings.
+    Same-tick events pop in push order and parties act in name order;
+    neither order is a choice point, so renaming the chains keeps every
+    outcome but renaming the parties may not (ROADMAP item 1 measured one
+    outcome that differs each way).  Schedules run depth first, and none
+    re-runs its prefix: one world is built per exploration, and each
+    branch resumes from the world's snapshot at the start of its branch
+    point's event, replaying only that event's picks.  A branch point
+    whose key (its event's start state and the choices made since) was
+    already visited is pruned; that is exact, since the two fix the rest
+    of the run.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > bound.max_parties:
@@ -214,15 +218,11 @@ def exhaustive_explore(
             continue
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
-            if n <= 1:
-                continue
-            if key in visited:
+            if key is None or key in visited:
                 continue
             visited.add(key)
             branch_points += 1
-            # A pick in the resumed event has no start of its own: that
-            # event began before the tape ran out, at the restored snapshot.
-            first, event_snap = start or (0, snap)
+            first, event_snap = start
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
                 stack.append((prefix + [k], base + first, event_snap))

@@ -16,10 +16,10 @@ import sys
 from typing import List, Optional
 
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
-from .costs import GasSchedule, check_asymptotics, meter
+from .costs import CostReport, GasSchedule, check_asymptotics, meter
 from .deals import payoff_of_run
 from .ledger import ModelViolation
-from .properties import run_verdicts
+from .properties import Verdict, run_verdicts
 from .replay import ReplayError, replay_trace
 from .scenario import ScenarioError, build_world, list_bundled, load_scenario
 from .trace import RunTrace
@@ -34,9 +34,7 @@ def _schedule(args) -> GasSchedule:
     return GasSchedule(storage_write=args.gas_write, signature_verification=args.gas_sig)
 
 
-def build_report(trace: RunTrace, schedule: GasSchedule) -> dict:
-    verdicts = run_verdicts(trace)
-    costs = meter(trace, schedule)
+def build_report(trace: RunTrace, verdicts: List[Verdict], costs: CostReport) -> dict:
     bounds = check_asymptotics(costs)
     payoffs = {}
     if trace.all_resolved:
@@ -154,7 +152,7 @@ def _campaign(args, scenario: dict) -> int:
 
 def _single_run(args, scenario: dict) -> int:
     trace = build_world(scenario, seed=args.seed).world.run()
-    report = build_report(trace, _schedule(args))
+    report = build_report(trace, run_verdicts(trace), meter(trace, _schedule(args)))
     if args.trace:
         trace.dump(args.trace)
     if args.report == "structured":
@@ -171,14 +169,14 @@ def cmd_replay(args) -> int:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        replay_trace(trace, _schedule(args))
+        replayed = replay_trace(trace, _schedule(args))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ReplayError as exc:
         print(f"replay inconsistency: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = build_report(trace, _schedule(args))
+    report = build_report(trace, replayed.verdicts, replayed.costs)
     if args.report == "structured":
         print(json.dumps(report, indent=1, sort_keys=True))
     else:

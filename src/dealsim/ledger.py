@@ -77,13 +77,12 @@ class SeededChoices:
 class TapeChoices:
     """Replays a recorded choice prefix, then takes first options.
 
-    Every pick is logged with its option count and, at fresh branch
-    points (beyond the tape), the world's state key, which is what the
-    exhaustive explorer prunes on.  Once the tape is used up, the world
-    is also snapshotted at the start of every event, and each fresh
-    branch point's entry carries its event's start, so the explorer can
-    resume the branch from there.  A branch point in the event where the
-    tape ran out carries None: that event began before any snapshot.
+    The world is snapshotted at the start of every event.  Every pick is
+    logged with its option count and, at fresh branch points (beyond the
+    tape), the key the exhaustive explorer prunes on and the event start
+    it resumes the branch from.  The key is the event's start key, computed
+    at most once per event, with the choices made since the event started;
+    the two fix the rest of the run, so the key is exact.
     """
 
     def __init__(self, tape: List[int]):
@@ -92,10 +91,11 @@ class TapeChoices:
         # (label, n_options, chosen, state_key | None, event start | None)
         self.log: List[tuple] = []
         self._start: Optional[tuple] = None  # (len(log) at the event's start, world snapshot)
+        self._start_key: Optional[tuple] = None
 
     def event_start(self, world):
-        if self.pos >= len(self.tape):
-            self._start = (len(self.log), world.snapshot())
+        self._start = (len(self.log), world.snapshot())
+        self._start_key = None
 
     def pick(self, label: tuple, options: list, world=None):
         n = len(options)
@@ -104,11 +104,11 @@ class TapeChoices:
         if chosen >= n:
             raise IndexError(f"tape choice {chosen} out of range for {label} ({n} options)")
         key = start = None
-        # Keys are only needed where the explorer may branch: fresh picks
-        # beyond the replayed prefix.
-        if n > 1 and world is not None and not replaying:
-            key = (label, world.state_key())
+        if n > 1 and not replaying:
             start = self._start
+            if self._start_key is None:
+                self._start_key = world.state_key(start[1])
+            key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
         self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
@@ -120,8 +120,7 @@ class TapeChoices:
 class Wallets:
     """Per-chain asset ownership outside any escrow."""
 
-    def __init__(self, chain_id: str):
-        self.chain_id = chain_id
+    def __init__(self):
         self.fungible: Dict[str, Dict[str, int]] = {}  # party -> kind -> amount
         self.tokens: Dict[str, str] = {}               # token -> owner
 
@@ -175,11 +174,10 @@ class Wallets:
 class Chain:
     """One ledger: totally ordered entries applied to a resident contract."""
 
-    def __init__(self, chain_id: str, contract, skew: int = 0):
-        self.chain_id = chain_id
+    def __init__(self, contract, skew: int = 0):
         self.contract = contract
         self.skew = skew
-        self.wallets = Wallets(chain_id)
+        self.wallets = Wallets()
         self.views: List[dict] = []  # contract view after each entry, the ledger's record
         self._initial_view = contract.view()
         self._snapshot: Optional[tuple] = None
@@ -301,7 +299,7 @@ class World:
     # -- construction --------------------------------------------------------
 
     def add_chain(self, chain_id: str, contract, skew: int = 0) -> Chain:
-        chain = Chain(chain_id, contract, skew)
+        chain = Chain(contract, skew)
         self.chains[chain_id] = chain
         self.monitors[chain_id] = []
         return chain
@@ -457,24 +455,16 @@ class World:
 
     # -- exploration support ----------------------------------------------------
 
-    def _party_entry(self, party: str) -> tuple:
-        """The party's part of a snapshot and of the state key.  A frontier
-        never gains a chain after `add_party`, so its items keep one order."""
-        return tuple(self.frontiers[party].items()), self.controllers[party].snapshot()
-
-    def state_key(self) -> tuple:
-        # Pending events are keyed in pop order without their insertion
-        # counter: equal (due, kind, data) sequences pop alike, and every
-        # later push outranks them all in either world.  Each party is keyed
-        # by its cached snapshot entry.  A party without one, such as the
-        # party the current event is delivered to, gets a fresh entry that
-        # is not cached, since the rest of the event may still change it.
-        parties = self._party_snaps
-        return (
-            tuple((due, kind, data) for due, _, kind, data in sorted(self._heap)),
-            tuple(chain.snapshot() for chain in self.chains.values()),
-            tuple(parties.get(p) or self._party_entry(p) for p in self.controllers),
-        )
+    def state_key(self, snap: Optional[tuple] = None) -> tuple:
+        """The key of an event-boundary snapshot (by default, one taken now):
+        the tick its next event runs at, which is all the loop reads of its
+        tick; its pending events in pop order without their push counter,
+        since every later push outranks them all; its chain and party entries.
+        """
+        now, heap, _, chains, parties = snap or self.snapshot()
+        pending = sorted(heap)
+        tick = max(now, pending[0][0]) if pending else now
+        return tick, tuple((due, kind, data) for due, _, kind, data in pending), chains, parties
 
     def snapshot(self) -> tuple:
         """The tick, a heap copy, the trace length and each chain's and
@@ -483,18 +473,20 @@ class World:
         Chain and party entries are frozen values that the state key shares.
         Only the party an event is delivered to changes its controller or
         its frontier, so each party's entry serves every boundary until its
-        next event, as a chain's snapshot does until its next entry.
+        next event, as a chain's snapshot does until its next entry.  A
+        frontier never gains a chain after `add_party`, so its items keep
+        one order.
         """
         parties = self._party_snaps
-        for party in self.controllers:
+        for party, controller in self.controllers.items():
             if party not in parties:
-                parties[party] = self._party_entry(party)
+                parties[party] = tuple(self.frontiers[party].items()), controller.snapshot()
         return (
             self.now,
             list(self._heap),
             len(self.trace_events),
-            [chain.snapshot() for chain in self.chains.values()],
-            [parties[party] for party in self.controllers],
+            tuple(chain.snapshot() for chain in self.chains.values()),
+            tuple(parties[party] for party in self.controllers),
         )
 
     def restore(self, snap: tuple):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .costs import CostReport, GasSchedule, meter
+from .escrow import EscrowInvariantError
 from .properties import Verdict, run_verdicts
 from .scenario import build_world
 from .trace import RunTrace
@@ -52,7 +53,12 @@ def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> Repl
             raise ReplayError(f"record {index}: unknown chain {event.where!r}")
         if event.seq != len(chain.views):
             raise ReplayError(f"record {index}: sequence {event.seq} does not follow ledger order")
-        _, status, reason, info = chain.append(event.publisher, event.payload, tick, world.scheme)
+        try:
+            _, status, reason, info = chain.append(event.publisher, event.payload, tick, world.scheme)
+        except EscrowInvariantError:
+            raise  # a broken lot invariant is a contract fault, not a bad record
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ReplayError(f"record {index}: malformed publish {event.payload!r}: {exc}") from exc
         due = set(world.monitors[event.where]) - {event.publisher}
         published[event.where, event.seq] = (tick, due)
         if status != event.status:

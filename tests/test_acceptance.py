@@ -5,6 +5,7 @@ lines stream; a summary block also prints at the end of any session that
 executed them.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -19,6 +20,7 @@ from dealsim.properties import (
     check_safety,
     check_strong_liveness,
     check_weak_liveness,
+    evaluate_run,
 )
 from dealsim.replay import replay_trace
 from dealsim.scenario import (
@@ -31,6 +33,7 @@ from dealsim.scenario import (
     swap_deal,
     ticket_deal,
 )
+from dealsim.trace import canonical_json
 
 RESULTS = []
 
@@ -101,8 +104,19 @@ def swap_exploration(corpus):
 
 
 @pytest.fixture(scope="module")
-def cycle_exploration(corpus):
-    return exhaustive_explore(corpus["explore_cycle3_timelock"], ExplorationBound())
+def cycle_outcomes():
+    """The distinct terminal resolutions of `cycle_exploration`'s schedules,
+    as canonical JSON; filled as that fixture explores."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def cycle_exploration(corpus, cycle_outcomes):
+    def evaluate(trace):
+        cycle_outcomes.add(canonical_json(trace.resolutions))
+        return evaluate_run(trace)["failures"]
+
+    return exhaustive_explore(corpus["explore_cycle3_timelock"], ExplorationBound(), evaluate=evaluate)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +169,15 @@ def test_c02_timelock_safety_campaign_and_exploration(
         f"2-party space SAFE over {swap_exploration.runs} schedules; "
         f"3-party space SAFE over {cycle_exploration.runs} schedules",
     )
+
+
+def test_cycle3_exploration_reaches_the_unpruned_outcome_set(cycle_exploration, cycle_outcomes):
+    # The unpruned search (a fresh state key at every branch point) runs
+    # 371,120 schedules, too many for this suite, to exactly these outcomes.
+    assert cycle_exploration.complete
+    assert len(cycle_outcomes) == 213
+    digest = hashlib.sha256("\n".join(sorted(cycle_outcomes)).encode()).hexdigest()
+    assert digest == "eaadf73934d859205f351b3107e42bb44b2eef95fb261e35bd87a358ea972a30"
 
 
 def test_c03_naive_timeout_counterexample(naive_exploration):
@@ -404,6 +427,7 @@ def test_c11_delay_bounds_across_corpus():
 def test_c12_determinism_and_replay(corpus, tmp_path):
     from dealsim.cli import build_report
     from dealsim.costs import GasSchedule
+    from dealsim.properties import run_verdicts
 
     names = list_bundled()
     for name in names:
@@ -414,8 +438,8 @@ def test_c12_determinism_and_replay(corpus, tmp_path):
         _, t2 = run_once(scenario)
         assert t1.export_lines() == t2.export_lines(), name
         assert t1.digest() == t2.digest(), name
-        r1 = build_report(t1, GasSchedule())
-        r2 = build_report(t2, GasSchedule())
+        r1 = build_report(t1, run_verdicts(t1), meter(t1, GasSchedule()))
+        r2 = build_report(t2, run_verdicts(t2), meter(t2, GasSchedule()))
         assert r1 == r2, name
         replayed = replay_trace(t1)
         assert [v.to_json() for v in replayed.verdicts] == r1["verdicts"], name

@@ -6,6 +6,7 @@ import pytest
 
 from dealsim.cli import main
 from dealsim.costs import meter
+from dealsim.escrow import EscrowContract, EscrowInvariantError
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
 from dealsim.scenario import ScenarioError, cycle_deal, ticket_deal, validate_scenario
@@ -253,6 +254,23 @@ class TestTraceAndReplay:
         body2 = out2.strip().splitlines()[1:]
         assert body1 == body2
 
+    def test_replay_judges_and_meters_once(self, tmp_path, capsys, monkeypatch):
+        import dealsim.cli as cli
+        import dealsim.replay as replay
+
+        trace_path = tmp_path / "run.trace.json"
+        run_cli(capsys, "run", "--scenario", "ticket_deal_timelock", "--trace", str(trace_path))
+        calls = []
+        for module in (cli, replay):
+            for name in ("run_verdicts", "meter"):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run_cli(capsys, "replay", str(trace_path))
+        assert code == 0 and "consistent" in out
+        assert sorted(calls) == ["meter", "run_verdicts"]
+
     def test_replay_detects_tampered_finalize(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.json"
         run_cli(capsys, "run", "--scenario", "silent_party_timelock", "--trace", str(trace_path))
@@ -321,8 +339,9 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayError, match="compliant"):
             replay_trace(trace)
 
-    # In the ticket trace, records 0 and 1 wake alice and bob, record 7 is
-    # the first notify and record 8 notifies carol of bob's first ticket entry.
+    # In the ticket trace, records 0 and 1 wake alice and bob, record 2 is
+    # bob's escrow, record 7 is the first notify and record 8 notifies carol
+    # of bob's first ticket entry.
     @pytest.mark.parametrize(
         "tamper, message",
         [
@@ -346,17 +365,37 @@ class TestTraceAndReplay:
             (lambda t: setattr(t.events[7], "tick", 0), "record 7: notify at tick 0"),
             (lambda t: setattr(t.events[8], "where", "bob"), "record 8: 'bob' is not due"),
             (lambda t: setattr(t.events[8], "where", "mallory"), "'mallory' is not due"),
+            (lambda t: setattr(t.events[2], "payload", 5), "record 2: malformed publish"),
+            (
+                lambda t: t.events[2].payload.update(
+                    bundle={"fungible": [["coin", "coin", -3]], "tokens": []}
+                ),
+                "record 2: malformed publish",
+            ),
+            (lambda t: t.events[2].payload.update(bundle=5), "record 2: malformed publish"),
         ],
         ids=[
             "unknown-chain", "sequence", "reason", "terminal-wallets", "tick-back", "kind",
             "wake-party", "wake-payload", "notify-status", "notify-payload", "notify-chain",
-            "notify-tick", "notify-publisher", "notify-party",
+            "notify-tick", "notify-publisher", "notify-party", "publish-payload",
+            "publish-negative-bundle", "publish-bundle",
         ],
     )
     def test_replay_rejects_each_tampering(self, corpus, tamper, message):
         trace = self.ticket_trace(corpus)
         tamper(trace)
         with pytest.raises(ReplayError, match=message):
+            replay_trace(trace)
+
+    def test_replay_lets_a_broken_lot_invariant_propagate(self, corpus, monkeypatch):
+        # A ValueError, but a fault of the contract, not of the record.
+        trace = self.ticket_trace(corpus)
+
+        def broken(*args):
+            raise EscrowInvariantError("lot 'bob': token commit view differs")
+
+        monkeypatch.setattr(EscrowContract, "apply", broken)
+        with pytest.raises(EscrowInvariantError):
             replay_trace(trace)
 
     def test_replay_rejects_tampered_initial_wallets(self, corpus):

@@ -15,9 +15,8 @@ from dealsim.ledger import Wallets
 
 
 class FakeChain:
-    def __init__(self, chain_id):
-        self.chain_id = chain_id
-        self.wallets = Wallets(chain_id)
+    def __init__(self):
+        self.wallets = Wallets()
 
 
 PARTIES = ("alice", "bob", "carol")
@@ -25,7 +24,7 @@ PARTIES = ("alice", "bob", "carol")
 
 @pytest.fixture
 def setup():
-    chain = FakeChain("ticket")
+    chain = FakeChain()
     chain.wallets.set_token_owner("tkt1", "bob")
     chain.wallets.set_token_owner("tkt2", "bob")
     contract = EscrowContract("ticket", "deal-1", PARTIES, t0=30, delta=5, protocol="timelock")
@@ -82,7 +81,7 @@ class TestEscrow:
         assert (status, reason) == ("rejected", "not-in-plist")
 
     def test_partial_balance_escrow(self):
-        chain = FakeChain("coin")
+        chain = FakeChain()
         chain.wallets.deposit_fungible("carol", "coin", 150)
         contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
         status, _, _ = contract.apply(
@@ -110,7 +109,7 @@ class TestTentativeTransfer:
         assert lot.escrower == "bob"
 
     def test_fungible_split(self):
-        chain = FakeChain("coin")
+        chain = FakeChain()
         chain.wallets.deposit_fungible("carol", "coin", 101)
         contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
         scheme = SignatureScheme("t")
@@ -196,7 +195,7 @@ class TestConservation:
         rng = random.Random(99)
         scheme = SignatureScheme("t")
         for trial in range(60):
-            chain = FakeChain("coin")
+            chain = FakeChain()
             supply = {}
             for party in PARTIES:
                 amount = rng.randint(0, 100)

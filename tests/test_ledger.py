@@ -237,6 +237,13 @@ class TestExplorationSupport:
         b.schedule_wake("alice", 40, "x")
         assert a.state_key() != b.state_key()
 
+    def test_state_key_holds_the_tick_the_next_event_runs_at(self):
+        # Both worlds' next events are the start wakes due at 0; a world
+        # whose clock has passed that due runs them at its own tick.
+        a, b = self.two_worlds()
+        b.now = 7
+        assert a.state_key() != b.state_key()
+
     @staticmethod
     def escrow(world, amount):
         bundle = {"fungible": [["coin", "coin", amount]], "tokens": []}

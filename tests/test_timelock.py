@@ -24,15 +24,14 @@ PARTIES = ("alice", "bob", "carol")
 
 
 class FakeChain:
-    def __init__(self, chain_id):
-        self.chain_id = chain_id
-        self.wallets = Wallets(chain_id)
+    def __init__(self):
+        self.wallets = Wallets()
 
 
 @pytest.fixture
 def voting_setup():
     scheme = SignatureScheme("t")
-    chain = FakeChain("coin")
+    chain = FakeChain()
     chain.wallets.deposit_fungible("carol", "coin", 101)
     contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock")
     contract.apply(
@@ -151,7 +150,7 @@ class TestVoteDeadlines:
         arrival = accepted_at + DELTA  # worst-case observation latency
         assert arrival < T0 + 2 * DELTA
         other = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock")
-        chain2 = FakeChain("coin")
+        chain2 = FakeChain()
         chain2.wallets.deposit_fungible("carol", "coin", 101)
         other.apply(
             {"op": "escrow", "deal": "deal-1", "party": "carol",
@@ -264,7 +263,7 @@ class TestScenarioKnobs:
 class TestNaiveVariantContract:
     def test_fixed_deadline_accepts_stale_direct_votes(self):
         scheme = SignatureScheme("t")
-        chain = FakeChain("coin")
+        chain = FakeChain()
         chain.wallets.deposit_fungible("carol", "coin", 101)
         contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "naive")
         contract.apply(
