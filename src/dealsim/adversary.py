@@ -165,14 +165,16 @@ def exhaustive_explore(
     delivery latency and of the `explored` adversary's action timings.
     Same-tick events pop in push order and parties act in name order;
     neither order is a choice point, so renaming the chains keeps every
-    outcome but renaming the parties may not (ROADMAP item 1 measured one
-    outcome that differs each way).  Schedules run depth first, and none
-    re-runs its prefix: one world is built per exploration, and each
-    branch resumes from the world's snapshot at the start of its branch
-    point's event, replaying only that event's picks.  A branch point
-    whose key (its event's start state and the choices made since) was
-    already visited is pruned; that is exact, since the two fix the rest
-    of the run.
+    outcome but renaming the parties may not (ROADMAP item 3(b) measured
+    one outcome that differs each way).  Schedules run depth first, and
+    none re-runs its prefix: one world is built per exploration, and each
+    branch resumes from the world's snapshot where its branch point's
+    choice is made.  A latency resumes at its event's send phase, after the
+    controller's work; a controller's choice, and a latency it draws
+    first, resume at the start of its event.  Only the picks since that
+    snapshot are replayed.  A branch point whose key (the snapshot's state
+    and the choices made since) was already visited is pruned; that is
+    exact, since the two fix the rest of the run.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > bound.max_parties:
@@ -184,7 +186,7 @@ def exhaustive_explore(
             return properties.evaluate_run(trace)["failures"]
 
     world = built.world
-    # (absolute tape, picks made before the resumed event, snapshot at its start)
+    # (absolute tape, picks made before the resume point, its snapshot)
     stack: List[tuple] = [([], 0, world.snapshot())]
     visited = set()
     runs = 0

@@ -6,11 +6,17 @@ notifications and timers.  All scheduling randomness flows through a
 single choice source, so a (scenario, seed) pair fixes the entire run;
 swapping in a tape-driven choice source turns the same machinery into an
 exhaustive explorer, and `World.snapshot`/`World.restore` let it resume a
-run from any event boundary instead of re-running the events before it.
+run instead of re-running the events before it.  A publish queues its
+notifies, and a send phase at the end of the event draws their delivery
+latencies.  So a run resumes at one of two boundaries: the start of an
+event, where a choosing controller (`Explored`) branches, or a send
+phase, where a latency branches without re-running the event's
+controller work.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -68,6 +74,9 @@ class SeededChoices:
     def event_start(self, world):
         pass
 
+    def send_phase(self, world):
+        pass
+
     def pick(self, label: tuple, options: list, world=None):
         if len(options) == 1:
             return options[0]
@@ -77,23 +86,33 @@ class SeededChoices:
 class TapeChoices:
     """Replays a recorded choice prefix, then takes first options.
 
-    The world is snapshotted at the start of every event.  Every pick is
-    logged with its option count and, at fresh branch points (beyond the
-    tape), the key the exhaustive explorer prunes on and the event start
-    it resumes the branch from.  The key is the event's start key, computed
-    at most once per event, with the choices made since the event started;
-    the two fix the rest of the run, so the key is exact.
+    The world is snapshotted only where a fresh pick (beyond the tape) can
+    happen: at the start of an event delivered to a controller that
+    chooses, and at a send phase whose latency picks go past the tape.
+    Every pick is logged with its option count and, at fresh branch points,
+    the key the exhaustive explorer prunes on and the snapshot it resumes
+    the branch from.  The key is the snapshot's state key, computed at most
+    once per snapshot, with the choices made since; the two fix the rest
+    of the run, so the key is exact.
     """
 
     def __init__(self, tape: List[int]):
         self.tape = list(tape)
         self.pos = 0
-        # (label, n_options, chosen, state_key | None, event start | None)
+        # (label, n_options, chosen, state_key | None, resume point | None)
         self.log: List[tuple] = []
-        self._start: Optional[tuple] = None  # (len(log) at the event's start, world snapshot)
+        self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
 
     def event_start(self, world):
+        if world.next_chooses():
+            self._take_snapshot(world)
+
+    def send_phase(self, world):
+        if self.pos + len(world._sends) > len(self.tape):
+            self._take_snapshot(world)
+
+    def _take_snapshot(self, world):
         self._start = (len(self.log), world.snapshot())
         self._start_key = None
 
@@ -246,8 +265,15 @@ class PartyContext:
         self._world.schedule_wake(self.me, tick, tag)
 
     def choose(self, label: tuple, options: list):
-        """Draw a strategy decision from the run's choice source."""
-        return self._world.choices.pick(label, options, self._world)
+        """Draw a strategy decision from the run's choice source.  The
+        latencies of the event's earlier publishes are drawn first, so the
+        draws keep publish order.  Only a controller that declares
+        `chooses` may choose: the explorer snapshots its events alone."""
+        world = self._world
+        if not world.controllers[self.me].chooses:
+            raise TypeError(f"{self.me}'s controller chooses but does not declare `chooses`")
+        world._send()
+        return world.choices.pick(label, options, world)
 
     def request_certificate(self, deal_id: str, h: str):
         cbc = self._world.chains[CBC_CHAIN].contract
@@ -287,9 +313,13 @@ class World:
         self.trace_events: List[TraceEvent] = []
         self.compliant: set = set()
         self.validator_service = None
-        # (due, seq, kind, data); `seq` counts pushes, so kind and data are never compared.
+        # (due, seq, kind, data); `seq` counts pushes (a notify's is reserved at
+        # its publish), so kind and data are never compared.
         self._heap: List[tuple] = []
         self._seq = 0
+        # (reserved seq, monitor, chain, entry seq) of each notify the current
+        # event's publishes owe; its send phase draws their latencies.
+        self._sends: List[tuple] = []
         # party -> (frontier items, controller snapshot), valid until the
         # next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
@@ -320,6 +350,21 @@ class World:
 
     def schedule_wake(self, party: str, tick: int, tag: str):
         self._push(max(tick, self.now), "wake", (party, tag))
+
+    def _send(self):
+        """Draw the queued notifies' latencies in publish order and push
+        each with the counter its publish reserved."""
+        sends, self._sends = self._sends, []
+        for counter, monitor, chain_id, seq in sends:
+            lat = self._latency(chain_id, seq, monitor, self.now)
+            heapq.heappush(
+                self._heap, (self.now + max(1, lat), counter, "notify", (monitor, chain_id, seq))
+            )
+
+    def next_chooses(self) -> bool:
+        """Whether the next event goes to a controller that makes choices."""
+        _, _, kind, data = self._heap[0]
+        return kind != "timer" and self.controllers[data[0]].chooses
 
     def _latency(self, chain_id: str, seq: int, monitor: str, publish_tick: int) -> int:
         net = self.network
@@ -355,10 +400,9 @@ class World:
         if publisher in self.frontiers:
             self.frontiers[publisher][chain_id] = seq
         for monitor in self.monitors[chain_id]:
-            if monitor == publisher:
-                continue
-            lat = self._latency(chain_id, seq, monitor, self.now)
-            self._push(self.now + max(1, lat), "notify", (monitor, chain_id, seq))
+            if monitor != publisher:
+                self._seq += 1
+                self._sends.append((self._seq, monitor, chain_id, seq))
         # Only escrow contracts accept an escrow.  The one that opens a lot,
         # absent from the view before it, pushes the lot's refund timer.
         if status == "accepted" and payload.get("op") == "escrow":
@@ -375,12 +419,19 @@ class World:
         """Process events until the heap drains or passes the horizon; a
         run that leaves events past the horizon is truncated.
 
-        After `restore`, the run resumes from the restored event boundary;
-        the trace still starts from the wallets of the first run's start.
+        After `restore`, the run resumes from the restored event start or
+        send phase; the trace still starts from the wallets of the first
+        run's start.
         """
         if self._initial_wallets is None:
             self._initial_wallets = self.wallet_snapshots()
-        while self._heap and self._heap[0][0] <= self.horizon:
+        while True:
+            # Each event ends with its send phase; a restored one runs first.
+            if self._sends:
+                self.choices.send_phase(self)
+                self._send()
+            if not self._heap or self._heap[0][0] > self.horizon:
+                break
             self.choices.event_start(self)
             due, _, kind, data = heapq.heappop(self._heap)
             self.now = max(self.now, due)
@@ -456,19 +507,33 @@ class World:
     # -- exploration support ----------------------------------------------------
 
     def state_key(self, snap: Optional[tuple] = None) -> tuple:
-        """The key of an event-boundary snapshot (by default, one taken now):
-        the tick its next event runs at, which is all the loop reads of its
-        tick; its pending events in pop order without their push counter,
-        since every later push outranks them all; its chain and party entries.
+        """The key of a boundary snapshot (by default, one taken now).
+
+        At an event start: the tick its next event runs at, which is all the
+        loop reads of its tick; its pending events in pop order without
+        their push counter, since every later push outranks them all; its
+        chain and party entries.  At a send phase the tick is `now`, and
+        each pending event also holds how many queued sends were published
+        before it: a notify pops before a pending event of the same due
+        exactly when it was published first, so that count and the sends in
+        publish order fix how ties pop under every latency.
         """
-        now, heap, _, chains, parties = snap or self.snapshot()
+        now, heap, _, chains, parties, sends = snap or self.snapshot()
         pending = sorted(heap)
+        if sends:
+            counters = [send[0] for send in sends]
+            pending = tuple(
+                (due, kind, data, bisect.bisect(counters, seq)) for due, seq, kind, data in pending
+            )
+            return now, pending, tuple(send[1:] for send in sends), chains, parties
         tick = max(now, pending[0][0]) if pending else now
-        return tick, tuple((due, kind, data) for due, _, kind, data in pending), chains, parties
+        pending = tuple((due, kind, data) for due, _, kind, data in pending)
+        return tick, pending, (), chains, parties
 
     def snapshot(self) -> tuple:
-        """The tick, a heap copy, the trace length and each chain's and
-        party's entry at an event boundary, for `restore`.
+        """The tick, a heap copy, the trace length, each chain's and
+        party's entry and the queued sends at an event start or a send
+        phase, for `restore`.
 
         Chain and party entries are frozen values that the state key shares.
         Only the party an event is delivered to changes its controller or
@@ -487,14 +552,16 @@ class World:
             len(self.trace_events),
             tuple(chain.snapshot() for chain in self.chains.values()),
             tuple(parties[party] for party in self.controllers),
+            tuple(self._sends),
         )
 
     def restore(self, snap: tuple):
         """Rewind to `snap`; the snapshot stays valid for further restores.
         The push count runs on, as every later push still outranks the
         restored events."""
-        self.now, heap, n_events, chains, parties = snap
+        self.now, heap, n_events, chains, parties, sends = snap
         self._heap = list(heap)
+        self._sends = list(sends)
         del self.trace_events[n_events:]
         for chain, chain_snap in zip(self.chains.values(), chains):
             chain.restore(chain_snap)

@@ -134,6 +134,7 @@ class CompliantParty:
 
     strategy_name = "compliant"
     protocols: Tuple[str, ...] = PROTOCOLS
+    chooses = False  # whether it draws decisions through `ctx.choose`
     params: dict = {}  # name -> (default, accepts), beside PARTY_OPTIONS
     # The fields a run changes and their initial values; each class adds
     # its own, merged along the MRO by __init_subclass__.  A container is a
@@ -874,6 +875,7 @@ class Explored(TimelockParty):
     """
 
     strategy_name = "explored"
+    chooses = True
     # lot -> chosen tick (None: never); (voter, lot) -> chosen tick
     state = {"vote_choice": {}, "fwd_choice": {}}
 

@@ -19,7 +19,7 @@ from dealsim.adversary import (
 from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
-from dealsim.ledger import SeededChoices, TapeChoices, World
+from dealsim.ledger import PartyContext, SeededChoices, TapeChoices, World
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
@@ -360,6 +360,56 @@ class TestSuffixResumption:
         assert exhaustive_explore(corpus[name], ExplorationBound()).complete
         assert late == []
 
+    @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
+    def test_a_latency_branch_reruns_no_controller_work(self, corpus, monkeypatch, name):
+        # A resumed schedule's last tape entry is its branch pick.  A latency
+        # drawn at a send phase resumes there, after the controller's work.
+        # Only one that `choose` draws first, mid-event, resumes at the
+        # event's start and re-runs the controller up to it.
+        calls = [0]  # controller calls in the current schedule
+        in_choose = [False]
+        branches = {False: [], True: []}  # drawn in `choose` -> calls before each
+
+        def counted(method):
+            def wrapper(*args):
+                calls[0] += 1
+                return method(*args)
+            return wrapper
+
+        classes = {
+            cls for controller in build_world(corpus[name]).world.controllers.values()
+            for cls in type(controller).__mro__
+        }
+        for cls in classes:
+            for method in ("step", "handle_wake"):
+                if method in vars(cls):
+                    monkeypatch.setattr(cls, method, counted(vars(cls)[method]))
+        run, pick, choose = World.run, TapeChoices.pick, PartyContext.choose
+
+        def fresh_run(world):
+            calls[0] = 0
+            return run(world)
+
+        def checked_pick(choices, label, options, world=None):
+            if label[0] == "lat" and choices.pos == len(choices.tape) - 1:
+                branches[in_choose[0]].append(calls[0])
+            return pick(choices, label, options, world)
+
+        def flagged_choose(ctx, label, options):
+            in_choose[0] = True
+            try:
+                return choose(ctx, label, options)
+            finally:
+                in_choose[0] = False
+
+        monkeypatch.setattr(World, "run", fresh_run)
+        monkeypatch.setattr(TapeChoices, "pick", checked_pick)
+        monkeypatch.setattr(PartyContext, "choose", flagged_choose)
+        assert exhaustive_explore(corpus[name], ExplorationBound()).complete
+        at_send_phase, in_an_event = branches[False], branches[True]
+        assert at_send_phase and not any(at_send_phase)
+        assert all(in_an_event) and len(in_an_event) < len(at_send_phase) / 10
+
     def test_witness_traces_survive_later_schedules(self, corpus):
         digests = []
 
@@ -522,3 +572,42 @@ def test_contracts_rewind_from_recorded_views(corpus, name, part):
     assert world.run().digest() == first
     # Re-running from restored contracts leaves every recorded view as it was.
     assert {cid: chain.views for cid, chain in world.chains.items()} == recorded
+
+
+class _SendPhaseRewind(SeededChoices):
+    """Seeded scheduling that keeps, at one send phase with at least two
+    queued sends, the world's snapshot, its state key and the generator
+    state, so a restored run can re-finish from there."""
+
+    def __init__(self, seed, at_phase):
+        super().__init__(seed)
+        self.at_phase = at_phase
+        self.phases = 0
+
+    def send_phase(self, world):
+        if len(world._sends) < 2:
+            return
+        if self.phases == self.at_phase:
+            self.snap = world.snapshot()
+            self.key = world.state_key()
+            self.rng_state = self.rng.getstate()
+        self.phases += 1
+
+
+@pytest.mark.parametrize(
+    "name", ["ticket_deal_timelock", "ticket_deal_cbc", "explore_cycle3_timelock"]
+)
+def test_a_run_rewinds_to_a_send_phase(corpus, name):
+    scenario = corpus[name]
+    counted = build_world(scenario, choices=_SendPhaseRewind(scenario["seed"], -1)).world
+    counted.run()
+    assert counted.choices.phases > 1
+    choices = _SendPhaseRewind(scenario["seed"], counted.choices.phases // 2)
+    world = build_world(scenario, choices=choices).world
+    first = world.run().digest()
+    assert world.snapshot() != choices.snap
+    world.restore(choices.snap)
+    assert len(world._sends) >= 2
+    assert world.state_key() == choices.key
+    choices.rng.setstate(choices.rng_state)
+    assert world.run().digest() == first

@@ -237,6 +237,18 @@ class TestExplorationSupport:
         b.schedule_wake("alice", 40, "x")
         assert a.state_key() != b.state_key()
 
+    def test_send_phase_key_holds_where_a_wake_was_pushed_among_the_sends(self):
+        # A notify pops before a same-due wake only if it was published
+        # first, so a wake pushed before the publish and one pushed after it
+        # leave send phases with different futures.
+        a, b = self.two_worlds()
+        a.publish("coin", "carol", self.escrow(a, 100))
+        for world in (a, b):
+            world.schedule_wake("alice", 1, "x")
+        b.publish("coin", "carol", self.escrow(b, 100))
+        assert len(a._sends) == len(b._sends) >= 1
+        assert a.state_key() != b.state_key()
+
     def test_state_key_holds_the_tick_the_next_event_runs_at(self):
         # Both worlds' next events are the start wakes due at 0; a world
         # whose clock has passed that due runs them at its own tick.
@@ -260,6 +272,13 @@ class TestExplorationSupport:
         assert a.resolutions() == {"coin/carol": ("aborted", deadline)}
         assert b.resolutions() == {"coin/carol": ("aborted", deadline + 1)}
         assert a.state_key() != b.state_key()
+
+    def test_only_a_controller_that_declares_chooses_may_choose(self):
+        # The explorer snapshots only the events of declared choosers, so an
+        # undeclared choice would have no snapshot to resume its branch from.
+        world = build_world(ticket_deal("timelock")).world
+        with pytest.raises(TypeError, match="chooses"):
+            PartyContext(world, "alice").choose(("x",), [1, 2])
 
     def test_an_escrow_that_tops_up_an_open_lot_pushes_no_second_timer(self):
         world = build_world(ticket_deal("timelock")).world

@@ -1,6 +1,7 @@
 """Scenario schema validation, bundled corpus integrity, and planning."""
 
 import dataclasses
+import hashlib
 import pathlib
 
 import pytest
@@ -128,6 +129,18 @@ class TestBundledCorpus:
             "corrupt_validator_cbc",
             "pre_gst_delay_storm_cbc",
         } <= names
+
+    def test_seeded_traces_are_pinned(self, corpus):
+        # One sha256 over every bundled scenario's trace digest at its own
+        # seed.  It pins the order of the seeded draws: drawing latencies at
+        # the send phase keeps them in publish order, before any choice.
+        lines = [
+            f"{name} {build_world(corpus[name]).world.run().digest()}" for name in sorted(corpus)
+        ]
+        assert len(lines) == 16
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "14212ebe14297de1bb2bd636e578bc50a0139dcee4bd2b0a424da90fe849081b"
+        )
 
 
 class TestScenarioFor:
