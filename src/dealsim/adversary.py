@@ -159,10 +159,16 @@ def exhaustive_explore(
     evaluate=None,
     keep_witnesses: int = 3,
 ) -> ExploreResult:
-    """Enumerate every schedule in the scenario's choice space.
+    """Enumerate every schedule in the scenario's choice space, up to
+    quiescence.
 
     A schedule is a sequence of choice-point decisions: every choice of
-    delivery latency and of the `explored` adversary's action timings.
+    delivery latency and of the `explored` adversary's action timings,
+    made before the world is quiescent (`World.quiescent`: no entry can
+    change a lot or a wallet again).  After that a run takes first options
+    and has no branch points, since every continuation ends with the same
+    resolutions and wallets; so `evaluate` is called once per schedule and
+    sees one continuation per quiescent state.
     Same-tick events pop in push order and parties act in name order;
     neither order is a choice point, so renaming the chains keeps every
     outcome but renaming the parties may not (ROADMAP item 3(b) measured

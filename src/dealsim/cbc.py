@@ -148,6 +148,11 @@ class CbcLogContract:
             for e in self.entries
         )
 
+    def quiescent(self, wallets, finished) -> bool:
+        """Never: votes and the settles whose certificates they back still
+        reach the trace, and the agreement check reads them."""
+        return False
+
 
 @dataclass(frozen=True)
 class Certificate:

@@ -356,6 +356,22 @@ class EscrowContract:
         )
         self.lots = {e: Lot.from_view(lot) for e, lot in view["lots"].items()}
 
+    def quiescent(self, wallets, finished: Set[str]) -> bool:
+        """Whether no entry can change this chain's lots or `wallets` again.
+
+        Transfers, votes, timeouts and settles need an active lot, and a
+        party whose lot has resolved cannot escrow again.  So with no lot
+        active, only a plist party without a lot here can still move an
+        asset, by escrowing what it holds here; it cannot once it holds
+        nothing here or has finished escrowing (is in `finished`).
+        """
+        if any(lot.resolution == ACTIVE for lot in self.lots.values()):
+            return False
+        return all(
+            party in self.lots or party in finished or not wallets.holds_any(party)
+            for party in self.plist
+        )
+
     def unresolved_lots(self) -> List[str]:
         return sorted(e for e, lot in self.lots.items() if lot.resolution == ACTIVE)
 

@@ -11,7 +11,8 @@ notifies, and a send phase at the end of the event draws their delivery
 latencies.  So a run resumes at one of two boundaries: the start of an
 event, where a choosing controller (`Explored`) branches, or a send
 phase, where a latency branches without re-running the event's
-controller work.
+controller work.  Once the world is quiescent (`World.quiescent`), no
+entry can change a lot or a wallet, and the explorer stops branching.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ class TapeChoices:
     the key the exhaustive explorer prunes on and the snapshot it resumes
     the branch from.  The key is the snapshot's state key, computed at most
     once per snapshot, with the choices made since; the two fix the rest
-    of the run, so the key is exact.
+    of the run, so the key is exact.  Once the world is quiescent, no
+    choice can change a lot or a wallet, so there is no snapshot and no
+    key: the run finishes on first options without branch points.
     """
 
     def __init__(self, tape: List[int]):
@@ -103,6 +106,7 @@ class TapeChoices:
         self.log: List[tuple] = []
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
+        self._quiescent = False  # a run never leaves quiescence
 
     def event_start(self, world):
         if world.next_chooses():
@@ -113,6 +117,9 @@ class TapeChoices:
             self._take_snapshot(world)
 
     def _take_snapshot(self, world):
+        if self._quiescent or world.quiescent():
+            self._quiescent = True
+            return
         self._start = (len(self.log), world.snapshot())
         self._start_key = None
 
@@ -123,7 +130,7 @@ class TapeChoices:
         if chosen >= n:
             raise IndexError(f"tape choice {chosen} out of range for {label} ({n} options)")
         key = start = None
-        if n > 1 and not replaying:
+        if n > 1 and not replaying and not self._quiescent:
             start = self._start
             if self._start_key is None:
                 self._start_key = world.state_key(start[1])
@@ -158,6 +165,9 @@ class Wallets:
             if self.tokens.get(token) != party:
                 return False
         return True
+
+    def holds_any(self, party: str) -> bool:
+        return any(self.fungible.get(party, {}).values()) or party in self.tokens.values()
 
     def withdraw(self, party: str, bundle: AssetBundle):
         for (c, kind), amount in bundle.fungible.items():
@@ -259,7 +269,13 @@ class PartyContext:
         return world.chains[chain_id].view_at(frontier)
 
     def publish(self, chain_id: str, payload: dict) -> Tuple[str, Optional[str], dict]:
-        return self._world.publish(chain_id, self.me, payload)
+        """Publish as this party.  A controller that has finished escrowing
+        (`escrow_published`) may not escrow again: `World.quiescent` relies
+        on it."""
+        world = self._world
+        if payload.get("op") == "escrow" and world.controllers[self.me].escrow_published:
+            raise RuntimeError(f"{self.me} escrows again after it finished escrowing")
+        return world.publish(chain_id, self.me, payload)
 
     def wake_at(self, tick: int, tag: str):
         self._world.schedule_wake(self.me, tick, tag)
@@ -360,6 +376,15 @@ class World:
             heapq.heappush(
                 self._heap, (self.now + max(1, lat), counter, "notify", (monitor, chain_id, seq))
             )
+
+    def quiescent(self) -> bool:
+        """Whether no entry can change any chain's lots or wallets again, so
+        that every continuation ends with the same resolutions and wallets.
+        Read afresh each call: a restore can undo it."""
+        finished = {p for p, c in self.controllers.items() if c.escrow_published}
+        return all(
+            chain.contract.quiescent(chain.wallets, finished) for chain in self.chains.values()
+        )
 
     def next_chooses(self) -> bool:
         """Whether the next event goes to a controller that makes choices."""

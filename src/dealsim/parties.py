@@ -246,6 +246,8 @@ class CompliantParty:
             }
             payload.update(self.escrow_extras())
             ctx.publish(chain, payload)
+        # Finished escrowing: `ctx.publish` refuses any later escrow, and the
+        # explorer's quiescence test (`World.quiescent`) counts on it.
         self.escrow_published = True
 
     # -- transfer phase ------------------------------------------------------------

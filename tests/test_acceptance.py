@@ -175,6 +175,8 @@ def test_cycle3_exploration_reaches_the_unpruned_outcome_set(cycle_exploration, 
     # The unpruned search (a fresh state key at every branch point) runs
     # 371,120 schedules, too many for this suite, to exactly these outcomes.
     assert cycle_exploration.complete
+    # Schedules and branch points, each run stopping at quiescence.
+    assert (cycle_exploration.runs, cycle_exploration.branch_points) == (18_327, 16_809)
     assert len(cycle_outcomes) == 213
     digest = hashlib.sha256("\n".join(sorted(cycle_outcomes)).encode()).hexdigest()
     assert digest == "eaadf73934d859205f351b3107e42bb44b2eef95fb261e35bd87a358ea972a30"
@@ -244,6 +246,7 @@ def test_c05_all_compliant_exploration_commits(corpus):
         return failures
 
     result = exhaustive_explore(scenario, ExplorationBound(), evaluate=committed_in_time)
+    assert (result.runs, result.branch_points) == (1_957, 1_956)  # stopping at quiescence
     ok = result.verdict == "SAFE" and result.complete
     report(
         5,

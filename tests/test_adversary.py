@@ -159,6 +159,26 @@ class TestSandboxing:
             for value in vars(controller).values():
                 assert not isinstance(value, KeyPair)
 
+    def test_a_controller_may_not_escrow_after_it_finished_escrowing(self):
+        """The explorer's quiescence test counts on it (`World.quiescent`)."""
+
+        class EscrowsTwice(controller_class("compliant", "timelock")):
+            def try_escrow(self, ctx):
+                finished = self.escrow_published
+                super().try_escrow(ctx)
+                if not finished:
+                    chain, bundle = next(iter(self.escrow_bundles().items()))
+                    ctx.publish(chain, {
+                        "op": "escrow", "deal": self.deal.deal_id, "party": self.me,
+                        "bundle": bundle.to_json(),
+                    })
+
+        world = build_world(ticket_deal("timelock")).world
+        carol = world.controllers["carol"]
+        world.controllers["carol"] = EscrowsTwice(carol.me, carol.deal, carol.plan, carol.cfg, {})
+        with pytest.raises(RuntimeError, match="carol escrows again"):
+            world.run()
+
 
 class TestCampaigns:
     def test_same_seed_identical_reports(self):
@@ -268,6 +288,19 @@ class TestExploration:
         with pytest.raises(ScenarioError, match="exceeds exploration lot bound"):
             exhaustive_explore(corpus["explore_swap_timelock"], ExplorationBound(max_lots=1))
 
+    def test_a_cbc_exploration_runs_every_schedule_to_its_end(self):
+        # The CBC log is never quiescent: votes and certified settles reach
+        # the trace after the lots resolve, and the agreement check reads
+        # them.  Counts and result are those of the search without the cut.
+        scenario = swap_deal("cbc")
+        scenario["network"].update({"mode": "semi-synchronous", "gst": 30, "pre_gst_cap": 2})
+        result = exhaustive_explore(scenario, ExplorationBound())
+        assert (result.verdict, result.runs, result.branch_points) == ("SAFE", 125, 124)
+        text = json.dumps(result.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "6d12179291d86eed699f606307f83de40aa95ee0a715f9245bcb63806936a7a7"
+        )
+
     def test_exploration_is_deterministic(self, corpus):
         a = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
         b = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound())
@@ -337,7 +370,7 @@ class TestSuffixResumption:
 
     @pytest.mark.parametrize(
         "name, runs, branch_points",
-        [("explore_swap_timelock", 1770, 1590), ("explore_swap_naive", 1159, 979)],
+        [("explore_swap_timelock", 763, 583), ("explore_swap_naive", 579, 399)],
     )
     def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
@@ -433,7 +466,7 @@ class TestSuffixResumption:
             corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
         )
         assert (result.verdict, result.complete) == ("PARTIAL", False)
-        assert (result.runs, result.branch_points) == (702, 540)
+        assert (result.runs, result.branch_points) == (457, 295)
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(
@@ -442,14 +475,16 @@ class TestSuffixResumption:
         check_outcomes(*explore_outcomes(corpus[name]), outcomes, digest, violating)
 
     def test_unpruned_search_reaches_the_pinned_outcomes(self, corpus, monkeypatch):
-        # A fresh key at every branch point merges nothing, so this search
-        # runs every schedule: the pinned set is the complete set.
+        # A fresh key at every branch point merges nothing, and a world that
+        # is never quiescent keeps branching to the end of every run, so
+        # this search runs every schedule: the pinned set is the complete set.
         name, outcomes, digest, violating = SWAP_OUTCOMES[1]
         fresh = itertools.count()
         monkeypatch.setattr(World, "state_key", lambda world, snap: next(fresh))
+        monkeypatch.setattr(World, "quiescent", lambda world: False)
         result, seen, found = explore_outcomes(corpus[name])
         check_outcomes(result, seen, found, outcomes, digest, violating)
-        assert result.runs > 10 * 1159  # the pruned count pinned above
+        assert result.runs == 23_896
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_renaming_the_chains_keeps_every_outcome(

@@ -9,6 +9,7 @@ import textwrap
 import pytest
 
 from dealsim.assets import AssetBundle
+from dealsim.cbc import CbcLogContract
 from dealsim.crypto import SignatureScheme
 from dealsim.escrow import EscrowContract, EscrowInvariantError
 from dealsim.ledger import Wallets
@@ -187,6 +188,17 @@ class TestFinalize:
             {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", chain, 44, SignatureScheme("t")
         )
         assert (status, reason) == ("rejected", "not-due")
+
+    def test_quiescent_once_no_entry_can_move_an_asset(self, setup):
+        chain, contract = self._staged(setup)
+        assert not contract.quiescent(chain.wallets, set(PARTIES))  # bob's lot is active
+        contract._finalize(contract.lots["bob"], "committed", chain, 40)
+        # carol holds the tickets here without a lot, so could still escrow them
+        assert not contract.quiescent(chain.wallets, {"alice", "bob"})
+        assert contract.quiescent(chain.wallets, {"carol"})
+
+    def test_the_cbc_log_is_never_quiescent(self):
+        assert not CbcLogContract().quiescent(Wallets(), set(PARTIES))
 
 
 class TestConservation:

@@ -273,6 +273,21 @@ class TestExplorationSupport:
         assert b.resolutions() == {"coin/carol": ("aborted", deadline + 1)}
         assert a.state_key() != b.state_key()
 
+    def test_quiescence_is_read_afresh_after_a_restore(self):
+        world = build_world(ticket_deal("timelock")).world
+        start = world.snapshot()
+        world.run()
+        end = world.snapshot()
+        assert world.quiescent()  # every lot committed; every party finished escrowing
+        world.restore(start)
+        assert not world.quiescent()
+        world.restore(end)
+        assert world.quiescent()
+        # The same entries, but carol, who holds the tickets without a lot
+        # on their chain, could still escrow them.
+        world.controllers["carol"].escrow_published = False
+        assert not world.quiescent()
+
     def test_only_a_controller_that_declares_chooses_may_choose(self):
         # The explorer snapshots only the events of declared choosers, so an
         # undeclared choice would have no snapshot to resume its branch from.
