@@ -124,14 +124,19 @@ def random_campaign(
 # -- bounded exhaustive exploration ---------------------------------------------------
 
 
+# The largest deal the explorer takes on; a larger one is a scenario error.
+MAX_PARTIES = 4
+MAX_LOTS = 6
+
+
 @dataclass
 class ExplorationBound:
-    """Budget for the explorer; exceeding any cap yields a partial verdict."""
+    """Budget for the explorer; exceeding either cap yields a partial
+    verdict.  `max_choice_points` caps the picks a schedule makes before
+    the world is quiescent; the picks after it are not choice points."""
 
     max_runs: int = 100000
     max_choice_points: int = 600
-    max_parties: int = 4
-    max_lots: int = 6
 
 
 @dataclass
@@ -168,7 +173,8 @@ def exhaustive_explore(
     change a lot or a wallet again).  After that a run takes first options
     and has no branch points, since every continuation ends with the same
     resolutions and wallets; so `evaluate` is called once per schedule and
-    sees one continuation per quiescent state.
+    sees one continuation per quiescent state, and the depth cap counts
+    only the picks made before quiescence.
     Same-tick events pop in push order and parties act in name order;
     neither order is a choice point, so renaming the chains keeps every
     outcome but renaming the parties may not (ROADMAP item 3(b) measured
@@ -183,9 +189,9 @@ def exhaustive_explore(
     exact, since the two fix the rest of the run.
     """
     built = build_world(scenario, choices=TapeChoices([]))
-    if len(built.deal.parties) > bound.max_parties:
+    if len(built.deal.parties) > MAX_PARTIES:
         raise ScenarioError("scenario exceeds exploration party bound")
-    if len(built.plan.lots()) > bound.max_lots:
+    if len(built.plan.lots()) > MAX_LOTS:
         raise ScenarioError("scenario exceeds exploration lot bound")
     if evaluate is None:
         def evaluate(trace):
@@ -221,7 +227,7 @@ def exhaustive_explore(
             if len(witnesses) < keep_witnesses:
                 witnesses.append(trace)
         log = choices.log
-        if base + len(log) > bound.max_choice_points:
+        if base + choices.depth > bound.max_choice_points:
             complete = False
             continue
         for j in range(len(tape) - base, len(log)):

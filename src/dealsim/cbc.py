@@ -5,7 +5,9 @@ entries in a single total order.  A deal commits at the position where the
 last distinct party's commit lands with no abort anywhere before it, and
 aborts at the first abort that lands while some party has still not
 committed.  Validators of the chain attest to a decided status with
-certificates carrying f+1 signatures out of a 3f+1 member set.
+certificates carrying f+1 signatures out of a 3f+1 member set.  The
+log contract's state is its entry list, which the chain records after
+each entry and which no later entry mutates.
 """
 
 from __future__ import annotations
@@ -94,10 +96,15 @@ def cbc_decide(entries: Sequence[dict], deal_id: str, h: str) -> Decision:
 
 
 class CbcLogContract:
-    """The shared chain's deal registry: validates and orders vote entries."""
+    """The shared chain's deal registry: validates and orders vote entries.
+    Its `state` is `{"entries": [...]}`; an accepted entry builds a new list."""
 
     def __init__(self):
-        self.entries: List[dict] = []
+        self.state = {"entries": []}
+
+    @property
+    def entries(self) -> List[dict]:
+        return self.state["entries"]
 
     def apply(self, payload: dict, publisher: str, chain, local_now: int, scheme) -> tuple:
         op = payload.get("op")
@@ -112,7 +119,7 @@ class CbcLogContract:
                 "position": position,
                 "h": start_ref(payload["deal"], payload["plist"], position),
             }
-            self.entries.append(entry)
+            self.state = {"entries": [*self.entries, entry]}
             return "accepted", None, {"h": entry["h"], "position": position}
         if op in ("commit", "abort"):
             start = definitive_start(self.entries, payload["deal"], payload["h"])
@@ -130,17 +137,9 @@ class CbcLogContract:
                 "voter": payload["voter"],
                 "position": position,
             }
-            self.entries.append(entry)
+            self.state = {"entries": [*self.entries, entry]}
             return "accepted", None, {"position": position}
         return "rejected", "unknown-op", {}
-
-    def view(self) -> dict:
-        # Entries are never mutated once appended, so views share them.
-        return {"entries": list(self.entries)}
-
-    def restore(self, view: dict):
-        """Rewind to a view this log recorded: entries are append-only."""
-        del self.entries[len(view["entries"]):]
 
     def state_key(self) -> tuple:
         return tuple(

@@ -2,11 +2,13 @@
 
 A world holds several independent chains, each an append-only ledger with
 one resident contract, plus party controllers that react to delivered
-notifications and timers.  All scheduling randomness flows through a
-single choice source, so a (scenario, seed) pair fixes the entire run;
-swapping in a tape-driven choice source turns the same machinery into an
-exhaustive explorer, and `World.snapshot`/`World.restore` let it resume a
-run instead of re-running the events before it.  A publish queues its
+notifications and timers.  A chain records its contract's immutable
+`state` after each entry; parties read those views, and rewinding a chain
+hands its contract the view it recorded.  All scheduling randomness flows
+through a single choice source, so a (scenario, seed) pair fixes the
+entire run; swapping in a tape-driven choice source turns the same
+machinery into an exhaustive explorer, and `World.snapshot`/`World.restore`
+let it resume a run instead of re-running the events before it.  A publish queues its
 notifies, and a send phase at the end of the event draws their delivery
 latencies.  So a run resumes at one of two boundaries: the start of an
 event, where a choosing controller (`Explored`) branches, or a send
@@ -104,6 +106,7 @@ class TapeChoices:
         self.pos = 0
         # (label, n_options, chosen, state_key | None, resume point | None)
         self.log: List[tuple] = []
+        self.depth = 0  # picks made before the run was found quiescent
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
         self._quiescent = False  # a run never leaves quiescence
@@ -130,11 +133,13 @@ class TapeChoices:
         if chosen >= n:
             raise IndexError(f"tape choice {chosen} out of range for {label} ({n} options)")
         key = start = None
-        if n > 1 and not replaying and not self._quiescent:
-            start = self._start
-            if self._start_key is None:
-                self._start_key = world.state_key(start[1])
-            key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
+        if not self._quiescent:
+            self.depth += 1
+            if n > 1 and not replaying:
+                start = self._start
+                if self._start_key is None:
+                    self._start_key = world.state_key(start[1])
+                key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
         self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
@@ -207,8 +212,8 @@ class Chain:
         self.contract = contract
         self.skew = skew
         self.wallets = Wallets()
-        self.views: List[dict] = []  # contract view after each entry, the ledger's record
-        self._initial_view = contract.view()
+        self.views: List[dict] = []  # contract state after each entry, the ledger's record
+        self._initial_view = contract.state
         self._snapshot: Optional[tuple] = None
 
     def view_at(self, frontier: int) -> dict:
@@ -220,20 +225,20 @@ class Chain:
     def append(
         self, publisher: str, payload: dict, tick: int, scheme: SignatureScheme
     ) -> Tuple[int, str, Optional[str], dict]:
-        """Apply one entry published at `tick` and record it with the view
-        after it; returns (seq, status, reason, info)."""
+        """Apply one entry published at `tick` and record the contract's
+        state after it, shared, not copied; returns (seq, status, reason, info)."""
         self._snapshot = None
         seq = len(self.views)
         status, reason, info = self.contract.apply(
             payload, publisher, self, tick + self.skew, scheme
         )
-        self.views.append(self.contract.view())
+        self.views.append(self.contract.state)
         return seq, status, reason, info
 
     def snapshot(self) -> tuple:
         # A chain changes only by `append`, so one snapshot serves every
         # event boundary and state key until the next entry.  The contract's
-        # key serves only the state key: it rewinds from its recorded view.
+        # key serves only the state key: its state is the recorded view.
         if self._snapshot is None:
             self._snapshot = (len(self.views), self.wallets.snapshot(), self.contract.state_key())
         return self._snapshot
@@ -244,7 +249,7 @@ class Chain:
         length, wallets, _ = snap
         del self.views[length:]
         self.wallets.restore(wallets)
-        self.contract.restore(self.view_at(length - 1))
+        self.contract.state = self.view_at(length - 1)
         self._snapshot = snap
 
 
@@ -431,10 +436,10 @@ class World:
         # Only escrow contracts accept an escrow.  The one that opens a lot,
         # absent from the view before it, pushes the lot's refund timer.
         if status == "accepted" and payload.get("op") == "escrow":
-            contract, lot = chain.contract, info["lot"]
+            state, lot = chain.contract.state, info["lot"]
             opens = lot not in chain.view_at(seq - 1)["lots"]
-            if opens and contract.protocol in ("timelock", "naive"):
-                due = refund_deadline(contract.t0, contract.delta, len(contract.plist))
+            if opens and state["protocol"] in ("timelock", "naive"):
+                due = refund_deadline(state["t0"], state["delta"], len(state["plist"]))
                 self._push(due, "timer", (chain_id, lot))
         return status, reason, info
 
@@ -485,7 +490,7 @@ class World:
                     self.publish(
                         chain_id,
                         TIMER_SENDER,
-                        {"op": "timeout", "deal": contract.deal_id, "lot": lot},
+                        {"op": "timeout", "deal": contract.state["deal"], "lot": lot},
                     )
         return self._build_trace()
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from dealsim import properties
+from dealsim import adversary, properties
 from dealsim.adversary import (
     ExplorationBound,
     builtin_strategies,
@@ -19,7 +19,7 @@ from dealsim.adversary import (
 from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
-from dealsim.ledger import PartyContext, SeededChoices, TapeChoices, World
+from dealsim.ledger import Chain, PartyContext, SeededChoices, TapeChoices, World
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
@@ -278,15 +278,15 @@ class TestExploration:
         assert not result.complete
         assert result.runs == 10
 
-    def test_party_bound_enforced(self, corpus):
+    def test_party_bound_enforced(self, corpus, monkeypatch):
+        monkeypatch.setattr(adversary, "MAX_PARTIES", 1)
         with pytest.raises(ValueError):
-            exhaustive_explore(
-                corpus["explore_swap_timelock"], ExplorationBound(max_parties=1)
-            )
+            exhaustive_explore(corpus["explore_swap_timelock"], ExplorationBound())
 
-    def test_lot_bound_is_a_scenario_error(self, corpus):
+    def test_lot_bound_is_a_scenario_error(self, corpus, monkeypatch):
+        monkeypatch.setattr(adversary, "MAX_LOTS", 1)
         with pytest.raises(ScenarioError, match="exceeds exploration lot bound"):
-            exhaustive_explore(corpus["explore_swap_timelock"], ExplorationBound(max_lots=1))
+            exhaustive_explore(corpus["explore_swap_timelock"], ExplorationBound())
 
     def test_a_cbc_exploration_runs_every_schedule_to_its_end(self):
         # The CBC log is never quiescent: votes and certified settles reach
@@ -466,7 +466,17 @@ class TestSuffixResumption:
             corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
         )
         assert (result.verdict, result.complete) == ("PARTIAL", False)
-        assert (result.runs, result.branch_points) == (457, 295)
+        assert (result.runs, result.branch_points) == (665, 487)
+
+    def test_max_choice_points_counts_no_pick_after_quiescence(self, corpus):
+        # Every ticket schedule makes at most 12 picks before it is quiescent
+        # and more than 15 in all; counting the later ones would make this
+        # PARTIAL after one run.
+        result = exhaustive_explore(
+            corpus["explore_ticket_allcompliant"], ExplorationBound(max_choice_points=15)
+        )
+        assert (result.verdict, result.complete) == ("SAFE", True)
+        assert (result.runs, result.branch_points) == (1957, 1956)
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(
@@ -571,6 +581,32 @@ def test_fields_outside_state_are_run_constants(name, protocol):
             assert fields[k] is value and pickle.dumps(value) == pickled, (party, k)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_recorded_views_are_never_mutated(name, protocol, monkeypatch):
+    """A chain records its contract's state without copying it, and
+    controllers read those views, so no contract or controller may change a
+    view once it is recorded."""
+    scenario = ticket_deal(protocol, seed=61)
+    params = STRATEGIES[name].random_params(scenario, random.Random(name))
+    scenario["strategies"] = {"bob": {"name": name, "params": params}}
+    world = build_world(scenario).world
+    recorded = [(c.view_at(-1), copy.deepcopy(c.view_at(-1))) for c in world.chains.values()]
+    append = Chain.append
+
+    def recording(chain, *args):
+        out = append(chain, *args)
+        assert chain.views[-1] is chain.contract.state
+        recorded.append((chain.views[-1], copy.deepcopy(chain.views[-1])))
+        return out
+
+    monkeypatch.setattr(Chain, "append", recording)
+    world.run()
+    assert len(recorded) > len(world.chains)
+    for view, before in recorded:
+        assert view == before
+
+
 class _MidpointRewind(_MidpointSnapshot):
     """Also keeps, at the snapshot, the state key, every contract's view
     and the scheduler's generator state, so a restored run can re-finish."""
@@ -578,7 +614,7 @@ class _MidpointRewind(_MidpointSnapshot):
     def event_start(self, world):
         if self.events == self.at_event:
             self.key = world.state_key()
-            self.contract_views = {cid: c.contract.view() for cid, c in world.chains.items()}
+            self.contract_views = {cid: c.contract.state for cid, c in world.chains.items()}
             self.rng_state = self.rng.getstate()
         super().event_start(world)
 
@@ -600,13 +636,27 @@ def test_contracts_rewind_from_recorded_views(corpus, name, part):
     assert world.snapshot() != choices.snap
     world.restore(choices.snap)
     for cid, chain in world.chains.items():
-        assert chain.contract.view() == chain.view_at(len(chain.views) - 1)
-        assert chain.contract.view() == choices.contract_views[cid]
+        assert chain.contract.state == chain.view_at(len(chain.views) - 1)
+        assert chain.contract.state == choices.contract_views[cid]
     assert world.state_key() == choices.key
     choices.rng.setstate(choices.rng_state)
     assert world.run().digest() == first
     # Re-running from restored contracts leaves every recorded view as it was.
     assert {cid: chain.views for cid, chain in world.chains.items()} == recorded
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_restored_contract_holds_its_recorded_view(protocol):
+    scenario = ticket_deal(protocol)
+    counted = build_world(scenario, choices=_MidpointRewind(scenario["seed"], -1)).world
+    counted.run()
+    choices = _MidpointRewind(scenario["seed"], counted.choices.events // 2)
+    world = build_world(scenario, choices=choices).world
+    world.run()
+    world.restore(choices.snap)
+    for cid, chain in world.chains.items():
+        assert chain.contract.state is chain.view_at(len(chain.views) - 1)
+        assert chain.contract.state is choices.contract_views[cid]
 
 
 class _SendPhaseRewind(SeededChoices):

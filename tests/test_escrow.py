@@ -1,5 +1,6 @@
 """Escrow lot state machine: escrow, tentative transfer, finalize."""
 
+import copy
 import os
 import random
 import subprocess
@@ -9,10 +10,11 @@ import textwrap
 import pytest
 
 from dealsim.assets import AssetBundle
-from dealsim.cbc import CbcLogContract
-from dealsim.crypto import SignatureScheme
-from dealsim.escrow import EscrowContract, EscrowInvariantError
+from dealsim.cbc import CbcLogContract, ValidatorService
+from dealsim.crypto import SignatureScheme, Vote, direct_vote
+from dealsim.escrow import EscrowContract, EscrowInvariantError, check_invariants
 from dealsim.ledger import Wallets
+from dealsim.timelock import vote_payload
 
 
 class FakeChain:
@@ -57,11 +59,11 @@ class TestEscrow:
             escrow_payload("bob", TICKETS), "bob", chain, 0, scheme
         )
         assert status == "accepted"
-        lot = contract.lots["bob"]
+        lot = contract.state["lots"]["bob"]
         assert chain.wallets.tokens == {}
-        assert lot.tokens == {"tkt1", "tkt2"}
-        assert lot.c_tok == {"tkt1": "bob", "tkt2": "bob"}
-        assert lot.escrower == "bob"  # abort side always refunds the escrower
+        assert lot["tokens"] == ["tkt1", "tkt2"]
+        assert lot["c_tok"] == {"tkt1": "bob", "tkt2": "bob"}
+        assert lot["escrower"] == "bob"  # abort side always refunds the escrower
 
     def test_non_owner_escrow_rejected(self, setup):
         chain, contract, scheme = setup
@@ -91,7 +93,7 @@ class TestEscrow:
         )
         assert status == "accepted"
         assert chain.wallets.fungible["carol"]["coin"] == 49
-        assert contract.lots["carol"].fungible == {"coin": 101}
+        assert contract.state["lots"]["carol"]["fungible"] == {"coin": 101}
 
 
 class TestTentativeTransfer:
@@ -105,9 +107,9 @@ class TestTentativeTransfer:
             transfer_payload("alice", "bob", "carol", TICKETS), "alice", chain, 2, scheme
         )
         assert s1 == s2 == "accepted"
-        lot = contract.lots["bob"]
-        assert lot.c_tok == {"tkt1": "carol", "tkt2": "carol"}
-        assert lot.escrower == "bob"
+        lot = contract.state["lots"]["bob"]
+        assert lot["c_tok"] == {"tkt1": "carol", "tkt2": "carol"}
+        assert lot["escrower"] == "bob"
 
     def test_fungible_split(self):
         chain = FakeChain()
@@ -126,9 +128,9 @@ class TestTentativeTransfer:
             transfer_payload("alice", "carol", "bob", AssetBundle.coins("coin", "coin", 100)),
             "alice", chain, 2, scheme,
         )
-        lot = contract.lots["carol"]
-        assert lot.c_fun["alice"] == {"coin": 1}
-        assert lot.c_fun["bob"] == {"coin": 100}
+        lot = contract.state["lots"]["carol"]
+        assert lot["c_fun"]["alice"] == {"coin": 1}
+        assert lot["c_fun"]["bob"] == {"coin": 100}
 
     def test_transfer_without_commit_balance_rejected(self, setup):
         chain, contract, scheme = setup
@@ -157,18 +159,18 @@ class TestFinalize:
 
     def test_commit_hands_assets_to_commit_owners(self, setup):
         chain, contract = self._staged(setup)
-        contract._finalize(contract.lots["bob"], "committed", chain, 40)
+        contract._finalize("bob", "committed", chain, 40)
         assert chain.wallets.tokens == {"tkt1": "carol", "tkt2": "carol"}
 
     def test_abort_refunds_the_escrower(self, setup):
         chain, contract = self._staged(setup)
-        contract._finalize(contract.lots["bob"], "aborted", chain, 45)
+        contract._finalize("bob", "aborted", chain, 45)
         assert chain.wallets.tokens == {"tkt1": "bob", "tkt2": "bob"}
 
     def test_without_finalize_owners_unchanged(self, setup):
         chain, contract = self._staged(setup)
-        lot = contract.lots["bob"]
-        assert lot.resolution == "active"
+        lot = contract.state["lots"]["bob"]
+        assert lot["resolution"] == "active"
         assert chain.wallets.tokens == {}  # still the contract's property
 
     def test_double_finalize_rejected_via_timeout_op(self, setup):
@@ -192,7 +194,7 @@ class TestFinalize:
     def test_quiescent_once_no_entry_can_move_an_asset(self, setup):
         chain, contract = self._staged(setup)
         assert not contract.quiescent(chain.wallets, set(PARTIES))  # bob's lot is active
-        contract._finalize(contract.lots["bob"], "committed", chain, 40)
+        contract._finalize("bob", "committed", chain, 40)
         # carol holds the tickets here without a lot, so could still escrow them
         assert not contract.quiescent(chain.wallets, {"alice", "bob"})
         assert contract.quiescent(chain.wallets, {"carol"})
@@ -221,9 +223,9 @@ class TestConservation:
                     kinds.get("coin", 0) for kinds in chain.wallets.fungible.values()
                 )
                 in_lots = sum(
-                    lot.fungible.get("coin", 0)
-                    for lot in contract.lots.values()
-                    if lot.resolution == "active"
+                    lot["fungible"].get("coin", 0)
+                    for lot in contract.state["lots"].values()
+                    if lot["resolution"] == "active"
                 )
                 return in_wallets + in_lots
 
@@ -244,43 +246,114 @@ class TestConservation:
                         party, chain, step, scheme,
                     )
                 else:
-                    lot = contract.lots.get(rng.choice(PARTIES))
-                    if lot is not None and lot.resolution == "active":
-                        contract._finalize(lot, rng.choice(["committed", "aborted"]), chain, step)
+                    lot = contract.state["lots"].get(rng.choice(PARTIES))
+                    if lot is not None and lot["resolution"] == "active":
+                        contract._finalize(
+                            lot["escrower"], rng.choice(["committed", "aborted"]), chain, step
+                        )
                 assert total_now() == total
-                for lot in contract.lots.values():
-                    lot.check_invariants()
+                for lot in contract.state["lots"].values():
+                    check_invariants(lot)
+
+
+class TestRecordedStates:
+    """A contract's state is the view its chain records, so no call, accepted
+    or rejected, may change a state the contract had before it."""
+
+    @staticmethod
+    def applier(contract, chain, scheme):
+        seen = []  # every state the contract has had, with a deep copy
+
+        def apply(payload, publisher, now, expected):
+            seen.append((contract.state, copy.deepcopy(contract.state)))
+            status, reason, _ = contract.apply(payload, publisher, chain, now, scheme)
+            assert status == expected, (payload, reason)
+            for state, before in seen:
+                assert state == before, payload
+
+        return apply
+
+    def test_timelock_calls_leave_earlier_states_unchanged(self):
+        scheme, chain = SignatureScheme("t"), FakeChain()
+        chain.wallets.deposit_fungible("carol", "coin", 101)
+        chain.wallets.deposit_fungible("alice", "coin", 5)
+        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
+        apply = self.applier(contract, chain, scheme)
+        coins = AssetBundle.coins("coin", "coin", 101)
+        apply(escrow_payload("carol", coins), "carol", 0, "accepted")
+        apply(escrow_payload("bob", coins), "bob", 0, "rejected")
+        apply(escrow_payload("alice", AssetBundle.coins("coin", "coin", 5)), "alice", 0, "accepted")
+        apply(transfer_payload("carol", "carol", "alice", coins), "carol", 1, "accepted")
+        apply(transfer_payload("carol", "carol", "bob", coins), "carol", 2, "rejected")
+        for voter in PARTIES:  # carol's vote, the last, commits her lot
+            path = direct_vote(scheme, scheme.keypair(voter), Vote("deal-1", voter, f"n-{voter}"))
+            apply(vote_payload("carol", path, "deal-1"), voter, 31, "accepted")
+            apply(vote_payload("carol", path, "deal-1"), voter, 32, "rejected")
+        timeout = {"op": "timeout", "deal": "deal-1", "lot": "alice"}
+        apply(timeout, "@timer", 44, "rejected")
+        apply(timeout, "@timer", 45, "accepted")
+        apply({**timeout, "lot": "carol"}, "@timer", 45, "rejected")
+        settle = {"op": "settle", "deal": "deal-1", "lot": "alice", "cert": {}}
+        apply(settle, "alice", 46, "rejected")
+        assert contract.state["lots"]["carol"]["resolution"] == "committed"
+        assert contract.state["lots"]["alice"]["resolution"] == "aborted"
+
+    def test_cbc_calls_leave_earlier_states_unchanged(self):
+        scheme = SignatureScheme("t")
+        service = ValidatorService(scheme, f=1)
+        log = CbcLogContract()
+        log_apply = self.applier(log, None, scheme)
+        start = {"op": "start_deal", "deal": "deal-1", "plist": list(PARTIES)}
+        log_apply(start, "mallory", 0, "rejected")
+        log_apply(start, "alice", 0, "accepted")
+        h = log.entries[0]["h"]
+        vote = {"deal": "deal-1", "h": h}
+        log_apply({**vote, "op": "abort", "voter": "bob"}, "alice", 1, "rejected")
+        for voter in PARTIES:
+            log_apply({**vote, "op": "commit", "voter": voter}, voter, 1, "accepted")
+        log_apply({**vote, "op": "abort", "voter": "bob"}, "bob", 2, "accepted")
+        cert = service.issue_certificate(log.entries, "deal-1", h).to_json()
+
+        chain = FakeChain()
+        chain.wallets.deposit_fungible("carol", "coin", 150)
+        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "cbc")
+        apply = self.applier(contract, chain, scheme)
+        config = {"h": h, "epoch": 0, "validators": list(service.members(0)), "f": 1}
+        escrow = escrow_payload("carol", AssetBundle.coins("coin", "coin", 101))
+        apply({**escrow, **config}, "carol", 0, "accepted")
+        apply({**escrow, **config, "f": 2}, "carol", 1, "rejected")
+        settle = {"op": "settle", "deal": "deal-1", "lot": "carol", "cert": cert}
+        apply({**settle, "cert": {**cert, "h": "other"}}, "bob", 5, "rejected")
+        apply(settle, "bob", 5, "accepted")
+        assert contract.state["lots"]["carol"]["resolution"] == "committed"
 
 
 class TestInvariantErrors:
     def test_corrupted_commit_view_raises(self, setup):
         chain, contract, scheme = setup
         contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
-        lot = contract.lots["bob"]
-        lot.c_fun["bob"] = {"coin": 1}
+        lot = {**contract.state["lots"]["bob"], "c_fun": {"bob": {"coin": 1}}}
         with pytest.raises(EscrowInvariantError):
-            lot.check_invariants()
+            check_invariants(lot)
 
     def test_finalizing_a_resolved_lot_raises(self, setup):
         chain, contract, scheme = setup
         contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
-        lot = contract.lots["bob"]
-        contract._finalize(lot, "aborted", chain, 1)
+        contract._finalize("bob", "aborted", chain, 1)
         with pytest.raises(EscrowInvariantError):
-            contract._finalize(lot, "committed", chain, 2)
+            contract._finalize("bob", "committed", chain, 2)
 
     def test_invariants_fire_under_python_O(self):
         script = textwrap.dedent(
             """
             from dealsim.assets import AssetBundle
-            from dealsim.escrow import EscrowInvariantError, Lot
+            from dealsim.escrow import EscrowInvariantError, check_invariants, escrowed, new_lot
 
             assert False, "asserts must be stripped under -O"
-            lot = Lot("alice")
-            lot.add_escrow(AssetBundle.coins("c", "coin", 5))
-            lot.c_fun["alice"]["coin"] = 6
+            lot = escrowed(new_lot("alice"), AssetBundle.coins("c", "coin", 5))
+            lot = {**lot, "c_fun": {"alice": {"coin": 6}}}
             try:
-                lot.check_invariants()
+                check_invariants(lot)
             except EscrowInvariantError:
                 print("raised")
             """

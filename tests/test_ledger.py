@@ -17,13 +17,12 @@ class RecordingContract:
 
     def __init__(self):
         self.applied = []
+        self.state = {"count": 0}
 
     def apply(self, payload, publisher, chain, local_now, scheme):
         self.applied.append((payload.get("n"), local_now))
+        self.state = {"count": len(self.applied)}
         return "accepted", None, {}
-
-    def view(self):
-        return {"count": len(self.applied)}
 
     def state_key(self):
         return (len(self.applied),)

@@ -82,12 +82,12 @@ class TestVoteDeadlines:
     def test_duplicate_voter_rejected_idempotently(self, voting_setup):
         scheme, chain, contract = voting_setup
         submit(contract, chain, scheme, vote_of(scheme, "bob"), T0)
-        before = contract.lots["carol"].voted.copy()
+        before = contract.state["lots"]["carol"]["voted"].copy()
         status, reason, _ = submit(
             contract, chain, scheme, vote_of(scheme, "bob", ["alice"]), T0 + 1
         )
         assert (status, reason) == ("rejected", "duplicate")
-        assert contract.lots["carol"].voted == before
+        assert contract.state["lots"]["carol"]["voted"] == before
 
     def test_accepted_vote_verifies_each_link_once(self, voting_setup):
         scheme, chain, contract = voting_setup
@@ -123,7 +123,7 @@ class TestVoteDeadlines:
         assert ruling == VoteRuling("rejected", "invalid-path", 0)
         status, reason, info = submit(contract, chain, scheme, forged, T0)
         assert (status, reason, info["verifications"]) == ("rejected", "invalid-path", 0)
-        assert contract.lots["carol"].voted == {}
+        assert contract.state["lots"]["carol"]["voted"] == {}
 
     def test_vote_for_other_deal_rejected(self, voting_setup):
         scheme, chain, contract = voting_setup
