@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 # Model checking the commit rules.  The explorer enumerates every schedule
 # in a bounded space, up to quiescence: message delivery latencies in
-# {1, delta} plus one adversary's vote/forward timing menu, until no entry
-# can change a lot or a wallet.  Under path-scaled deadlines the two-party
-# swap space is safe; under a single fixed deadline the same space
-# contains a concrete theft schedule.
+# {1, delta} plus one adversary's vote/forward timing menu, until no choice
+# can change any lot's resolution, its tick, or a wallet (a lot past its
+# refund deadline can only refund); a run that reaches an already-explored
+# branch point reuses the known tail.  Under path-scaled deadlines the
+# two-party swap space is safe; under a single fixed deadline the same
+# space contains a concrete theft schedule.
 
 from dealsim.adversary import ExplorationBound, exhaustive_explore
 from dealsim.deals import payoff_of_run

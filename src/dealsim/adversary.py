@@ -8,12 +8,12 @@ runs and judges them with `properties.evaluate_run`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from . import properties
 from .assets import AssetBundle
-from .ledger import TapeChoices
+from .ledger import KnownContinuation, TapeChoices
 from .parties import STRATEGIES
 from .planning import build_plan
 from .scenario import ScenarioError, assemble_world, build_world, prepare, wallet_holdings
@@ -133,7 +133,9 @@ MAX_LOTS = 6
 class ExplorationBound:
     """Budget for the explorer; exceeding either cap yields a partial
     verdict.  `max_choice_points` caps the picks a schedule makes before
-    the world is quiescent; the picks after it are not choice points."""
+    the world is quiescent (no choice can change any lot's resolution, its
+    tick, or a wallet); the picks after it are not choice points.  A
+    schedule that reuses a known tail counts that tail's picks too."""
 
     max_runs: int = 100000
     max_choice_points: int = 600
@@ -169,12 +171,13 @@ def exhaustive_explore(
 
     A schedule is a sequence of choice-point decisions: every choice of
     delivery latency and of the `explored` adversary's action timings,
-    made before the world is quiescent (`World.quiescent`: no entry can
-    change a lot or a wallet again).  After that a run takes first options
-    and has no branch points, since every continuation ends with the same
-    resolutions and wallets; so `evaluate` is called once per schedule and
-    sees one continuation per quiescent state, and the depth cap counts
-    only the picks made before quiescence.
+    made before the world is quiescent (`World.quiescent`: no choice can
+    change any lot's resolution, its tick, or a wallet; a timelock or naive
+    lot past its local refund deadline can only refund).  After that a run
+    takes first options and has no branch points, since every continuation
+    ends with the same resolutions and wallets; so `evaluate` is called
+    once per schedule and sees one continuation per quiescent state, and
+    the depth cap counts only the picks made before quiescence.
     Same-tick events pop in push order and parties act in name order;
     neither order is a choice point, so renaming the chains keeps every
     outcome but renaming the parties may not (ROADMAP item 3(b) measured
@@ -186,7 +189,12 @@ def exhaustive_explore(
     first, resume at the start of its event.  Only the picks since that
     snapshot are replayed.  A branch point whose key (the snapshot's state
     and the choices made since) was already visited is pruned; that is
-    exact, since the two fix the rest of the run.
+    exact, since the two fix the rest of the run.  So the rest is reused
+    too: a run whose fresh pick reaches a visited key stops at its next
+    event boundary, and its trace is its own events up to the key's
+    snapshot followed by those of the run that went on from the key, whose
+    outcome and pick count it also takes.  Every schedule's trace is that
+    of running it to its end.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -200,7 +208,9 @@ def exhaustive_explore(
     world = built.world
     # (absolute tape, picks made before the resume point, its snapshot)
     stack: List[tuple] = [([], 0, world.snapshot())]
-    visited = set()
+    # Each visited branch key -> (the run that went on from it, that run's
+    # trace length at the key's snapshot, its picks before quiescence after it).
+    known: Dict[tuple, tuple] = {}
     runs = 0
     branch_points = 0
     violations: List[dict] = []
@@ -212,8 +222,16 @@ def exhaustive_explore(
             break
         tape, base, snap = stack.pop()
         world.restore(snap)
-        choices = world.choices = TapeChoices(tape[base:])
-        trace = world.run()
+        choices = world.choices = TapeChoices(tape[base:], known)
+        try:
+            trace = world.run()
+        except KnownContinuation:
+            # The key fixes the rest of the run: this run's events up to the
+            # key's snapshot, then the known run's from its own.
+            key, (first, (_, _, n_events, *_)) = choices.reused
+            ran, ran_events, picks = known[key]
+            trace = replace(ran, events=world.trace_events[:n_events] + ran.events[ran_events:])
+            choices.depth = first + picks
         runs += 1
         failures = evaluate(trace)
         if failures:
@@ -232,11 +250,11 @@ def exhaustive_explore(
             continue
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
-            if key is None or key in visited:
+            if key is None or key in known:
                 continue
-            visited.add(key)
-            branch_points += 1
             first, event_snap = start
+            known[key] = (trace, event_snap[2], choices.depth - first)
+            branch_points += 1
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
                 stack.append((prefix + [k], base + first, event_snap))

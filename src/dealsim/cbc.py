@@ -147,7 +147,7 @@ class CbcLogContract:
             for e in self.entries
         )
 
-    def quiescent(self, wallets, finished) -> bool:
+    def quiescent(self, wallets, finished, local_now) -> bool:
         """Never: votes and the settles whose certificates they back still
         reach the trace, and the agreement check reads them."""
         return False

@@ -14,12 +14,12 @@ chain rewinds its contract by handing back the view it recorded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .assets import AssetBundle
 from .cbc import ABORTED, COMMITTED, Certificate, ReconfigHop, verify_certificate
 from .crypto import PathSignature
-from .timelock import judge_vote, refund_due
+from .timelock import judge_vote, refund_deadline, refund_due
 
 ACTIVE = "active"
 
@@ -311,21 +311,32 @@ class EscrowContract:
             tuple((e, lot_key(lot)) for e, lot in sorted(self.state["lots"].items())),
         )
 
-    def quiescent(self, wallets, finished: Set[str]) -> bool:
-        """Whether no entry can change this chain's lots or `wallets` again.
+    def quiescent(self, wallets, finished: Set[str], local_now: int) -> bool:
+        """Whether, at chain-local tick `local_now`, no choice can change
+        any lot's resolution here, its tick, or `wallets`.
 
         Transfers, votes, timeouts and settles need an active lot, and a
-        party whose lot has resolved cannot escrow again.  So with no lot
-        active, only a plist party without a lot here can still move an
-        asset, by escrowing what it holds here; it cannot once it holds
-        nothing here or has finished escrowing (is in `finished`).
+        party whose lot has resolved cannot escrow again.  A timelock or
+        naive lot is doomed from the local tick its refund is due: from
+        then on `judge_vote` rejects every vote (a path has at most N
+        signers), a transfer only moves commit ownership, which a refund
+        ignores, a further escrow into it is refunded with it, and its
+        pending refund timer resolves it at a fixed tick.  So once every
+        lot has resolved or is doomed, only a plist party without a lot
+        here can still move an asset, by escrowing what it holds here; it
+        cannot once it holds nothing here or has finished escrowing (is in
+        `finished`).
         """
-        lots = self.state["lots"]
-        if any(lot["resolution"] == ACTIVE for lot in lots.values()):
+        state = self.state
+        lots = state["lots"]
+        doomed = state["protocol"] != "cbc" and local_now >= refund_deadline(
+            state["t0"], state["delta"], len(state["plist"])
+        )
+        if not doomed and any(lot["resolution"] == ACTIVE for lot in lots.values()):
             return False
         return all(
             party in lots or party in finished or not wallets.holds_any(party)
-            for party in self.state["plist"]
+            for party in state["plist"]
         )
 
     def unresolved_lots(self) -> List[str]:

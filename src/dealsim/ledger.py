@@ -14,7 +14,10 @@ latencies.  So a run resumes at one of two boundaries: the start of an
 event, where a choosing controller (`Explored`) branches, or a send
 phase, where a latency branches without re-running the event's
 controller work.  Once the world is quiescent (`World.quiescent`), no
-entry can change a lot or a wallet, and the explorer stops branching.
+choice can change any lot's resolution, its tick, or a wallet, and the
+explorer stops branching; a run that reaches a branch key some earlier
+run went on from stops there too (`KnownContinuation`), and the explorer
+reuses that known tail.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ class SeededChoices:
         return options[self.rng.randrange(len(options))]
 
 
+class KnownContinuation(Exception):
+    """Stops a `TapeChoices` run whose rest is already known; see there."""
+
+
 class TapeChoices:
     """Replays a recorded choice prefix, then takes first options.
 
@@ -97,25 +104,36 @@ class TapeChoices:
     the branch from.  The key is the snapshot's state key, computed at most
     once per snapshot, with the choices made since; the two fix the rest
     of the run, so the key is exact.  Once the world is quiescent, no
-    choice can change a lot or a wallet, so there is no snapshot and no
-    key: the run finishes on first options without branch points.
+    choice can change any lot's resolution, its tick, or a wallet, so there
+    is no snapshot and no key: the run finishes on first options without
+    branch points.
+
+    A fresh pick whose key is in `known` (keys some earlier run went on
+    from) makes the run known from there: the next event boundary raises
+    `KnownContinuation`, and `reused` holds that key and its resume point.
     """
 
-    def __init__(self, tape: List[int]):
+    def __init__(self, tape: List[int], known=()):
         self.tape = list(tape)
         self.pos = 0
+        self.known = known
         # (label, n_options, chosen, state_key | None, resume point | None)
         self.log: List[tuple] = []
         self.depth = 0  # picks made before the run was found quiescent
+        self.reused: Optional[tuple] = None  # (known key, its resume point)
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
         self._quiescent = False  # a run never leaves quiescence
 
     def event_start(self, world):
+        if self.reused:
+            raise KnownContinuation
         if world.next_chooses():
             self._take_snapshot(world)
 
     def send_phase(self, world):
+        if self.reused:
+            raise KnownContinuation
         if self.pos + len(world._sends) > len(self.tape):
             self._take_snapshot(world)
 
@@ -140,6 +158,8 @@ class TapeChoices:
                 if self._start_key is None:
                     self._start_key = world.state_key(start[1])
                 key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
+                if self.reused is None and key in self.known:
+                    self.reused = key, start
         self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
@@ -383,12 +403,14 @@ class World:
             )
 
     def quiescent(self) -> bool:
-        """Whether no entry can change any chain's lots or wallets again, so
-        that every continuation ends with the same resolutions and wallets.
-        Read afresh each call: a restore can undo it."""
+        """Whether no choice can change any lot's resolution, its tick, or a
+        wallet, so that every continuation ends with the same resolutions
+        and wallets.  Each chain's contract judges at its local tick.  Read
+        afresh each call: a restore can undo it."""
         finished = {p for p, c in self.controllers.items() if c.escrow_published}
         return all(
-            chain.contract.quiescent(chain.wallets, finished) for chain in self.chains.values()
+            chain.contract.quiescent(chain.wallets, finished, self.now + chain.skew)
+            for chain in self.chains.values()
         )
 
     def next_chooses(self) -> bool:

@@ -28,7 +28,7 @@ def payload_digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     tick: int
     where: str      # chain id or party id

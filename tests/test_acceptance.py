@@ -175,7 +175,7 @@ def test_cycle3_exploration_reaches_the_unpruned_outcome_set(cycle_exploration, 
     # 371,120 schedules, too many for this suite, to exactly these outcomes.
     assert cycle_exploration.complete
     # Schedules and branch points, each run stopping at quiescence.
-    assert (cycle_exploration.runs, cycle_exploration.branch_points) == (18_327, 16_809)
+    assert (cycle_exploration.runs, cycle_exploration.branch_points) == (8_925, 7_407)
     assert len(cycle_outcomes) == 213
     digest = hashlib.sha256("\n".join(sorted(cycle_outcomes)).encode()).hexdigest()
     assert digest == "eaadf73934d859205f351b3107e42bb44b2eef95fb261e35bd87a358ea972a30"

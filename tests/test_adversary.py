@@ -370,7 +370,7 @@ class TestSuffixResumption:
 
     @pytest.mark.parametrize(
         "name, runs, branch_points",
-        [("explore_swap_timelock", 763, 583), ("explore_swap_naive", 579, 399)],
+        [("explore_swap_timelock", 601, 421), ("explore_swap_naive", 555, 375)],
     )
     def test_schedule_and_branch_point_counts(self, corpus, name, runs, branch_points):
         out = exhaustive_explore(corpus[name], ExplorationBound()).to_json()
@@ -460,13 +460,14 @@ class TestSuffixResumption:
 
     def test_max_choice_points_counts_absolute_picks(self, corpus):
         # A resumed schedule logs only its own event's picks onward; the cap
-        # applies to the whole schedule, so 12 cuts schedules that counting
-        # from the resumed event would let through (as a complete SAFE).
+        # applies to the whole schedule, so 10 cuts schedules that counting
+        # from the resumed event would let through (as a complete SAFE over
+        # 601 schedules and 421 branch points).
         result = exhaustive_explore(
-            corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=12)
+            corpus["explore_swap_timelock"], ExplorationBound(max_choice_points=10)
         )
         assert (result.verdict, result.complete) == ("PARTIAL", False)
-        assert (result.runs, result.branch_points) == (665, 487)
+        assert (result.runs, result.branch_points) == (468, 302)
 
     def test_max_choice_points_counts_no_pick_after_quiescence(self, corpus):
         # Every ticket schedule makes at most 12 picks before it is quiescent
@@ -477,6 +478,41 @@ class TestSuffixResumption:
         )
         assert (result.verdict, result.complete) == ("SAFE", True)
         assert (result.runs, result.branch_points) == (1957, 1956)
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [
+            ("explore_swap_timelock", ExplorationBound()),
+            ("explore_swap_naive", ExplorationBound()),
+            ("explore_swap_timelock", ExplorationBound(max_choice_points=10)),
+        ],
+        ids=["timelock", "naive", "timelock-cap10"],
+    )
+    def test_reusing_a_known_continuation_changes_no_schedule(
+        self, corpus, monkeypatch, name, bound
+    ):
+        # A run that reaches a visited key stops and takes the rest of its
+        # trace, and its depth, from the run that went on from that key;
+        # every schedule must be that of running it to its end.
+        def explore(reuse):
+            made, traces = [], []
+
+            def recorded(tape, known=()):
+                made.append(TapeChoices(tape, known if reuse else ()))
+                return made[-1]
+
+            def evaluate(trace):
+                traces.append((trace.digest(), canonical_json(trace.to_json())))
+                return properties.evaluate_run(trace)["failures"]
+
+            monkeypatch.setattr(adversary, "TapeChoices", recorded)
+            result = exhaustive_explore(corpus[name], bound, evaluate=evaluate)
+            depths = [(choices.tape, choices.depth) for choices in made]
+            return (traces, depths, result.to_json()), any(choices.reused for choices in made)
+
+        with_reuse, reused = explore(True)
+        assert reused
+        assert explore(False) == (with_reuse, False)
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(

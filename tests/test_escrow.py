@@ -13,7 +13,7 @@ from dealsim.assets import AssetBundle
 from dealsim.cbc import CbcLogContract, ValidatorService
 from dealsim.crypto import SignatureScheme, Vote, direct_vote
 from dealsim.escrow import EscrowContract, EscrowInvariantError, check_invariants
-from dealsim.ledger import Wallets
+from dealsim.ledger import NetworkModel, Wallets, World
 from dealsim.timelock import vote_payload
 
 
@@ -193,14 +193,64 @@ class TestFinalize:
 
     def test_quiescent_once_no_entry_can_move_an_asset(self, setup):
         chain, contract = self._staged(setup)
-        assert not contract.quiescent(chain.wallets, set(PARTIES))  # bob's lot is active
+        assert not contract.quiescent(chain.wallets, set(PARTIES), 40)  # bob's lot is active
         contract._finalize("bob", "committed", chain, 40)
         # carol holds the tickets here without a lot, so could still escrow them
-        assert not contract.quiescent(chain.wallets, {"alice", "bob"})
-        assert contract.quiescent(chain.wallets, {"carol"})
+        assert not contract.quiescent(chain.wallets, {"alice", "bob"}, 40)
+        assert contract.quiescent(chain.wallets, {"carol"}, 40)
 
     def test_the_cbc_log_is_never_quiescent(self):
-        assert not CbcLogContract().quiescent(Wallets(), set(PARTIES))
+        assert not CbcLogContract().quiescent(Wallets(), set(PARTIES), 10**6)
+
+
+@pytest.mark.parametrize("protocol", ["timelock", "naive"])
+class TestDoomedLots:
+    """From the local tick a lot's refund is due (t0 + N * delta = 45 here)
+    no vote is accepted, so an active timelock or naive lot can only refund,
+    at its timer's fixed tick: it no longer keeps the contract from being
+    quiescent."""
+
+    def _active(self, protocol):
+        chain = FakeChain()
+        chain.wallets.set_token_owner("tkt1", "bob")
+        contract = EscrowContract("ticket", "deal-1", PARTIES, 30, 5, protocol)
+        bundle = AssetBundle(tokens=[("ticket", "tkt1")])
+        contract.apply(escrow_payload("bob", bundle), "bob", chain, 0, SignatureScheme("t"))
+        return chain, contract
+
+    def test_an_active_lot_is_settled_from_its_refund_deadline(self, protocol):
+        chain, contract = self._active(protocol)
+        assert contract.unresolved_lots() == ["bob"]
+        assert not contract.quiescent(chain.wallets, set(), 44)
+        assert contract.quiescent(chain.wallets, set(), 45)
+
+    def test_the_chain_skew_shifts_the_deadline(self, protocol):
+        chain, contract = self._active(protocol)
+        world = World({}, None, NetworkModel(), 0, 100)
+        world.add_chain("ticket", contract, skew=3).wallets = chain.wallets
+        world.now = 41
+        assert not world.quiescent()
+        world.now = 42  # local tick 45
+        assert world.quiescent()
+
+    def test_a_holder_without_a_lot_still_blocks_quiescence(self, protocol):
+        chain, contract = self._active(protocol)
+        chain.wallets.deposit_fungible("carol", "coin", 5)
+        # carol could still escrow here and open a lot with its own refund
+        assert not contract.quiescent(chain.wallets, set(), 45)
+        assert contract.quiescent(chain.wallets, {"carol"}, 45)
+
+
+def test_a_cbc_escrow_lot_is_never_doomed():
+    chain = FakeChain()
+    chain.wallets.set_token_owner("tkt1", "bob")
+    contract = EscrowContract("ticket", "deal-1", PARTIES, 30, 5, "cbc")
+    config = {"h": "h", "epoch": 0, "validators": ["v0"], "f": 0}
+    escrow = escrow_payload("bob", AssetBundle(tokens=[("ticket", "tkt1")]))
+    status, _, _ = contract.apply({**escrow, **config}, "bob", chain, 0, SignatureScheme("t"))
+    assert status == "accepted"
+    # A certificate can settle the lot either way at any tick.
+    assert not contract.quiescent(chain.wallets, set(), 10**6)
 
 
 class TestConservation:
