@@ -21,10 +21,10 @@ print(f"validator set (3f+1 = {len(service.members(0))}):", ", ".join(service.me
 print(f"of which secretly corrupt: {sorted(service.corrupt_ids)}")
 
 log = CbcLogContract()
-_, _, info = log.apply({"op": "start_deal", "deal": "demo", "plist": ["a", "b", "c"]}, "a", None, 0, None)
+_, _, info = log.apply({"op": "start_deal", "deal": "demo", "plist": ["a", "b", "c"]}, "a", 0, None)
 h = info["h"]
 for voter in ("a", "b", "c"):
-    log.apply({"op": "commit", "deal": "demo", "h": h, "voter": voter}, voter, None, 1, None)
+    log.apply({"op": "commit", "deal": "demo", "h": h, "voter": voter}, voter, 1, None)
 decision = cbc_decide(log.entries, "demo", h)
 print(f"decision: {decision.status} at ledger position {decision.position}")
 

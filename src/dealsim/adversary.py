@@ -190,11 +190,11 @@ def exhaustive_explore(
     snapshot are replayed.  A branch point whose key (the snapshot's state
     and the choices made since) was already visited is pruned; that is
     exact, since the two fix the rest of the run.  So the rest is reused
-    too: a run whose fresh pick reaches a visited key stops at its next
-    event boundary, and its trace is its own events up to the key's
-    snapshot followed by those of the run that went on from the key, whose
-    outcome and pick count it also takes.  Every schedule's trace is that
-    of running it to its end.
+    too: a run whose fresh pick reaches a visited key stops at that pick,
+    and its trace is its own events up to the key's snapshot followed by
+    those of the run that went on from the key, whose outcome and pick
+    count it also takes.  Every schedule's trace is that of running it to
+    its end.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -225,10 +225,10 @@ def exhaustive_explore(
         choices = world.choices = TapeChoices(tape[base:], known)
         try:
             trace = world.run()
-        except KnownContinuation:
+        except KnownContinuation as stop:
             # The key fixes the rest of the run: this run's events up to the
             # key's snapshot, then the known run's from its own.
-            key, (first, (_, _, n_events, *_)) = choices.reused
+            key, (first, (_, _, n_events, *_)) = stop.args
             ran, ran_events, picks = known[key]
             trace = replace(ran, events=world.trace_events[:n_events] + ran.events[ran_events:])
             choices.depth = first + picks

@@ -6,8 +6,8 @@ last distinct party's commit lands with no abort anywhere before it, and
 aborts at the first abort that lands while some party has still not
 committed.  Validators of the chain attest to a decided status with
 certificates carrying f+1 signatures out of a 3f+1 member set.  The
-log contract's state is its entry list, which the chain records after
-each entry and which no later entry mutates.
+log contract's state is its entry list and the chain's balances, always
+empty; the chain records it after each entry, and no entry mutates it.
 """
 
 from __future__ import annotations
@@ -97,16 +97,17 @@ def cbc_decide(entries: Sequence[dict], deal_id: str, h: str) -> Decision:
 
 class CbcLogContract:
     """The shared chain's deal registry: validates and orders vote entries.
-    Its `state` is `{"entries": [...]}`; an accepted entry builds a new list."""
+    Its `state` holds the `entries` and the chain's empty `wallets`; an
+    accepted entry builds a new list."""
 
     def __init__(self):
-        self.state = {"entries": []}
+        self.state = {"entries": [], "wallets": {"fungible": {}, "tokens": {}}}
 
     @property
     def entries(self) -> List[dict]:
         return self.state["entries"]
 
-    def apply(self, payload: dict, publisher: str, chain, local_now: int, scheme) -> tuple:
+    def apply(self, payload: dict, publisher: str, local_now: int, scheme) -> tuple:
         op = payload.get("op")
         if op == "start_deal":
             if publisher not in payload["plist"]:
@@ -119,7 +120,7 @@ class CbcLogContract:
                 "position": position,
                 "h": start_ref(payload["deal"], payload["plist"], position),
             }
-            self.state = {"entries": [*self.entries, entry]}
+            self.state = {**self.state, "entries": [*self.entries, entry]}
             return "accepted", None, {"h": entry["h"], "position": position}
         if op in ("commit", "abort"):
             start = definitive_start(self.entries, payload["deal"], payload["h"])
@@ -137,17 +138,18 @@ class CbcLogContract:
                 "voter": payload["voter"],
                 "position": position,
             }
-            self.state = {"entries": [*self.entries, entry]}
+            self.state = {**self.state, "entries": [*self.entries, entry]}
             return "accepted", None, {"position": position}
         return "rejected", "unknown-op", {}
 
     def state_key(self) -> tuple:
+        # The balances never change, so the entries fix the state.
         return tuple(
             tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in e.items()))
             for e in self.entries
         )
 
-    def quiescent(self, wallets, finished, local_now) -> bool:
+    def quiescent(self, finished, local_now) -> bool:
         """Never: votes and the settles whose certificates they back still
         reach the trace, and the agreement check reads them."""
         return False

@@ -6,10 +6,13 @@ and resolution; its abort-owner map always points back at the escrower,
 while tentative transfers reassign commit-owners.  Committing a lot hands
 its assets to the commit-owners, aborting refunds the escrower.
 
-A contract's `state` is the view its chain records after each entry.
-Lots are plain dicts, and the functions below build a changed copy of a
-lot instead of mutating it, so a recorded view stays as it was and a
-chain rewinds its contract by handing back the view it recorded.
+A contract's `state` is the view its chain records after each entry,
+and it holds the chain's balances: an escrow takes its assets out of
+them, and resolving a lot pays its assets back in.  Lots and balances
+are plain dicts, and the functions below build a changed copy instead
+of mutating one, so a recorded view stays as it was, a chain rewinds its
+contract by handing back the view it recorded, and a contract call reads
+only its state and the entry.
 """
 
 from __future__ import annotations
@@ -77,6 +80,22 @@ def transferred(lot: dict, sender: str, receiver: str, bundle: AssetBundle) -> O
     return {**lot, "c_fun": c_fun, "c_tok": c_tok}
 
 
+def rebalanced(wallets: dict, fungible: dict, tokens: dict) -> dict:
+    """`wallets` plus `fungible` (party -> kind -> amount, negative to take
+    out), with each token in `tokens` given to its owner (None: taken out).
+    An emptied party keeps its entry, which the state key tells apart."""
+    balances = dict(wallets["fungible"])
+    for party, kinds in fungible.items():
+        if kinds:  # none for a tokens-only escrow or a commit-owner that passed all on
+            held = balances[party] = dict(balances.get(party, {}))
+            for kind, amount in kinds.items():
+                held[kind] = held.get(kind, 0) + amount
+                if not held[kind]:
+                    del held[kind]
+    owners = {**wallets["tokens"], **tokens}
+    return {"fungible": balances, "tokens": {t: o for t, o in owners.items() if o is not None}}
+
+
 def check_invariants(lot: dict):
     """Escrowed totals and commit views must agree; tokens singly owned."""
     if lot["resolution"] != ACTIVE:
@@ -116,8 +135,10 @@ def lot_key(lot: dict) -> tuple:
 
 class EscrowContract:
     """A deal's escrow manager on one chain; applies published entries.
-    Its `state` holds the deal's terms, `lots` by escrower, and `cbc` once
-    an escrow configures it; a new state shares every lot it leaves as is."""
+    Its `state` holds the deal's terms, `lots` by escrower, the chain's
+    `wallets` in a trace's shape ({"fungible": {party: {kind: amount}},
+    "tokens": {token: owner}}), and `cbc` once an escrow configures it;
+    a new state shares every lot and balance it leaves as is."""
 
     def __init__(
         self,
@@ -127,10 +148,12 @@ class EscrowContract:
         t0: int,
         delta: int,
         protocol: str,  # "timelock" | "naive" | "cbc"
+        wallets: dict,  # the chain's starting balances
     ):
         self.chain_id = chain_id
         self.state = dict(
-            deal=deal_id, plist=list(plist), t0=t0, delta=delta, protocol=protocol, lots={}
+            deal=deal_id, plist=list(plist), t0=t0, delta=delta, protocol=protocol, lots={},
+            wallets=wallets,
         )
 
     def _record(self, lot: dict, **changes):
@@ -149,7 +172,7 @@ class EscrowContract:
 
     # -- entry application -------------------------------------------------
 
-    def apply(self, payload: dict, publisher: str, chain, local_now: int, scheme) -> tuple:
+    def apply(self, payload: dict, publisher: str, local_now: int, scheme) -> tuple:
         op = payload.get("op")
         if payload.get("deal") != self.state["deal"]:
             return "rejected", "wrong-deal", {}
@@ -162,9 +185,9 @@ class EscrowContract:
         }.get(op)
         if handler is None:
             return "rejected", "unknown-op", {}
-        return handler(payload, publisher, chain, local_now, scheme)
+        return handler(payload, publisher, local_now, scheme)
 
-    def _op_escrow(self, payload, publisher, chain, local_now, scheme):
+    def _op_escrow(self, payload, publisher, local_now, scheme):
         party = payload["party"]
         if party != publisher:
             return "rejected", "caller-mismatch", {}
@@ -173,7 +196,11 @@ class EscrowContract:
         bundle = AssetBundle.from_json(payload["bundle"])
         if bundle.is_empty() or bundle.chains() != {self.chain_id}:
             return "rejected", "bad-bundle", {}
-        if not chain.wallets.holds(party, bundle):
+        wallets = self.state["wallets"]
+        held = wallets["fungible"].get(party, {})
+        if any(held.get(kind, 0) < n for (_, kind), n in bundle.fungible.items()) or any(
+            wallets["tokens"].get(token) != party for _, token in bundle.tokens
+        ):
             return "rejected", "not-owner", {}
         changes = {}
         if self.state["protocol"] == "cbc":  # every escrow repeats the first one's config
@@ -188,13 +215,14 @@ class EscrowContract:
         lot = self.state["lots"].get(party) or new_lot(party)
         if lot["resolution"] != ACTIVE:
             return "rejected", "already-resolved", {}
-        chain.wallets.withdraw(party, bundle)
         lot = escrowed(lot, bundle)
         check_invariants(lot)
-        self._record(lot, **changes)
+        taken = {party: {kind: -n for (_, kind), n in bundle.fungible.items()}}
+        wallets = rebalanced(wallets, taken, dict.fromkeys(token for _, token in bundle.tokens))
+        self._record(lot, wallets=wallets, **changes)
         return "accepted", None, {"lot": party}
 
-    def _op_transfer(self, payload, publisher, chain, local_now, scheme):
+    def _op_transfer(self, payload, publisher, local_now, scheme):
         party = payload["party"]
         if party != publisher:
             return "rejected", "caller-mismatch", {}
@@ -214,7 +242,7 @@ class EscrowContract:
         self._record(lot)
         return "accepted", None, {"lot": lot["escrower"]}
 
-    def _op_commit(self, payload, publisher, chain, local_now, scheme):
+    def _op_commit(self, payload, publisher, local_now, scheme):
         state = self.state
         if state["protocol"] not in ("timelock", "naive"):
             return "rejected", "wrong-protocol", {}
@@ -241,11 +269,11 @@ class EscrowContract:
         self._record({**lot, "voted": voted})
         info["voter"] = path.vote.voter
         if len(voted) == len(state["plist"]):
-            self._finalize(escrower, COMMITTED, chain, local_now)
+            self._finalize(escrower, COMMITTED, local_now)
             info["finalized"] = COMMITTED
         return "accepted", None, info
 
-    def _op_timeout(self, payload, publisher, chain, local_now, scheme):
+    def _op_timeout(self, payload, publisher, local_now, scheme):
         state = self.state
         if state["protocol"] not in ("timelock", "naive"):
             return "rejected", "wrong-protocol", {}
@@ -255,10 +283,10 @@ class EscrowContract:
         n = len(state["plist"])
         if not refund_due(state["t0"], state["delta"], n, lot["voted"], local_now):
             return "rejected", "not-due", {}
-        self._finalize(lot["escrower"], ABORTED, chain, local_now)
+        self._finalize(lot["escrower"], ABORTED, local_now)
         return "accepted", None, {"lot": lot["escrower"], "finalized": ABORTED}
 
-    def _op_settle(self, payload, publisher, chain, local_now, scheme):
+    def _op_settle(self, payload, publisher, local_now, scheme):
         if self.state["protocol"] != "cbc":
             return "rejected", "wrong-protocol", {}
         lot, reason = self._active_lot(payload)
@@ -275,14 +303,14 @@ class EscrowContract:
         info = {"lot": lot["escrower"], "verifications": ruling.verifications}
         if not ruling.ok:
             return "rejected", ruling.reason, info
-        self._finalize(lot["escrower"], cert.status, chain, local_now)
+        self._finalize(lot["escrower"], cert.status, local_now)
         info["finalized"] = cert.status
         return "accepted", None, info
 
     # -- resolution ----------------------------------------------------------
 
-    def _finalize(self, escrower: str, outcome: str, chain, now: int):
-        """Hand `escrower`'s lot to its commit- or abort-owners and record it
+    def _finalize(self, escrower: str, outcome: str, now: int):
+        """Pay `escrower`'s lot to its commit- or abort-owners and record it
         resolved."""
         lot = self.state["lots"][escrower]
         if lot["resolution"] != ACTIVE:
@@ -291,14 +319,9 @@ class EscrowContract:
             fungible, tokens = lot["c_fun"], lot["c_tok"]
         else:
             fungible, tokens = {escrower: lot["fungible"]}, dict.fromkeys(lot["tokens"], escrower)
-        for party, kinds in fungible.items():
-            for kind, amount in kinds.items():
-                if amount:
-                    chain.wallets.deposit_fungible(party, kind, amount)
-        for token, party in tokens.items():
-            chain.wallets.set_token_owner(token, party)
         self._record(
-            {**lot, "fungible": {}, "tokens": [], "resolution": outcome, "resolved_tick": now}
+            {**lot, "fungible": {}, "tokens": [], "resolution": outcome, "resolved_tick": now},
+            wallets=rebalanced(self.state["wallets"], fungible, tokens),
         )
 
     # -- observation ---------------------------------------------------------
@@ -306,14 +329,17 @@ class EscrowContract:
     def state_key(self) -> tuple:
         # A run never changes the deal's terms; each lot is keyed under its escrower.
         cbc = self.state.get("cbc")
+        wallets = self.state["wallets"]
         return (
             cbc and (cbc["h"], cbc["epoch"], tuple(cbc["validators"]), cbc["f"]),
             tuple((e, lot_key(lot)) for e, lot in sorted(self.state["lots"].items())),
+            frozenset((p, frozenset(kinds.items())) for p, kinds in wallets["fungible"].items()),
+            frozenset(wallets["tokens"].items()),
         )
 
-    def quiescent(self, wallets, finished: Set[str], local_now: int) -> bool:
+    def quiescent(self, finished: Set[str], local_now: int) -> bool:
         """Whether, at chain-local tick `local_now`, no choice can change
-        any lot's resolution here, its tick, or `wallets`.
+        any lot's resolution here, its tick, or the chain's balances.
 
         Transfers, votes, timeouts and settles need an active lot, and a
         party whose lot has resolved cannot escrow again.  A timelock or
@@ -334,8 +360,10 @@ class EscrowContract:
         )
         if not doomed and any(lot["resolution"] == ACTIVE for lot in lots.values()):
             return False
+        fungible, tokens = state["wallets"]["fungible"], state["wallets"]["tokens"]
         return all(
-            party in lots or party in finished or not wallets.holds_any(party)
+            party in lots or party in finished
+            or not (any(fungible.get(party, {}).values()) or party in tokens.values())
             for party in state["plist"]
         )
 

@@ -3,8 +3,10 @@
 A world holds several independent chains, each an append-only ledger with
 one resident contract, plus party controllers that react to delivered
 notifications and timers.  A chain records its contract's immutable
-`state` after each entry; parties read those views, and rewinding a chain
-hands its contract the view it recorded.  All scheduling randomness flows
+`state`, balances included, after each entry, and that record is all
+the state a chain has: parties read those views, a trace's wallets are
+the balances of each chain's initial and final view, and rewinding a
+chain hands its contract the view it recorded.  All scheduling randomness flows
 through a single choice source, so a (scenario, seed) pair fixes the
 entire run; swapping in a tape-driven choice source turns the same
 machinery into an exhaustive explorer, and `World.snapshot`/`World.restore`
@@ -28,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .assets import AssetBundle
 from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
 from .deals import DealSpec
@@ -90,7 +91,8 @@ class SeededChoices:
 
 
 class KnownContinuation(Exception):
-    """Stops a `TapeChoices` run whose rest is already known; see there."""
+    """Stops a `TapeChoices` run whose rest is already known; its args are
+    the known key and the key's resume point.  See `TapeChoices`."""
 
 
 class TapeChoices:
@@ -109,8 +111,10 @@ class TapeChoices:
     branch points.
 
     A fresh pick whose key is in `known` (keys some earlier run went on
-    from) makes the run known from there: the next event boundary raises
-    `KnownContinuation`, and `reused` holds that key and its resume point.
+    from) makes the run known from there: the pick raises
+    `KnownContinuation` with that key and its resume point.  Stopping at
+    the pick is exact, since the run that added the key took first options
+    from it, so every later pick of the same event has a known key too.
     """
 
     def __init__(self, tape: List[int], known=()):
@@ -120,20 +124,15 @@ class TapeChoices:
         # (label, n_options, chosen, state_key | None, resume point | None)
         self.log: List[tuple] = []
         self.depth = 0  # picks made before the run was found quiescent
-        self.reused: Optional[tuple] = None  # (known key, its resume point)
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
         self._quiescent = False  # a run never leaves quiescence
 
     def event_start(self, world):
-        if self.reused:
-            raise KnownContinuation
         if world.next_chooses():
             self._take_snapshot(world)
 
     def send_phase(self, world):
-        if self.reused:
-            raise KnownContinuation
         if self.pos + len(world._sends) > len(self.tape):
             self._take_snapshot(world)
 
@@ -158,8 +157,8 @@ class TapeChoices:
                 if self._start_key is None:
                     self._start_key = world.state_key(start[1])
                 key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
-                if self.reused is None and key in self.known:
-                    self.reused = key, start
+                if key in self.known:
+                    raise KnownContinuation(key, start)
         self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
@@ -168,70 +167,23 @@ class TapeChoices:
         return [entry[2] for entry in self.log[:upto]]
 
 
-class Wallets:
-    """Per-chain asset ownership outside any escrow."""
-
-    def __init__(self):
-        self.fungible: Dict[str, Dict[str, int]] = {}  # party -> kind -> amount
-        self.tokens: Dict[str, str] = {}               # token -> owner
-
-    def deposit_fungible(self, party: str, kind: str, amount: int):
-        kinds = self.fungible.setdefault(party, {})
-        kinds[kind] = kinds.get(kind, 0) + amount
-
-    def set_token_owner(self, token: str, owner: str):
-        self.tokens[token] = owner
-
-    def holds(self, party: str, bundle: AssetBundle) -> bool:
-        for (c, kind), amount in bundle.fungible.items():
-            if self.fungible.get(party, {}).get(kind, 0) < amount:
-                return False
-        for c, token in bundle.tokens:
-            if self.tokens.get(token) != party:
-                return False
-        return True
-
-    def holds_any(self, party: str) -> bool:
-        return any(self.fungible.get(party, {}).values()) or party in self.tokens.values()
-
-    def withdraw(self, party: str, bundle: AssetBundle):
-        for (c, kind), amount in bundle.fungible.items():
-            self.fungible[party][kind] -= amount
-            if self.fungible[party][kind] == 0:
-                del self.fungible[party][kind]
-        for c, token in bundle.tokens:
-            del self.tokens[token]
-
-    def to_json(self) -> dict:
-        return {
-            "fungible": {
-                p: {k: v for k, v in kinds.items() if v}
-                for p, kinds in sorted(self.fungible.items())
-                if any(kinds.values())
-            },
-            "tokens": dict(sorted(self.tokens.items())),
-        }
-
-    def snapshot(self) -> tuple:
-        """Ownership as frozen sets, so the snapshot is its own state key."""
-        return (
-            frozenset((p, frozenset(kinds.items())) for p, kinds in self.fungible.items()),
-            frozenset(self.tokens.items()),
-        )
-
-    def restore(self, snap: tuple):
-        fungible, tokens = snap
-        self.fungible = {p: dict(kinds) for p, kinds in fungible}
-        self.tokens = dict(tokens)
+def wallets_json(view: dict) -> dict:
+    """The balances a contract view records, in a trace's form: sorted,
+    without emptied parties, and sharing nothing with the view."""
+    fungible, tokens = view["wallets"]["fungible"], view["wallets"]["tokens"]
+    return {
+        "fungible": {p: dict(kinds) for p, kinds in sorted(fungible.items()) if kinds},
+        "tokens": dict(sorted(tokens.items())),
+    }
 
 
 class Chain:
-    """One ledger: totally ordered entries applied to a resident contract."""
+    """One ledger: totally ordered entries applied to a resident contract,
+    whose state after each entry, balances included, is the whole record."""
 
     def __init__(self, contract, skew: int = 0):
         self.contract = contract
         self.skew = skew
-        self.wallets = Wallets()
         self.views: List[dict] = []  # contract state after each entry, the ledger's record
         self._initial_view = contract.state
         self._snapshot: Optional[tuple] = None
@@ -249,9 +201,7 @@ class Chain:
         state after it, shared, not copied; returns (seq, status, reason, info)."""
         self._snapshot = None
         seq = len(self.views)
-        status, reason, info = self.contract.apply(
-            payload, publisher, self, tick + self.skew, scheme
-        )
+        status, reason, info = self.contract.apply(payload, publisher, tick + self.skew, scheme)
         self.views.append(self.contract.state)
         return seq, status, reason, info
 
@@ -260,15 +210,14 @@ class Chain:
         # event boundary and state key until the next entry.  The contract's
         # key serves only the state key: its state is the recorded view.
         if self._snapshot is None:
-            self._snapshot = (len(self.views), self.wallets.snapshot(), self.contract.state_key())
+            self._snapshot = (len(self.views), self.contract.state_key())
         return self._snapshot
 
     def restore(self, snap: tuple):
         if snap is self._snapshot:
             return  # no entry since `snap` was taken or restored
-        length, wallets, _ = snap
+        length = snap[0]
         del self.views[length:]
-        self.wallets.restore(wallets)
         self.contract.state = self.view_at(length - 1)
         self._snapshot = snap
 
@@ -364,7 +313,6 @@ class World:
         # party -> (frontier items, controller snapshot), valid until the
         # next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
-        self._initial_wallets: Optional[Dict[str, dict]] = None
         self.scheme = SignatureScheme.for_run(seed)
 
     # -- construction --------------------------------------------------------
@@ -409,7 +357,7 @@ class World:
         afresh each call: a restore can undo it."""
         finished = {p for p, c in self.controllers.items() if c.escrow_published}
         return all(
-            chain.contract.quiescent(chain.wallets, finished, self.now + chain.skew)
+            chain.contract.quiescent(finished, self.now + chain.skew)
             for chain in self.chains.values()
         )
 
@@ -472,11 +420,8 @@ class World:
         run that leaves events past the horizon is truncated.
 
         After `restore`, the run resumes from the restored event start or
-        send phase; the trace still starts from the wallets of the first
-        run's start.
+        send phase; the trace still starts from each chain's initial view.
         """
-        if self._initial_wallets is None:
-            self._initial_wallets = self.wallet_snapshots()
         while True:
             # Each event ends with its send phase; a restored one runs first.
             if self._sends:
@@ -517,7 +462,8 @@ class World:
         return self._build_trace()
 
     def wallet_snapshots(self) -> Dict[str, dict]:
-        return {cid: self.chains[cid].wallets.to_json() for cid in sorted(self.chains)}
+        """Each chain's balances now, in the trace's form."""
+        return {cid: wallets_json(self.chains[cid].contract.state) for cid in sorted(self.chains)}
 
     def resolutions(self) -> Dict[str, Tuple[str, Optional[int]]]:
         """Every escrow lot's (resolution, tick), keyed "chain/escrower"."""
@@ -529,11 +475,12 @@ class World:
                     out[f"{cid}/{lot}"] = res
         return out
 
-    def _build_trace(self) -> RunTrace:
-        terminal = self.wallet_snapshots()
-        resolutions = self.resolutions()
+    def metadata(self, resolutions: Dict[str, tuple]) -> dict:
+        """The run facts a trace records beside its events, given the run's
+        `resolutions`; `truncated` and `final_tick` are read from the heap
+        and the clock as they are now."""
         unresolved = [k for k, (res, _) in resolutions.items() if res == "active"]
-        metadata = {
+        return {
             "scenario_digest": self.scenario_digest,
             "truncated": bool(self._heap),
             "unresolved": unresolved,
@@ -545,14 +492,19 @@ class World:
             ),
             "final_tick": self.now,
         }
+
+    def _build_trace(self) -> RunTrace:
+        resolutions = self.resolutions()
         return RunTrace(
             scenario=self.scenario,
             seed=self.seed,
             events=list(self.trace_events),
-            initial_wallets=self._initial_wallets,
-            terminal_wallets=terminal,
+            initial_wallets={
+                cid: wallets_json(self.chains[cid].view_at(-1)) for cid in sorted(self.chains)
+            },
+            terminal_wallets=self.wallet_snapshots(),
             resolutions=resolutions,
-            metadata=metadata,
+            metadata=self.metadata(resolutions),
             deal=self.deal,
         )
 

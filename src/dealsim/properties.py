@@ -115,7 +115,7 @@ def check_strong_liveness(trace) -> Verdict:
         return Verdict("strong-liveness", None, "inapplicable: deviating parties declared")
     if not trace.all_resolved:
         return Verdict("strong-liveness", False, "unresolved escrows at horizon",
-                       [{"unresolved": trace.metadata.get("unresolved", [])}])
+                       [{"unresolved": trace.unresolved}])
     witness = []
     for party in deal.parties:
         payoff = payoff_of_run(trace, party)
@@ -184,7 +184,7 @@ def run_verdicts(trace) -> List[Verdict]:
         verdicts.append(check_safety(trace, compliant))
     else:
         verdicts.append(Verdict("safety", False, "compliant escrows unresolved at horizon",
-                                [{"unresolved": trace.metadata.get("unresolved", [])}]))
+                                [{"unresolved": trace.unresolved}]))
     verdicts.append(check_weak_liveness(trace))
     verdicts.append(check_strong_liveness(trace))
     if trace.scenario["protocol"] == "cbc":

@@ -3,11 +3,14 @@
 Replay applies the trace's published entries, in order, to contracts
 rebuilt from the embedded scenario.  Every entry must produce the status,
 rejection reason and info the trace recorded; the initial and terminal
-ownership, every escrow resolution and its tick, and the set of
-compliant parties must match as well, and each wake and notify must be
-one the world makes.  The first inconsistency is reported by record
-index where it has one.  Verdicts and costs are then re-derived from the
-replayed trace, so a faithful replay yields the original report.
+ownership, every escrow resolution and its tick, and the metadata's
+`compliant` parties, `scenario_digest`, `unresolved` and
+`liveness_failure` must match as well, and each wake and notify must be
+one the world makes.  The metadata's `truncated` and `final_tick` are not
+re-derived: they describe the event heap and clock of the recorded run,
+which replay does not run.  The first inconsistency is reported by
+record index where it has one.  Verdicts and costs are then re-derived
+from the replayed trace, so a faithful replay yields the original report.
 """
 
 from __future__ import annotations
@@ -77,10 +80,15 @@ def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> Repl
     if world.wallet_snapshots() != trace.terminal_wallets:
         raise ReplayError("terminal ownership does not match the recorded snapshot")
     recorded = {k: tuple(v) for k, v in trace.resolutions.items()}
-    if recorded != world.resolutions():
+    resolutions = world.resolutions()
+    if recorded != resolutions:
         raise ReplayError("escrow resolutions do not match the recorded trace")
-    if trace.metadata.get("compliant") != sorted(world.compliant):
-        raise ReplayError("compliant parties do not match the scenario's strategies")
+    derived = world.metadata(resolutions)
+    for name in ("compliant", "scenario_digest", "unresolved", "liveness_failure"):
+        if trace.metadata.get(name) != derived[name]:
+            raise ReplayError(
+                f"recorded {name} {trace.metadata.get(name)!r} but replay derived {derived[name]!r}"
+            )
     verdicts = run_verdicts(trace)
     costs = meter(trace, schedule)
     return ReplayReport(trace, verdicts, costs)

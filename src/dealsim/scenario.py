@@ -262,12 +262,24 @@ def assemble_world(
     network = NetworkModel(**sc["network"])
     world = World(sc, deal, network, run_seed, sc["horizon"], choices)
 
+    # Each deal chain's starting balances; the certified chain holds no assets.
+    chains = deal.chains()
+    wallets = {chain_id: {"fungible": {}, "tokens": {}} for chain_id in chains}
+    for party, bundle in holdings.items():
+        unknown = bundle.chains() - wallets.keys()
+        if unknown:
+            raise ScenarioError(f"wallet references unknown chain {min(unknown)!r}")
+        for (chain_id, kind), amount in bundle.fungible.items():
+            wallets[chain_id]["fungible"].setdefault(party, {})[kind] = amount
+        for chain_id, token in bundle.tokens:
+            wallets[chain_id]["tokens"][token] = party
+
     skew_rng = random.Random(f"skew-{run_seed}")
     protocol = sc["protocol"]
-    for chain_id in deal.chains():
+    for chain_id in chains:
         skew = skew_rng.randint(0, network.skew_max) if network.skew_max else 0
         contract = EscrowContract(
-            chain_id, deal.deal_id, deal.parties, deal.t0, deal.delta, protocol
+            chain_id, deal.deal_id, deal.parties, deal.t0, deal.delta, protocol, wallets[chain_id]
         )
         world.add_chain(chain_id, contract, skew)
 
@@ -276,15 +288,6 @@ def assemble_world(
         world.add_chain(CBC_CHAIN, CbcLogContract())
         world.validator_service = ValidatorService.for_scenario(world.scheme, sc["cbc"])
         validators = world.validator_service.members(0)
-
-    for party, bundle in holdings.items():
-        unknown = bundle.chains() - world.chains.keys()
-        if unknown:
-            raise ScenarioError(f"wallet references unknown chain {min(unknown)!r}")
-        for (chain_id, kind), amount in bundle.fungible.items():
-            world.chains[chain_id].wallets.deposit_fungible(party, kind, amount)
-        for chain_id, token in bundle.tokens:
-            world.chains[chain_id].wallets.set_token_owner(token, party)
 
     def chains_of_interest(party: str) -> List[str]:
         lots = set(plan.source_lots(party)) | set(plan.voting_lots(party))

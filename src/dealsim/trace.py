@@ -108,6 +108,11 @@ class RunTrace:
     def all_resolved(self) -> bool:
         return all(res != "active" for res, _ in self.resolutions.values())
 
+    @property
+    def unresolved(self) -> List[str]:
+        """The lots still active at the run's end, in `resolutions` order."""
+        return [k for k, (res, _) in self.resolutions.items() if res == "active"]
+
     def publishes(self, chain: Optional[str] = None) -> List[TraceEvent]:
         return [
             e

@@ -19,7 +19,9 @@ from dealsim.adversary import (
 from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
-from dealsim.ledger import Chain, PartyContext, SeededChoices, TapeChoices, World
+from dealsim.ledger import (
+    Chain, KnownContinuation, PartyContext, SeededChoices, TapeChoices, World,
+)
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
@@ -495,10 +497,18 @@ class TestSuffixResumption:
         # trace, and its depth, from the run that went on from that key;
         # every schedule must be that of running it to its end.
         def explore(reuse):
-            made, traces = [], []
+            made, traces, stopped = [], [], []
+
+            class Counted(TapeChoices):
+                def pick(self, *args):
+                    try:
+                        return super().pick(*args)
+                    except KnownContinuation:
+                        stopped.append(self.tape)
+                        raise
 
             def recorded(tape, known=()):
-                made.append(TapeChoices(tape, known if reuse else ()))
+                made.append(Counted(tape, known if reuse else ()))
                 return made[-1]
 
             def evaluate(trace):
@@ -508,7 +518,7 @@ class TestSuffixResumption:
             monkeypatch.setattr(adversary, "TapeChoices", recorded)
             result = exhaustive_explore(corpus[name], bound, evaluate=evaluate)
             depths = [(choices.tape, choices.depth) for choices in made]
-            return (traces, depths, result.to_json()), any(choices.reused for choices in made)
+            return (traces, depths, result.to_json()), bool(stopped)
 
         with_reuse, reused = explore(True)
         assert reused
@@ -651,6 +661,7 @@ class _MidpointRewind(_MidpointSnapshot):
         if self.events == self.at_event:
             self.key = world.state_key()
             self.contract_views = {cid: c.contract.state for cid, c in world.chains.items()}
+            self.wallets = world.wallet_snapshots()
             self.rng_state = self.rng.getstate()
         super().event_start(world)
 
@@ -689,10 +700,13 @@ def test_a_restored_contract_holds_its_recorded_view(protocol):
     choices = _MidpointRewind(scenario["seed"], counted.choices.events // 2)
     world = build_world(scenario, choices=choices).world
     world.run()
+    end = world.wallet_snapshots()
     world.restore(choices.snap)
     for cid, chain in world.chains.items():
         assert chain.contract.state is chain.view_at(len(chain.views) - 1)
         assert chain.contract.state is choices.contract_views[cid]
+    # Each chain's balances are back to those recorded at that length.
+    assert world.wallet_snapshots() == choices.wallets != end
 
 
 class _SendPhaseRewind(SeededChoices):

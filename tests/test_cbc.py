@@ -86,10 +86,10 @@ class TestDecideRule:
     def test_decide_over_log_entries(self):
         log = CbcLogContract()
         plist = ["a", "b", "c"]
-        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", None, 0, None)
+        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
         h = info["h"]
         for voter in plist:
-            log.apply({"op": "commit", "deal": "d", "h": h, "voter": voter}, voter, None, 1, None)
+            log.apply({"op": "commit", "deal": "d", "h": h, "voter": voter}, voter, 1, None)
         decision = cbc_decide(log.entries, "d", h)
         assert decision.status == COMMITTED
         assert decision.position == 3  # start entry occupies position 0
@@ -103,8 +103,8 @@ class TestStartDeal:
     def test_earliest_duplicate_is_definitive(self):
         log = CbcLogContract()
         plist = ["a", "b"]
-        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", None, 0, None)
-        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "b", None, 1, None)
+        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
+        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "b", 1, None)
         from dealsim.cbc import definitive_start
 
         assert definitive_start(log.entries, "d")["position"] == 0
@@ -117,19 +117,19 @@ class TestStartDeal:
     def test_vote_requires_existing_start(self):
         log = CbcLogContract()
         status, reason, _ = log.apply(
-            {"op": "commit", "deal": "d", "h": "junk", "voter": "a"}, "a", None, 0, None
+            {"op": "commit", "deal": "d", "h": "junk", "voter": "a"}, "a", 0, None
         )
         assert (status, reason) == ("rejected", "unknown-start")
 
     def test_outsider_start_and_vote_rejected(self):
         log = CbcLogContract()
         status, reason, _ = log.apply(
-            {"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "mallory", None, 0, None
+            {"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "mallory", 0, None
         )
         assert (status, reason) == ("rejected", "caller-not-in-plist")
-        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "a", None, 0, None)
+        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "a", 0, None)
         status, reason, _ = log.apply(
-            {"op": "commit", "deal": "d", "h": info["h"], "voter": "mallory"}, "mallory", None, 0, None
+            {"op": "commit", "deal": "d", "h": info["h"], "voter": "mallory"}, "mallory", 0, None
         )
         assert (status, reason) == ("rejected", "unknown-voter")
 
@@ -141,9 +141,9 @@ class TestCertificates:
         service = ValidatorService(scheme, f=1)
         log = CbcLogContract()
         plist = ["a", "b", "c"]
-        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", None, 0, None)
+        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
         for voter in plist:
-            log.apply({"op": "commit", "deal": "d", "h": info["h"], "voter": voter}, voter, None, 1, None)
+            log.apply({"op": "commit", "deal": "d", "h": info["h"], "voter": voter}, voter, 1, None)
         return scheme, service, log, info["h"]
 
     def test_certificate_has_quorum_of_signatures(self, decided_log):
@@ -159,7 +159,7 @@ class TestCertificates:
         service = ValidatorService(scheme, f=1)
         log = CbcLogContract()
         _, _, info = log.apply(
-            {"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "a", None, 0, None
+            {"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "a", 0, None
         )
         with pytest.raises(CbcError):
             service.issue_certificate(log.entries, "d", info["h"])

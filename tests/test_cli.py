@@ -387,6 +387,19 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayError, match=message):
             replay_trace(trace)
 
+    @pytest.mark.parametrize(
+        "field, forged",
+        [("scenario_digest", "0" * 16), ("unresolved", ["coin/zzz"]), ("liveness_failure", True)],
+    )
+    def test_replay_rejects_forged_run_metadata(self, corpus, tmp_path, field, forged):
+        path = tmp_path / "run.trace.json"
+        run_scenario_dict(corpus["silent_party_timelock"])[1].dump(str(path))
+        trace = RunTrace.load(str(path))
+        replay_trace(trace)
+        trace.metadata[field] = forged
+        with pytest.raises(ReplayError, match=f"recorded {field}"):
+            replay_trace(trace)
+
     def test_replay_lets_a_broken_lot_invariant_propagate(self, corpus, monkeypatch):
         # A ValueError, but a fault of the contract, not of the record.
         trace = self.ticket_trace(corpus)

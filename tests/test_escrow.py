@@ -13,25 +13,28 @@ from dealsim.assets import AssetBundle
 from dealsim.cbc import CbcLogContract, ValidatorService
 from dealsim.crypto import SignatureScheme, Vote, direct_vote
 from dealsim.escrow import EscrowContract, EscrowInvariantError, check_invariants
-from dealsim.ledger import NetworkModel, Wallets, World
+from dealsim.ledger import NetworkModel, World
 from dealsim.timelock import vote_payload
-
-
-class FakeChain:
-    def __init__(self):
-        self.wallets = Wallets()
 
 
 PARTIES = ("alice", "bob", "carol")
 
 
+def wallets(tokens=None, **coins):
+    """Balances: `tokens` (token -> owner) and each named party's "coin" amount."""
+    return {
+        "fungible": {party: {"coin": amount} for party, amount in coins.items()},
+        "tokens": dict(tokens or {}),
+    }
+
+
 @pytest.fixture
 def setup():
-    chain = FakeChain()
-    chain.wallets.set_token_owner("tkt1", "bob")
-    chain.wallets.set_token_owner("tkt2", "bob")
-    contract = EscrowContract("ticket", "deal-1", PARTIES, t0=30, delta=5, protocol="timelock")
-    return chain, contract, SignatureScheme("t")
+    contract = EscrowContract(
+        "ticket", "deal-1", PARTIES, t0=30, delta=5, protocol="timelock",
+        wallets=wallets({"tkt1": "bob", "tkt2": "bob"}),
+    )
+    return contract, SignatureScheme("t")
 
 
 def escrow_payload(party, bundle):
@@ -54,57 +57,57 @@ TICKETS = AssetBundle(tokens=[("ticket", "tkt1"), ("ticket", "tkt2")])
 
 class TestEscrow:
     def test_escrow_moves_ownership_to_contract(self, setup):
-        chain, contract, scheme = setup
+        contract, scheme = setup
         status, reason, info = contract.apply(
-            escrow_payload("bob", TICKETS), "bob", chain, 0, scheme
+            escrow_payload("bob", TICKETS), "bob", 0, scheme
         )
         assert status == "accepted"
         lot = contract.state["lots"]["bob"]
-        assert chain.wallets.tokens == {}
+        assert contract.state["wallets"]["tokens"] == {}
         assert lot["tokens"] == ["tkt1", "tkt2"]
         assert lot["c_tok"] == {"tkt1": "bob", "tkt2": "bob"}
         assert lot["escrower"] == "bob"  # abort side always refunds the escrower
 
     def test_non_owner_escrow_rejected(self, setup):
-        chain, contract, scheme = setup
+        contract, scheme = setup
         status, reason, _ = contract.apply(
-            escrow_payload("carol", TICKETS), "carol", chain, 0, scheme
+            escrow_payload("carol", TICKETS), "carol", 0, scheme
         )
         assert (status, reason) == ("rejected", "not-owner")
-        assert chain.wallets.tokens["tkt1"] == "bob"
+        assert contract.state["wallets"]["tokens"]["tkt1"] == "bob"
 
-    def test_outsider_escrow_rejected(self, setup):
-        chain, contract, scheme = setup
-        chain.wallets.set_token_owner("tkt9", "mallory")
+    def test_outsider_escrow_rejected(self):
+        scheme = SignatureScheme("t")
+        contract = EscrowContract(
+            "ticket", "deal-1", PARTIES, 30, 5, "timelock", wallets({"tkt9": "mallory"})
+        )
         status, reason, _ = contract.apply(
             {"op": "escrow", "deal": "deal-1", "party": "mallory",
              "bundle": AssetBundle.token("ticket", "tkt9").to_json()},
-            "mallory", chain, 0, scheme,
+            "mallory", 0, scheme,
         )
         assert (status, reason) == ("rejected", "not-in-plist")
 
     def test_partial_balance_escrow(self):
-        chain = FakeChain()
-        chain.wallets.deposit_fungible("carol", "coin", 150)
-        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
+        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock", wallets(carol=150))
         status, _, _ = contract.apply(
             escrow_payload("carol", AssetBundle.coins("coin", "coin", 101)),
-            "carol", chain, 0, SignatureScheme("t"),
+            "carol", 0, SignatureScheme("t"),
         )
         assert status == "accepted"
-        assert chain.wallets.fungible["carol"]["coin"] == 49
+        assert contract.state["wallets"]["fungible"]["carol"]["coin"] == 49
         assert contract.state["lots"]["carol"]["fungible"] == {"coin": 101}
 
 
 class TestTentativeTransfer:
     def test_relay_chain_updates_commit_owner_only(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
         s1, _, _ = contract.apply(
-            transfer_payload("bob", "bob", "alice", TICKETS), "bob", chain, 1, scheme
+            transfer_payload("bob", "bob", "alice", TICKETS), "bob", 1, scheme
         )
         s2, _, _ = contract.apply(
-            transfer_payload("alice", "bob", "carol", TICKETS), "alice", chain, 2, scheme
+            transfer_payload("alice", "bob", "carol", TICKETS), "alice", 2, scheme
         )
         assert s1 == s2 == "accepted"
         lot = contract.state["lots"]["bob"]
@@ -112,95 +115,93 @@ class TestTentativeTransfer:
         assert lot["escrower"] == "bob"
 
     def test_fungible_split(self):
-        chain = FakeChain()
-        chain.wallets.deposit_fungible("carol", "coin", 101)
-        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
+        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock", wallets(carol=101))
         scheme = SignatureScheme("t")
         contract.apply(
             escrow_payload("carol", AssetBundle.coins("coin", "coin", 101)),
-            "carol", chain, 0, scheme,
+            "carol", 0, scheme,
         )
         contract.apply(
             transfer_payload("carol", "carol", "alice", AssetBundle.coins("coin", "coin", 101)),
-            "carol", chain, 1, scheme,
+            "carol", 1, scheme,
         )
         contract.apply(
             transfer_payload("alice", "carol", "bob", AssetBundle.coins("coin", "coin", 100)),
-            "alice", chain, 2, scheme,
+            "alice", 2, scheme,
         )
         lot = contract.state["lots"]["carol"]
         assert lot["c_fun"]["alice"] == {"coin": 1}
         assert lot["c_fun"]["bob"] == {"coin": 100}
 
     def test_transfer_without_commit_balance_rejected(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
         status, reason, _ = contract.apply(
-            transfer_payload("carol", "bob", "alice", TICKETS), "carol", chain, 1, scheme
+            transfer_payload("carol", "bob", "alice", TICKETS), "carol", 1, scheme
         )
         assert (status, reason) == ("rejected", "insufficient-commit-balance")
 
     def test_transfer_to_outsider_rejected(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
         status, reason, _ = contract.apply(
-            transfer_payload("bob", "bob", "mallory", TICKETS), "bob", chain, 1, scheme
+            transfer_payload("bob", "bob", "mallory", TICKETS), "bob", 1, scheme
         )
         assert (status, reason) == ("rejected", "not-in-plist")
 
 
 class TestFinalize:
     def _staged(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
-        contract.apply(transfer_payload("bob", "bob", "alice", TICKETS), "bob", chain, 1, scheme)
-        contract.apply(transfer_payload("alice", "bob", "carol", TICKETS), "alice", chain, 2, scheme)
-        return chain, contract
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
+        contract.apply(transfer_payload("bob", "bob", "alice", TICKETS), "bob", 1, scheme)
+        contract.apply(transfer_payload("alice", "bob", "carol", TICKETS), "alice", 2, scheme)
+        return contract
 
     def test_commit_hands_assets_to_commit_owners(self, setup):
-        chain, contract = self._staged(setup)
-        contract._finalize("bob", "committed", chain, 40)
-        assert chain.wallets.tokens == {"tkt1": "carol", "tkt2": "carol"}
+        contract = self._staged(setup)
+        contract._finalize("bob", "committed", 40)
+        assert contract.state["wallets"]["tokens"] == {"tkt1": "carol", "tkt2": "carol"}
 
     def test_abort_refunds_the_escrower(self, setup):
-        chain, contract = self._staged(setup)
-        contract._finalize("bob", "aborted", chain, 45)
-        assert chain.wallets.tokens == {"tkt1": "bob", "tkt2": "bob"}
+        contract = self._staged(setup)
+        contract._finalize("bob", "aborted", 45)
+        assert contract.state["wallets"]["tokens"] == {"tkt1": "bob", "tkt2": "bob"}
 
     def test_without_finalize_owners_unchanged(self, setup):
-        chain, contract = self._staged(setup)
+        contract = self._staged(setup)
         lot = contract.state["lots"]["bob"]
         assert lot["resolution"] == "active"
-        assert chain.wallets.tokens == {}  # still the contract's property
+        assert contract.state["wallets"]["tokens"] == {}  # still the contract's property
 
     def test_double_finalize_rejected_via_timeout_op(self, setup):
-        chain, contract = self._staged(setup)
+        contract = self._staged(setup)
         s1, _, _ = contract.apply(
-            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", chain, 45, scheme := SignatureScheme("t")
+            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", 45, scheme := SignatureScheme("t")
         )
         s2, reason, _ = contract.apply(
-            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", chain, 46, scheme
+            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", 46, scheme
         )
         assert s1 == "accepted"
         assert (s2, reason) == ("rejected", "already-resolved")
 
     def test_premature_timeout_rejected(self, setup):
-        chain, contract = self._staged(setup)
+        contract = self._staged(setup)
         status, reason, _ = contract.apply(
-            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", chain, 44, SignatureScheme("t")
+            {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", 44, SignatureScheme("t")
         )
         assert (status, reason) == ("rejected", "not-due")
 
     def test_quiescent_once_no_entry_can_move_an_asset(self, setup):
-        chain, contract = self._staged(setup)
-        assert not contract.quiescent(chain.wallets, set(PARTIES), 40)  # bob's lot is active
-        contract._finalize("bob", "committed", chain, 40)
+        contract = self._staged(setup)
+        assert not contract.quiescent(set(PARTIES), 40)  # bob's lot is active
+        contract._finalize("bob", "committed", 40)
         # carol holds the tickets here without a lot, so could still escrow them
-        assert not contract.quiescent(chain.wallets, {"alice", "bob"}, 40)
-        assert contract.quiescent(chain.wallets, {"carol"}, 40)
+        assert not contract.quiescent({"alice", "bob"}, 40)
+        assert contract.quiescent({"carol"}, 40)
 
     def test_the_cbc_log_is_never_quiescent(self):
-        assert not CbcLogContract().quiescent(Wallets(), set(PARTIES), 10**6)
+        assert not CbcLogContract().quiescent(set(PARTIES), 10**6)
 
 
 @pytest.mark.parametrize("protocol", ["timelock", "naive"])
@@ -210,47 +211,44 @@ class TestDoomedLots:
     at its timer's fixed tick: it no longer keeps the contract from being
     quiescent."""
 
-    def _active(self, protocol):
-        chain = FakeChain()
-        chain.wallets.set_token_owner("tkt1", "bob")
-        contract = EscrowContract("ticket", "deal-1", PARTIES, 30, 5, protocol)
+    def _active(self, protocol, **coins):
+        contract = EscrowContract(
+            "ticket", "deal-1", PARTIES, 30, 5, protocol, wallets({"tkt1": "bob"}, **coins)
+        )
         bundle = AssetBundle(tokens=[("ticket", "tkt1")])
-        contract.apply(escrow_payload("bob", bundle), "bob", chain, 0, SignatureScheme("t"))
-        return chain, contract
+        contract.apply(escrow_payload("bob", bundle), "bob", 0, SignatureScheme("t"))
+        return contract
 
     def test_an_active_lot_is_settled_from_its_refund_deadline(self, protocol):
-        chain, contract = self._active(protocol)
+        contract = self._active(protocol)
         assert contract.unresolved_lots() == ["bob"]
-        assert not contract.quiescent(chain.wallets, set(), 44)
-        assert contract.quiescent(chain.wallets, set(), 45)
+        assert not contract.quiescent(set(), 44)
+        assert contract.quiescent(set(), 45)
 
     def test_the_chain_skew_shifts_the_deadline(self, protocol):
-        chain, contract = self._active(protocol)
+        contract = self._active(protocol)
         world = World({}, None, NetworkModel(), 0, 100)
-        world.add_chain("ticket", contract, skew=3).wallets = chain.wallets
+        world.add_chain("ticket", contract, skew=3)
         world.now = 41
         assert not world.quiescent()
         world.now = 42  # local tick 45
         assert world.quiescent()
 
     def test_a_holder_without_a_lot_still_blocks_quiescence(self, protocol):
-        chain, contract = self._active(protocol)
-        chain.wallets.deposit_fungible("carol", "coin", 5)
+        contract = self._active(protocol, carol=5)
         # carol could still escrow here and open a lot with its own refund
-        assert not contract.quiescent(chain.wallets, set(), 45)
-        assert contract.quiescent(chain.wallets, {"carol"}, 45)
+        assert not contract.quiescent(set(), 45)
+        assert contract.quiescent({"carol"}, 45)
 
 
 def test_a_cbc_escrow_lot_is_never_doomed():
-    chain = FakeChain()
-    chain.wallets.set_token_owner("tkt1", "bob")
-    contract = EscrowContract("ticket", "deal-1", PARTIES, 30, 5, "cbc")
+    contract = EscrowContract("ticket", "deal-1", PARTIES, 30, 5, "cbc", wallets({"tkt1": "bob"}))
     config = {"h": "h", "epoch": 0, "validators": ["v0"], "f": 0}
     escrow = escrow_payload("bob", AssetBundle(tokens=[("ticket", "tkt1")]))
-    status, _, _ = contract.apply({**escrow, **config}, "bob", chain, 0, SignatureScheme("t"))
+    status, _, _ = contract.apply({**escrow, **config}, "bob", 0, SignatureScheme("t"))
     assert status == "accepted"
     # A certificate can settle the lot either way at any tick.
-    assert not contract.quiescent(chain.wallets, set(), 10**6)
+    assert not contract.quiescent(set(), 10**6)
 
 
 class TestConservation:
@@ -259,18 +257,13 @@ class TestConservation:
         rng = random.Random(99)
         scheme = SignatureScheme("t")
         for trial in range(60):
-            chain = FakeChain()
-            supply = {}
-            for party in PARTIES:
-                amount = rng.randint(0, 100)
-                chain.wallets.deposit_fungible(party, "coin", amount)
-                supply[party] = amount
+            supply = {party: rng.randint(0, 100) for party in PARTIES}
             total = sum(supply.values())
-            contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
+            contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock", wallets(**supply))
 
             def total_now():
                 in_wallets = sum(
-                    kinds.get("coin", 0) for kinds in chain.wallets.fungible.values()
+                    kinds.get("coin", 0) for kinds in contract.state["wallets"]["fungible"].values()
                 )
                 in_lots = sum(
                     lot["fungible"].get("coin", 0)
@@ -285,7 +278,7 @@ class TestConservation:
                 if op == "escrow":
                     contract.apply(
                         escrow_payload(party, AssetBundle.coins("coin", "coin", rng.randint(1, 40))),
-                        party, chain, step, scheme,
+                        party, step, scheme,
                     )
                 elif op == "transfer":
                     contract.apply(
@@ -293,13 +286,13 @@ class TestConservation:
                             party, rng.choice(PARTIES), rng.choice(PARTIES),
                             AssetBundle.coins("coin", "coin", rng.randint(1, 40)),
                         ),
-                        party, chain, step, scheme,
+                        party, step, scheme,
                     )
                 else:
                     lot = contract.state["lots"].get(rng.choice(PARTIES))
                     if lot is not None and lot["resolution"] == "active":
                         contract._finalize(
-                            lot["escrower"], rng.choice(["committed", "aborted"]), chain, step
+                            lot["escrower"], rng.choice(["committed", "aborted"]), step
                         )
                 assert total_now() == total
                 for lot in contract.state["lots"].values():
@@ -311,12 +304,12 @@ class TestRecordedStates:
     or rejected, may change a state the contract had before it."""
 
     @staticmethod
-    def applier(contract, chain, scheme):
+    def applier(contract, scheme):
         seen = []  # every state the contract has had, with a deep copy
 
         def apply(payload, publisher, now, expected):
             seen.append((contract.state, copy.deepcopy(contract.state)))
-            status, reason, _ = contract.apply(payload, publisher, chain, now, scheme)
+            status, reason, _ = contract.apply(payload, publisher, now, scheme)
             assert status == expected, (payload, reason)
             for state, before in seen:
                 assert state == before, payload
@@ -324,11 +317,11 @@ class TestRecordedStates:
         return apply
 
     def test_timelock_calls_leave_earlier_states_unchanged(self):
-        scheme, chain = SignatureScheme("t"), FakeChain()
-        chain.wallets.deposit_fungible("carol", "coin", 101)
-        chain.wallets.deposit_fungible("alice", "coin", 5)
-        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "timelock")
-        apply = self.applier(contract, chain, scheme)
+        scheme = SignatureScheme("t")
+        contract = EscrowContract(
+            "coin", "deal-1", PARTIES, 30, 5, "timelock", wallets(carol=101, alice=5)
+        )
+        apply = self.applier(contract, scheme)
         coins = AssetBundle.coins("coin", "coin", 101)
         apply(escrow_payload("carol", coins), "carol", 0, "accepted")
         apply(escrow_payload("bob", coins), "bob", 0, "rejected")
@@ -352,7 +345,7 @@ class TestRecordedStates:
         scheme = SignatureScheme("t")
         service = ValidatorService(scheme, f=1)
         log = CbcLogContract()
-        log_apply = self.applier(log, None, scheme)
+        log_apply = self.applier(log, scheme)
         start = {"op": "start_deal", "deal": "deal-1", "plist": list(PARTIES)}
         log_apply(start, "mallory", 0, "rejected")
         log_apply(start, "alice", 0, "accepted")
@@ -364,10 +357,8 @@ class TestRecordedStates:
         log_apply({**vote, "op": "abort", "voter": "bob"}, "bob", 2, "accepted")
         cert = service.issue_certificate(log.entries, "deal-1", h).to_json()
 
-        chain = FakeChain()
-        chain.wallets.deposit_fungible("carol", "coin", 150)
-        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "cbc")
-        apply = self.applier(contract, chain, scheme)
+        contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "cbc", wallets(carol=150))
+        apply = self.applier(contract, scheme)
         config = {"h": h, "epoch": 0, "validators": list(service.members(0)), "f": 1}
         escrow = escrow_payload("carol", AssetBundle.coins("coin", "coin", 101))
         apply({**escrow, **config}, "carol", 0, "accepted")
@@ -380,18 +371,18 @@ class TestRecordedStates:
 
 class TestInvariantErrors:
     def test_corrupted_commit_view_raises(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
         lot = {**contract.state["lots"]["bob"], "c_fun": {"bob": {"coin": 1}}}
         with pytest.raises(EscrowInvariantError):
             check_invariants(lot)
 
     def test_finalizing_a_resolved_lot_raises(self, setup):
-        chain, contract, scheme = setup
-        contract.apply(escrow_payload("bob", TICKETS), "bob", chain, 0, scheme)
-        contract._finalize("bob", "aborted", chain, 1)
+        contract, scheme = setup
+        contract.apply(escrow_payload("bob", TICKETS), "bob", 0, scheme)
+        contract._finalize("bob", "aborted", 1)
         with pytest.raises(EscrowInvariantError):
-            contract._finalize("bob", "committed", chain, 2)
+            contract._finalize("bob", "committed", 2)
 
     def test_invariants_fire_under_python_O(self):
         script = textwrap.dedent(

@@ -1,27 +1,30 @@
 """The event loop: ordering, observation bounds, determinism, network modes."""
 
+import copy
+
 import pytest
 
 from dealsim.deals import DealSpec
 from dealsim.ledger import (
     TIMER_SENDER, ModelViolation, NetworkModel, PartyContext, SeededChoices, World,
 )
-from dealsim.scenario import build_world, ticket_deal
+from dealsim.scenario import ScenarioError, build_world, ticket_deal
 from dealsim.timelock import refund_deadline
 
 from conftest import run_scenario_dict
 
 
 class RecordingContract:
-    """Minimal contract accepting everything; notes application order."""
+    """Minimal contract accepting everything; notes application order.  Its
+    chain holds no assets."""
 
     def __init__(self):
         self.applied = []
-        self.state = {"count": 0}
+        self.state = {"count": 0, "wallets": {"fungible": {}, "tokens": {}}}
 
-    def apply(self, payload, publisher, chain, local_now, scheme):
+    def apply(self, payload, publisher, local_now, scheme):
         self.applied.append((payload.get("n"), local_now))
-        self.state = {"count": len(self.applied)}
+        self.state = {**self.state, "count": len(self.applied)}
         return "accepted", None, {}
 
     def state_key(self):
@@ -180,13 +183,48 @@ class TestQuiescence:
         assert not trace.metadata["liveness_failure"]  # quiescent well before horizon
 
     def test_contracts_never_see_other_chains(self):
-        """Structural isolation: a contract transition gets only its own chain."""
+        """Structural isolation: a contract call gets only its recorded state
+        and the entry, not even its own chain."""
         import inspect
 
+        from dealsim.cbc import CbcLogContract
         from dealsim.escrow import EscrowContract
 
-        params = list(inspect.signature(EscrowContract.apply).parameters)
-        assert params == ["self", "payload", "publisher", "chain", "local_now", "scheme"]
+        for contract in (EscrowContract, CbcLogContract):
+            apply = list(inspect.signature(contract.apply).parameters)
+            assert apply == ["self", "payload", "publisher", "local_now", "scheme"]
+            quiescent = list(inspect.signature(contract.quiescent).parameters)
+            assert quiescent == ["self", "finished", "local_now"]
+
+
+class TestRecordedBalances:
+    """A chain's balances are part of the state its contract records."""
+
+    def test_a_cbc_trace_lists_the_certified_chain_with_empty_wallets(self):
+        _, trace = run_scenario_dict(ticket_deal("cbc"))
+        empty = {"fungible": {}, "tokens": {}}
+        assert trace.initial_wallets["cbc"] == trace.terminal_wallets["cbc"] == empty
+
+    def test_no_trace_field_aliases_a_recorded_state(self):
+        world = build_world(ticket_deal("timelock")).world
+        trace = world.run()
+        recorded = {
+            cid: copy.deepcopy([chain.view_at(-1), *chain.views]) for cid, chain in world.chains.items()
+        }
+        for wallets in (*trace.initial_wallets.values(), *trace.terminal_wallets.values()):
+            for kinds in wallets["fungible"].values():
+                kinds["coin"] = -1
+            wallets["fungible"]["mallory"] = {"coin": 1}
+            wallets["tokens"]["tkt1"] = "mallory"
+        for cid, chain in world.chains.items():
+            assert [chain.view_at(-1), *chain.views] == recorded[cid]
+
+    def test_a_wallet_on_the_certified_chain_is_a_scenario_error(self):
+        # The certified chain holds no assets, so no party starts with any there.
+        scenario = ticket_deal("cbc")
+        scenario["wallets"]["carol"]["fungible"].append(["cbc", "gas", 5])
+        with pytest.raises(ScenarioError, match="unknown chain 'cbc'"):
+            build_world(scenario)
 
 
 class SnapshotLoggingParty(IdleParty):

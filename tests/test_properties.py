@@ -118,6 +118,16 @@ class TestStrongLiveness:
         verdict = check_strong_liveness(bad)
         assert verdict.passed is False
 
+    def test_unresolved_lots_are_read_from_the_resolutions(self, ticket_timelock_run):
+        # Not from the run metadata, which a trace file could forge.
+        built, trace = ticket_timelock_run
+        bad = copy.deepcopy(trace)
+        bad.resolutions["coin/carol"] = ("active", None)
+        bad.metadata["unresolved"] = []
+        expected = [{"unresolved": ["coin/carol"]}]
+        assert check_strong_liveness(bad).witness == expected
+        assert run_verdicts(bad)[0].witness == expected
+
 
 class TestAgreement:
     def test_cbc_run_single_status(self, ticket_cbc_run):

@@ -13,7 +13,6 @@ from dealsim.crypto import (
     path_defect,
 )
 from dealsim.escrow import EscrowContract
-from dealsim.ledger import Wallets
 from dealsim.scenario import ticket_deal
 from dealsim.timelock import VoteRuling, judge_vote, vote_payload
 
@@ -23,23 +22,19 @@ T0, DELTA = 30, 5
 PARTIES = ("alice", "bob", "carol")
 
 
-class FakeChain:
-    def __init__(self):
-        self.wallets = Wallets()
+WALLETS = {"fungible": {"carol": {"coin": 101}}, "tokens": {}}  # the coin chain's balances
 
 
 @pytest.fixture
 def voting_setup():
     scheme = SignatureScheme("t")
-    chain = FakeChain()
-    chain.wallets.deposit_fungible("carol", "coin", 101)
-    contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock")
+    contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock", WALLETS)
     contract.apply(
         {"op": "escrow", "deal": "deal-1", "party": "carol",
          "bundle": AssetBundle.coins("coin", "coin", 101).to_json()},
-        "carol", chain, 0, scheme,
+        "carol", 0, scheme,
     )
-    return scheme, chain, contract
+    return scheme, contract
 
 
 def vote_of(scheme, voter, forwarders=()):
@@ -49,68 +44,68 @@ def vote_of(scheme, voter, forwarders=()):
     return path
 
 
-def submit(contract, chain, scheme, path, now):
-    return contract.apply(vote_payload("carol", path, "deal-1"), path.signers()[-1], chain, now, scheme)
+def submit(contract, scheme, path, now):
+    return contract.apply(vote_payload("carol", path, "deal-1"), path.signers()[-1], now, scheme)
 
 
 class TestVoteDeadlines:
     def test_direct_vote_just_inside_window(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        status, _, _ = submit(contract, chain, scheme, vote_of(scheme, "bob"), T0 + DELTA - 1)
+        scheme, contract = voting_setup
+        status, _, _ = submit(contract, scheme, vote_of(scheme, "bob"), T0 + DELTA - 1)
         assert status == "accepted"
 
     def test_direct_vote_at_window_edge_rejected(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        status, reason, _ = submit(contract, chain, scheme, vote_of(scheme, "bob"), T0 + DELTA)
+        scheme, contract = voting_setup
+        status, reason, _ = submit(contract, scheme, vote_of(scheme, "bob"), T0 + DELTA)
         assert (status, reason) == ("rejected", "timeout")
 
     def test_single_forward_extends_deadline(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         path = vote_of(scheme, "bob", ["alice"])
-        assert submit(contract, chain, scheme, path, T0 + 2 * DELTA - 1)[0] == "accepted"
+        assert submit(contract, scheme, path, T0 + 2 * DELTA - 1)[0] == "accepted"
 
     def test_single_forward_at_extended_edge_rejected(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         path = vote_of(scheme, "bob", ["alice"])
-        status, reason, _ = submit(contract, chain, scheme, path, T0 + 2 * DELTA)
+        status, reason, _ = submit(contract, scheme, path, T0 + 2 * DELTA)
         assert (status, reason) == ("rejected", "timeout")
 
     def test_early_votes_accepted_before_start(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        assert submit(contract, chain, scheme, vote_of(scheme, "bob"), T0 - 3)[0] == "accepted"
+        scheme, contract = voting_setup
+        assert submit(contract, scheme, vote_of(scheme, "bob"), T0 - 3)[0] == "accepted"
 
     def test_duplicate_voter_rejected_idempotently(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        submit(contract, chain, scheme, vote_of(scheme, "bob"), T0)
+        scheme, contract = voting_setup
+        submit(contract, scheme, vote_of(scheme, "bob"), T0)
         before = contract.state["lots"]["carol"]["voted"].copy()
         status, reason, _ = submit(
-            contract, chain, scheme, vote_of(scheme, "bob", ["alice"]), T0 + 1
+            contract, scheme, vote_of(scheme, "bob", ["alice"]), T0 + 1
         )
         assert (status, reason) == ("rejected", "duplicate")
         assert contract.state["lots"]["carol"]["voted"] == before
 
     def test_accepted_vote_verifies_each_link_once(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         path = vote_of(scheme, "bob", ["alice"])
         calls = []
         verify = scheme.verify
         scheme.verify = lambda *args: calls.append(args) or verify(*args)
-        status, _, _ = submit(contract, chain, scheme, path, T0)
+        status, _, _ = submit(contract, scheme, path, T0)
         assert status == "accepted"
         assert len(calls) == path.path_len
 
     def test_duplicate_signer_path_rejected(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         path = vote_of(scheme, "bob", ["alice"])
         doubled = type(path)(path.vote, path.links + (path.links[0],))
         status, reason, _ = contract.apply(
-            vote_payload("carol", doubled, "deal-1"), "bob", chain, T0, scheme
+            vote_payload("carol", doubled, "deal-1"), "bob", T0, scheme
         )
         assert (status, reason) == ("rejected", "invalid-path")
 
     def test_impersonated_vote_rejected_before_any_verification(self, voting_setup):
         # Bob signs alice's vote under his own name, as if he could cast it.
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         vote = Vote("deal-1", "alice", "n-alice")
         forged = PathSignature(
             vote, (("bob", scheme.sign(scheme.keypair("bob"), link_message(vote, ()))),)
@@ -121,66 +116,64 @@ class TestVoteDeadlines:
             local_now=T0, naive=False, scheme=scheme,
         )
         assert ruling == VoteRuling("rejected", "invalid-path", 0)
-        status, reason, info = submit(contract, chain, scheme, forged, T0)
+        status, reason, info = submit(contract, scheme, forged, T0)
         assert (status, reason, info["verifications"]) == ("rejected", "invalid-path", 0)
         assert contract.state["lots"]["carol"]["voted"] == {}
 
     def test_vote_for_other_deal_rejected(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         foreign = direct_vote(scheme, scheme.keypair("bob"), Vote("deal-2", "bob", "n"))
         status, reason, _ = contract.apply(
-            vote_payload("carol", foreign, "deal-1"), "bob", chain, T0, scheme
+            vote_payload("carol", foreign, "deal-1"), "bob", T0, scheme
         )
         assert (status, reason) == ("rejected", "wrong-deal")
 
     def test_all_votes_finalize_committed(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        submit(contract, chain, scheme, vote_of(scheme, "carol"), T0)
-        submit(contract, chain, scheme, vote_of(scheme, "alice"), T0 + 1)
-        status, _, info = submit(contract, chain, scheme, vote_of(scheme, "bob", ["alice"]), T0 + 2)
+        scheme, contract = voting_setup
+        submit(contract, scheme, vote_of(scheme, "carol"), T0)
+        submit(contract, scheme, vote_of(scheme, "alice"), T0 + 1)
+        status, _, info = submit(contract, scheme, vote_of(scheme, "bob", ["alice"]), T0 + 2)
         assert status == "accepted"
         assert info.get("finalized") == "committed"
-        assert chain.wallets.fungible["carol"]["coin"] == 101
+        assert contract.state["wallets"]["fungible"]["carol"]["coin"] == 101
 
     def test_forward_window_arithmetic_chains(self, voting_setup):
         """A vote accepted at tick < t0+k*delta forwards in time for k+1."""
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         accepted_at = T0 + DELTA - 1
-        assert submit(contract, chain, scheme, vote_of(scheme, "bob"), accepted_at)[0] == "accepted"
+        assert submit(contract, scheme, vote_of(scheme, "bob"), accepted_at)[0] == "accepted"
         arrival = accepted_at + DELTA  # worst-case observation latency
         assert arrival < T0 + 2 * DELTA
-        other = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock")
-        chain2 = FakeChain()
-        chain2.wallets.deposit_fungible("carol", "coin", 101)
+        other = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "timelock", WALLETS)
         other.apply(
             {"op": "escrow", "deal": "deal-1", "party": "carol",
              "bundle": AssetBundle.coins("coin", "coin", 101).to_json()},
-            "carol", chain2, 0, scheme,
+            "carol", 0, scheme,
         )
         path = vote_of(scheme, "bob", ["alice"])
-        assert submit(other, chain2, scheme, path, arrival)[0] == "accepted"
+        assert submit(other, scheme, path, arrival)[0] == "accepted"
 
 
 class TestRefundTimeout:
     def test_missing_vote_refunds_at_deadline(self, voting_setup):
-        scheme, chain, contract = voting_setup
-        submit(contract, chain, scheme, vote_of(scheme, "alice"), T0)
-        submit(contract, chain, scheme, vote_of(scheme, "bob"), T0)
+        scheme, contract = voting_setup
+        submit(contract, scheme, vote_of(scheme, "alice"), T0)
+        submit(contract, scheme, vote_of(scheme, "bob"), T0)
         status, _, info = contract.apply(
             {"op": "timeout", "deal": "deal-1", "lot": "carol"},
-            "@timer", chain, T0 + 3 * DELTA, scheme,
+            "@timer", T0 + 3 * DELTA, scheme,
         )
         assert status == "accepted"
         assert info["finalized"] == "aborted"
-        assert chain.wallets.fungible["carol"]["coin"] == 101
+        assert contract.state["wallets"]["fungible"]["carol"]["coin"] == 101
 
     def test_committed_lot_ignores_timeout(self, voting_setup):
-        scheme, chain, contract = voting_setup
+        scheme, contract = voting_setup
         for voter in PARTIES:
-            submit(contract, chain, scheme, vote_of(scheme, voter), T0)
+            submit(contract, scheme, vote_of(scheme, voter), T0)
         status, reason, _ = contract.apply(
             {"op": "timeout", "deal": "deal-1", "lot": "carol"},
-            "@timer", chain, T0 + 3 * DELTA, scheme,
+            "@timer", T0 + 3 * DELTA, scheme,
         )
         assert (status, reason) == ("rejected", "already-resolved")
 
@@ -263,14 +256,12 @@ class TestScenarioKnobs:
 class TestNaiveVariantContract:
     def test_fixed_deadline_accepts_stale_direct_votes(self):
         scheme = SignatureScheme("t")
-        chain = FakeChain()
-        chain.wallets.deposit_fungible("carol", "coin", 101)
-        contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "naive")
+        contract = EscrowContract("coin", "deal-1", PARTIES, T0, DELTA, "naive", WALLETS)
         contract.apply(
             {"op": "escrow", "deal": "deal-1", "party": "carol",
              "bundle": AssetBundle.coins("coin", "coin", 101).to_json()},
-            "carol", chain, 0, scheme,
+            "carol", 0, scheme,
         )
         late = T0 + 3 * DELTA - 1
-        status, _, _ = submit(contract, chain, scheme, vote_of(scheme, "bob"), late)
+        status, _, _ = submit(contract, scheme, vote_of(scheme, "bob"), late)
         assert status == "accepted"  # the flaw the path rule exists to fix
