@@ -25,10 +25,12 @@ _, _, info = log.apply({"op": "start_deal", "deal": "demo", "plist": ["a", "b", 
 h = info["h"]
 for voter in ("a", "b", "c"):
     log.apply({"op": "commit", "deal": "demo", "h": h, "voter": voter}, voter, 1, None)
-decision = cbc_decide(log.entries, "demo", h)
-print(f"decision: {decision.status} at ledger position {decision.position}")
+# The log records its decision when the decisive vote lands.
+decision = log.state["decisions"][h]
+print(f"recorded decision: {decision.status} at ledger position {decision.position}")
+print("  re-deciding from the raw entries agrees:", decision == cbc_decide(log.entries, "demo", h))
 
-cert = service.issue_certificate(log.entries, "demo", h)
+cert = service.issue_certificate(log.state, "demo", h)
 print(f"certificate: {cert.status} epoch {cert.epoch}, {len(cert.signatures)} signatures")
 ruling = verify_certificate(cert, 0, service.members(0), 1, scheme)
 print(f"contract verdict: ok={ruling.ok}, {ruling.verifications} signature checks")

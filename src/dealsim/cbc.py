@@ -6,8 +6,9 @@ last distinct party's commit lands with no abort anywhere before it, and
 aborts at the first abort that lands while some party has still not
 committed.  Validators of the chain attest to a decided status with
 certificates carrying f+1 signatures out of a 3f+1 member set.  The
-log contract's state is its entry list and the chain's balances, always
-empty; the chain records it after each entry, and no entry mutates it.
+log contract's state is its entry list, the chain's balances (always
+empty) and each start ref's decision, which parties and validators read;
+the chain records it after each entry, and no entry mutates it.
 """
 
 from __future__ import annotations
@@ -97,11 +98,12 @@ def cbc_decide(entries: Sequence[dict], deal_id: str, h: str) -> Decision:
 
 class CbcLogContract:
     """The shared chain's deal registry: validates and orders vote entries.
-    Its `state` holds the `entries` and the chain's empty `wallets`; an
-    accepted entry builds a new list."""
+    Its `state` holds the `entries`, the chain's empty `wallets` and the
+    `decisions` (start ref -> `Decision` of the entries so far); an
+    accepted entry builds a new state."""
 
     def __init__(self):
-        self.state = {"entries": [], "wallets": {"fungible": {}, "tokens": {}}}
+        self.state = {"entries": [], "wallets": {"fungible": {}, "tokens": {}}, "decisions": {}}
 
     @property
     def entries(self) -> List[dict]:
@@ -120,7 +122,8 @@ class CbcLogContract:
                 "position": position,
                 "h": start_ref(payload["deal"], payload["plist"], position),
             }
-            self.state = {**self.state, "entries": [*self.entries, entry]}
+            decisions = {**self.state["decisions"], entry["h"]: Decision(UNDECIDED, None)}
+            self.state = {**self.state, "entries": [*self.entries, entry], "decisions": decisions}
             return "accepted", None, {"h": entry["h"], "position": position}
         if op in ("commit", "abort"):
             start = definitive_start(self.entries, payload["deal"], payload["h"])
@@ -138,12 +141,17 @@ class CbcLogContract:
                 "voter": payload["voter"],
                 "position": position,
             }
-            self.state = {**self.state, "entries": [*self.entries, entry]}
+            entries = [*self.entries, entry]
+            decisions = self.state["decisions"]
+            if decisions[entry["h"]].status == UNDECIDED:  # a decided status never changes
+                decisions = {**decisions, entry["h"]: cbc_decide(entries, entry["deal"], entry["h"])}
+            self.state = {**self.state, "entries": entries, "decisions": decisions}
             return "accepted", None, {"position": position}
         return "rejected", "unknown-op", {}
 
     def state_key(self) -> tuple:
-        # The balances never change, so the entries fix the state.
+        # The balances never change and the decisions are those of the
+        # entries, so the entries fix the state.
         return tuple(
             tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in e.items()))
             for e in self.entries
@@ -343,15 +351,18 @@ class ValidatorService:
     def reconfig_chain(self) -> Tuple[ReconfigHop, ...]:
         return tuple(self._hops)
 
-    def issue_certificate(self, entries: Sequence[dict], deal_id: str, h: str) -> Certificate:
-        """Certify the deal's decided status; undecided deals cannot be certified."""
-        decision = cbc_decide(entries, deal_id, h)
-        if decision.status == UNDECIDED:
+    def issue_certificate(self, log_state: dict, deal_id: str, h: str) -> Certificate:
+        """Certify the status a `CbcLogContract` state records for the
+        deal's start ref `h`; an unknown or undecided one cannot be certified."""
+        if definitive_start(log_state["entries"], deal_id, h) is None:
+            raise CbcError(f"no startDeal with h={h!r} for deal {deal_id!r}")
+        status = log_state["decisions"][h].status
+        if status == UNDECIDED:
             raise CbcError(f"deal {deal_id!r} is undecided; no certificate")
-        msg = certificate_message(deal_id, h, decision.status, self.epoch)
+        msg = certificate_message(deal_id, h, status, self.epoch)
         signers = self.honest_members()[: self.f + 1]
         sigs = tuple(sorted((v, self.scheme.sign(self._keys[v], msg)) for v in signers))
-        return Certificate(deal_id, h, decision.status, self.epoch, sigs)
+        return Certificate(deal_id, h, status, self.epoch, sigs)
 
     def corrupt_signatures(self, message: bytes) -> List[Tuple[str, str]]:
         """Corrupt members sign an arbitrary statement on request."""

@@ -266,8 +266,8 @@ class PartyContext:
         return world.choices.pick(label, options, world)
 
     def request_certificate(self, deal_id: str, h: str):
-        cbc = self._world.chains[CBC_CHAIN].contract
-        return self._world.validator_service.issue_certificate(cbc.entries, deal_id, h)
+        log_state = self._world.chains[CBC_CHAIN].contract.state
+        return self._world.validator_service.issue_certificate(log_state, deal_id, h)
 
     def corrupt_signatures(self, message: bytes):
         return self._world.validator_service.corrupt_signatures(message)

@@ -47,9 +47,7 @@ from .cbc import (
     CBC_CHAIN,
     COMMITTED,
     UNDECIDED,
-    CbcError,
     Certificate,
-    cbc_decide,
     definitive_start,
 )
 from .crypto import (
@@ -439,25 +437,23 @@ class TimelockParty(CompliantParty):
 
 
 class CbcParty(CompliantParty):
-    """Votes once on the shared ledger, then settles escrows with certificates."""
+    """Votes once on the shared ledger, then settles escrows with certificates.
+    Its start ref `h` and the log's decision of it come from its view."""
 
     protocols = ("cbc",)
-    state = {"h": None, "commit_sent": False, "abort_sent": False, "settled": set()}
+    state = {"h": None, "vote_sent": None, "settled": set()}
 
     def on_start(self, ctx):
         ctx.wake_at(self.cfg.patience, "patience")
         if self.deal.parties[0] == self.me:
-            status, reason, info = ctx.publish(
+            ctx.publish(
                 CBC_CHAIN,
                 {"op": "start_deal", "deal": self.deal.deal_id, "plist": list(self.deal.parties)},
             )
-            if status == "accepted":
-                self.h = info["h"]
 
     def ready_to_escrow(self, ctx) -> bool:
         if self.h is None:
-            entries = ctx.view(CBC_CHAIN).get("entries", [])
-            start = definitive_start(entries, self.deal.deal_id)
+            start = definitive_start(ctx.view(CBC_CHAIN)["entries"], self.deal.deal_id)
             if start is not None:
                 self.h = start["h"]
         return self.h is not None
@@ -490,11 +486,7 @@ class CbcParty(CompliantParty):
         self.publish_cbc_vote(ctx, "abort")
 
     def publish_cbc_vote(self, ctx, kind: str):
-        if self.h is None:
-            return
-        if kind == "commit" and (self.commit_sent or self.abort_sent):
-            return
-        if kind == "abort" and self.abort_sent:
+        if self.h is None or self.vote_sent in (kind, "abort"):
             return
         ctx.publish(
             CBC_CHAIN,
@@ -505,10 +497,7 @@ class CbcParty(CompliantParty):
                 "voter": self.me,
             },
         )
-        if kind == "commit":
-            self.commit_sent = True
-        else:
-            self.abort_sent = True
+        self.vote_sent = kind
 
     def handle_wake(self, ctx, tag: str):
         if tag == "grace":
@@ -518,14 +507,12 @@ class CbcParty(CompliantParty):
         super().handle_wake(ctx, tag)
 
     def on_grace(self, ctx):
-        if not self.commit_sent or self.abort_sent:
-            return
-        entries = ctx.view(CBC_CHAIN).get("entries", [])
-        if cbc_decide(entries, self.deal.deal_id, self.h).status == UNDECIDED:
+        decisions = ctx.view(CBC_CHAIN)["decisions"]
+        if self.vote_sent == "commit" and decisions[self.h].status == UNDECIDED:
             self.publish_cbc_vote(ctx, "abort")
 
     def on_patience(self, ctx):
-        if not self.commit_sent and not self.abort_sent:
+        if self.vote_sent is None:
             self.publish_cbc_vote(ctx, "abort")
 
     def step(self, ctx):
@@ -540,11 +527,7 @@ class CbcParty(CompliantParty):
     def try_settle(self, ctx):
         if self.h is None:
             return
-        entries = ctx.view(CBC_CHAIN).get("entries", [])
-        try:
-            decision = cbc_decide(entries, self.deal.deal_id, self.h)
-        except CbcError:
-            return
+        decision = ctx.view(CBC_CHAIN)["decisions"][self.h]
         if decision.status == UNDECIDED:
             return
         # My view is a prefix of the shared log and a decided status never

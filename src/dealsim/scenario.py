@@ -146,6 +146,8 @@ def validate_scenario(raw: dict) -> dict:
             raise ScenarioError("need 0 <= corrupt <= f")
         if cbc["reconfigurations"] not in (0, 1):
             raise ScenarioError("at most one reconfiguration step is supported")
+        if CBC_CHAIN in deal.chains():
+            raise ScenarioError(f"chain {CBC_CHAIN!r} is the certified log's; no transfer may use it")
     n = len(deal.parties)
     default_horizon = deal.t0 + (n + 4) * deal.delta + 5
     if sc["protocol"] == "cbc":

@@ -1,22 +1,29 @@
 """Shared-ledger decisions, certificates, quorum checks, and settlement."""
 
+import copy
 import itertools
 
 import pytest
 
+from dealsim.assets import AssetBundle
 from dealsim.cbc import (
     ABORTED,
+    CBC_CHAIN,
     COMMITTED,
     UNDECIDED,
     CbcError,
     CbcLogContract,
     Certificate,
+    Decision,
+    ReconfigHop,
     ValidatorService,
     cbc_decide,
+    check_signature_quorum,
     decide_votes,
     verify_certificate,
 )
-from dealsim.crypto import SignatureScheme, certificate_message
+from dealsim.crypto import SignatureScheme, certificate_message, validator_set_message
+from dealsim.escrow import EscrowContract
 from dealsim.ledger import PartyContext
 from dealsim.scenario import bundled_scenarios, ticket_deal
 
@@ -134,21 +141,23 @@ class TestStartDeal:
         assert (status, reason) == ("rejected", "unknown-voter")
 
 
+@pytest.fixture
+def decided_log():
+    scheme = SignatureScheme("v")
+    service = ValidatorService(scheme, f=1)
+    log = CbcLogContract()
+    plist = ["a", "b", "c"]
+    _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
+    for voter in plist:
+        log.apply({"op": "commit", "deal": "d", "h": info["h"], "voter": voter}, voter, 1, None)
+    return scheme, service, log, info["h"]
+
+
 class TestCertificates:
-    @pytest.fixture
-    def decided_log(self):
-        scheme = SignatureScheme("v")
-        service = ValidatorService(scheme, f=1)
-        log = CbcLogContract()
-        plist = ["a", "b", "c"]
-        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
-        for voter in plist:
-            log.apply({"op": "commit", "deal": "d", "h": info["h"], "voter": voter}, voter, 1, None)
-        return scheme, service, log, info["h"]
 
     def test_certificate_has_quorum_of_signatures(self, decided_log):
         scheme, service, log, h = decided_log
-        cert = service.issue_certificate(log.entries, "d", h)
+        cert = service.issue_certificate(log.state, "d", h)
         assert cert.status == COMMITTED
         assert len(cert.signatures) == service.f + 1 == 2
         ruling = verify_certificate(cert, 0, service.members(0), service.f, scheme)
@@ -162,7 +171,7 @@ class TestCertificates:
             {"op": "start_deal", "deal": "d", "plist": ["a", "b"]}, "a", 0, None
         )
         with pytest.raises(CbcError):
-            service.issue_certificate(log.entries, "d", info["h"])
+            service.issue_certificate(log.state, "d", info["h"])
 
     def test_corrupt_minority_cannot_reach_quorum(self, decided_log):
         scheme, _, log, h = decided_log
@@ -176,7 +185,7 @@ class TestCertificates:
 
     def test_duplicate_signer_rejected(self, decided_log):
         scheme, service, log, h = decided_log
-        cert = service.issue_certificate(log.entries, "d", h)
+        cert = service.issue_certificate(log.state, "d", h)
         padded = Certificate(
             cert.deal, cert.h, cert.status, cert.epoch, (cert.signatures[0], cert.signatures[0])
         )
@@ -188,7 +197,7 @@ class TestCertificates:
         outsider = scheme.keypair("intruder")
         msg = certificate_message("d", h, COMMITTED, 0)
         sigs = (
-            service.issue_certificate(log.entries, "d", h).signatures[0],
+            service.issue_certificate(log.state, "d", h).signatures[0],
             ("intruder", scheme.sign(outsider, msg)),
         )
         cert = Certificate("d", h, COMMITTED, 0, tuple(sorted(sigs)))
@@ -197,7 +206,7 @@ class TestCertificates:
 
     def test_bad_signature_detected_and_counted(self, decided_log):
         scheme, service, log, h = decided_log
-        cert = service.issue_certificate(log.entries, "d", h)
+        cert = service.issue_certificate(log.state, "d", h)
         (v0, s0), (v1, s1) = cert.signatures
         broken = Certificate(cert.deal, cert.h, cert.status, cert.epoch, ((v0, s0), (v1, s0)))
         ruling = verify_certificate(broken, 0, service.members(0), service.f, scheme)
@@ -208,7 +217,7 @@ class TestCertificates:
     def test_stale_epoch_needs_reconfiguration_chain(self, decided_log):
         scheme, service, log, h = decided_log
         hop = service.reconfigure()
-        cert = service.issue_certificate(log.entries, "d", h)
+        cert = service.issue_certificate(log.state, "d", h)
         assert cert.epoch == 1
         without_chain = verify_certificate(cert, 0, service.members(0), service.f, scheme)
         assert not without_chain.ok and without_chain.reason == "stale-epoch"
@@ -217,6 +226,126 @@ class TestCertificates:
         )
         assert with_chain.ok
         assert with_chain.verifications == 2 * (service.f + 1)  # one hop + the statement
+
+
+def assert_decisions_recorded(states):
+    """Each log state records, for every start ref in its entries, the
+    decision of those entries, and for no other."""
+    for state in states:
+        starts = [e for e in state["entries"] if e["op"] == "start_deal"]
+        assert state["decisions"].keys() == {e["h"] for e in starts}
+        for e in starts:
+            assert state["decisions"][e["h"]] == cbc_decide(state["entries"], e["deal"], e["h"])
+
+
+CBC_SCENARIOS = sorted(n for n, sc in bundled_scenarios().items() if sc["protocol"] == "cbc")
+
+
+class TestRecordedDecisions:
+    @pytest.mark.parametrize("seed", [None, 7, 1001], ids=["own-seed", "seed-7", "seed-1001"])
+    @pytest.mark.parametrize("name", CBC_SCENARIOS)
+    def test_every_recorded_view_holds_the_decision_of_its_entries(self, corpus, name, seed):
+        built, _ = run_scenario_dict(corpus[name], seed)
+        views = built.world.chains[CBC_CHAIN].views
+        assert views and views[-1]["decisions"]
+        assert_decisions_recorded(views)
+
+    def test_a_hand_built_log_records_the_decision_of_its_entries(self):
+        log = CbcLogContract()
+        seen = [(log.state, copy.deepcopy(log.state))]  # each state, with a deep copy
+
+        def apply(payload, publisher, expected):
+            status, reason, info = log.apply(payload, publisher, 0, None)
+            assert status == expected, (payload, reason)
+            seen.append((log.state, copy.deepcopy(log.state)))
+            return info
+
+        plist = ["a", "b", "c"]
+        first = apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", "accepted")["h"]
+        second = apply({"op": "start_deal", "deal": "d", "plist": plist}, "b", "accepted")["h"]
+        other = apply({"op": "start_deal", "deal": "e", "plist": ["a", "b"]}, "a", "accepted")["h"]
+        apply({"op": "commit", "deal": "d", "h": "unknown", "voter": "a"}, "a", "rejected")
+        apply({"op": "commit", "deal": "e", "h": first, "voter": "a"}, "a", "rejected")
+        for voter in plist:
+            apply({"op": "commit", "deal": "d", "h": first, "voter": voter}, voter, "accepted")
+        apply({"op": "abort", "deal": "d", "h": first, "voter": "b"}, "b", "accepted")
+        apply({"op": "abort", "deal": "d", "h": second, "voter": "c"}, "c", "accepted")
+        apply({"op": "commit", "deal": "d", "h": second, "voter": "a"}, "a", "accepted")
+        apply({"op": "abort", "deal": "e", "h": other, "voter": "c"}, "c", "rejected")
+
+        assert log.state["decisions"] == {
+            first: Decision(COMMITTED, 5),  # votes after it change nothing
+            second: Decision(ABORTED, 7),
+            other: Decision(UNDECIDED, None),
+        }
+        assert_decisions_recorded([state for state, _ in seen])
+        for state, before in seen:
+            assert state == before  # no later entry mutated an earlier state
+
+    def test_an_unknown_or_undecided_start_ref_has_no_certificate(self):
+        service = ValidatorService(SignatureScheme("v"), f=1)
+        log = CbcLogContract()
+        plist = ["a", "b"]
+        decided = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)[2]["h"]
+        undecided = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)[2]["h"]
+        log.apply({"op": "abort", "deal": "d", "h": decided, "voter": "b"}, "b", 1, None)
+        assert service.issue_certificate(log.state, "d", decided).status == ABORTED
+        for deal, h in (("d", undecided), ("d", "unknown"), ("e", decided)):
+            with pytest.raises(CbcError):
+                service.issue_certificate(log.state, deal, h)
+
+
+class TestPlantedCertificateDefects:
+    """Each test fails under one planted one-line defect of the certificate
+    checks: a settle without the start-ref check, a stale epoch accepted
+    after a hop, and a gapped hop chain accepted."""
+
+    def test_a_certificate_of_another_start_ref_is_refused(self):
+        scheme = SignatureScheme("t")
+        service = ValidatorService(scheme, f=1)
+        log = CbcLogContract()
+        start = {"op": "start_deal", "deal": "deal-1", "plist": ["alice", "bob"]}
+        h = log.apply(start, "alice", 0, None)[2]["h"]
+        second = log.apply(start, "bob", 0, None)[2]["h"]
+        log.apply({"op": "abort", "deal": "deal-1", "h": second, "voter": "bob"}, "bob", 1, None)
+        cert = service.issue_certificate(log.state, "deal-1", second)
+        assert verify_certificate(cert, 0, service.members(0), 1, scheme).ok
+
+        wallets = {"fungible": {"bob": {"coin": 5}}, "tokens": {}}
+        contract = EscrowContract("coin", "deal-1", ("alice", "bob"), 30, 5, "cbc", wallets)
+        config = {"h": h, "epoch": 0, "validators": list(service.members(0)), "f": 1}
+        escrow = {"op": "escrow", "deal": "deal-1", "party": "bob",
+                  "bundle": AssetBundle.coins("coin", "coin", 5).to_json(), **config}
+        assert contract.apply(escrow, "bob", 0, scheme)[0] == "accepted"
+        settle = {"op": "settle", "deal": "deal-1", "party": "bob", "lot": "bob",
+                  "cert": cert.to_json()}
+        assert contract.apply(settle, "bob", 2, scheme)[:2] == ("rejected", "wrong-deal-ref")
+        assert contract.state["lots"]["bob"]["resolution"] == "active"
+
+    def test_an_old_epochs_certificate_is_stale_after_a_hop(self, decided_log):
+        scheme, service, log, h = decided_log
+        old = service.issue_certificate(log.state, "d", h)
+        assert old.epoch == 0
+        hop = service.reconfigure()
+        assert verify_certificate(old, 0, service.members(0), 1, scheme).ok
+        ruling = verify_certificate(old, 0, service.members(0), 1, scheme, (hop,))
+        assert (ruling.ok, ruling.reason) == (False, "stale-epoch")
+        assert ruling.verifications == service.f + 1  # the hop's quorum was checked
+
+    def test_a_hop_chain_may_not_skip_an_epoch(self, decided_log):
+        scheme, service, log, h = decided_log
+        epoch0 = service.honest_members(0)[: service.f + 1]
+        service.reconfigure()
+        service.reconfigure()
+        members = service.members(2)
+        message = validator_set_message(2, members)
+        sigs = tuple(sorted((v, scheme.sign(scheme.keypair(v), message)) for v in epoch0))
+        assert check_signature_quorum(message, sigs, frozenset(service.members(0)), 1, scheme).ok
+        skip = ReconfigHop(2, members, sigs)
+        cert = service.issue_certificate(log.state, "d", h)
+        assert cert.epoch == 2
+        ruling = verify_certificate(cert, 0, service.members(0), 1, scheme, (skip,))
+        assert (ruling.ok, ruling.reason) == (False, "epoch-gap")
 
 
 class TestCbcRuns:

@@ -9,7 +9,7 @@ from dealsim.costs import meter
 from dealsim.escrow import EscrowContract, EscrowInvariantError
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
-from dealsim.scenario import ScenarioError, cycle_deal, ticket_deal, validate_scenario
+from dealsim.scenario import ScenarioError, cycle_deal, swap_deal, ticket_deal, validate_scenario
 from dealsim.trace import RunTrace
 
 from conftest import run_scenario_dict
@@ -105,6 +105,13 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--scenario", str(path))
         assert code == 2
         assert "scenario error" in err
+
+    def test_a_transfer_on_the_certified_chain_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "cbc_named.json"
+        path.write_text(json.dumps(swap_deal("cbc")).replace('"xchain"', '"cbc"'))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert "scenario error" in err and "certified log" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -355,7 +355,7 @@ class TestRecordedStates:
         for voter in PARTIES:
             log_apply({**vote, "op": "commit", "voter": voter}, voter, 1, "accepted")
         log_apply({**vote, "op": "abort", "voter": "bob"}, "bob", 2, "accepted")
-        cert = service.issue_certificate(log.entries, "deal-1", h).to_json()
+        cert = service.issue_certificate(log.state, "deal-1", h).to_json()
 
         contract = EscrowContract("coin", "deal-1", PARTIES, 30, 5, "cbc", wallets(carol=150))
         apply = self.applier(contract, scheme)

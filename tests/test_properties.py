@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from dealsim.deals import DealSpec
+from dealsim.cbc import ABORTED, COMMITTED, Certificate, ValidatorService
+from dealsim.crypto import SignatureScheme, certificate_message
+from dealsim.deals import DealSpec, wallet_delta_payoff
 from dealsim.properties import (
     check_agreement,
     check_safety,
@@ -16,7 +18,7 @@ from dealsim.properties import (
     weak_liveness_bound,
 )
 from dealsim.scenario import bundled_scenarios
-from dealsim.trace import RunTrace
+from dealsim.trace import RunTrace, TraceEvent
 
 from conftest import run_scenario_dict
 
@@ -41,6 +43,16 @@ class TestSafety:
         verdict = check_safety(bad)
         assert verdict.passed is False
         assert verdict.witness and verdict.witness[0]["party"] == "carol"
+
+    def test_a_payoff_at_an_acceptable_base_passes_and_one_coin_less_fails(self, ticket_cbc_run):
+        built, trace = ticket_cbc_run
+        assert wallet_delta_payoff(trace, "bob") == trace.deal.acceptable_base("bob")[0]
+        assert check_safety(trace).passed
+        short = copy.deepcopy(trace)
+        short.terminal_wallets["coin"]["fungible"]["bob"]["coin"] -= 1
+        verdict = check_safety(short)
+        assert verdict.passed is False
+        assert [w["party"] for w in verdict.witness] == ["bob"]
 
     def test_no_finalize_means_everyone_nothing(self, corpus):
         built, trace = run_scenario_dict(corpus["silent_party_timelock"])
@@ -143,6 +155,42 @@ class TestAgreement:
         bad = copy.deepcopy(trace)
         bad.resolutions["ticket/bob"] = ("aborted", 20)
         assert check_agreement(bad).passed is False
+
+    @staticmethod
+    def with_opposite_certificate(trace, signers: int, h=None):
+        """A copy of `trace` with a settle appended whose certificate claims
+        the opposite of its settles' status, signed by `signers` epoch-0
+        validators."""
+        settled = next(e.payload["cert"] for e in trace.publishes() if "cert" in e.payload)
+        status = ABORTED if settled["status"] == COMMITTED else COMMITTED
+        h = h or settled["h"]
+        scheme = SignatureScheme.for_run(trace.seed)
+        members = ValidatorService.for_scenario(scheme, trace.scenario["cbc"]).members(0)
+        message = certificate_message(settled["deal"], h, status, 0)
+        sigs = tuple(sorted((v, scheme.sign(scheme.keypair(v), message)) for v in members[:signers]))
+        cert = Certificate(settled["deal"], h, status, 0, sigs)
+        bad = copy.deepcopy(trace)
+        payload = {"op": "settle", "deal": cert.deal, "party": "bob", "lot": "bob",
+                   "cert": cert.to_json()}
+        bad.events.append(TraceEvent(60, "ticket", "publish", "rejected", payload, publisher="bob"))
+        return bad
+
+    def test_an_opposite_certificate_at_quorum_fails(self, ticket_cbc_run):
+        built, trace = ticket_cbc_run
+        f = trace.scenario["cbc"]["f"]
+        verdict = check_agreement(self.with_opposite_certificate(trace, f + 1))
+        assert verdict.passed is False
+        assert [w["statuses"] for w in verdict.witness] == [[ABORTED, COMMITTED]]
+
+    def test_an_opposite_certificate_below_quorum_passes(self, ticket_cbc_run):
+        built, trace = ticket_cbc_run
+        f = trace.scenario["cbc"]["f"]
+        assert check_agreement(self.with_opposite_certificate(trace, f)).passed
+
+    def test_an_opposite_certificate_of_another_start_ref_passes(self, ticket_cbc_run):
+        built, trace = ticket_cbc_run
+        f = trace.scenario["cbc"]["f"]
+        assert check_agreement(self.with_opposite_certificate(trace, f + 1, h="0" * 16)).passed
 
     def test_forged_certificates_are_not_verifiable(self, corpus):
         built, trace = run_scenario_dict(corpus["corrupt_validator_cbc"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -20,6 +21,7 @@ from dealsim.scenario import (
     prepare,
     run_scenario,
     scenario_for,
+    swap_deal,
     ticket_deal,
     validate_scenario,
     write_bundled_files,
@@ -75,6 +77,17 @@ class TestValidation:
         sc["cbc"]["corrupt"] = 2  # f is 1
         with pytest.raises(ScenarioError):
             validate_scenario(sc)
+
+    @pytest.mark.parametrize("protocol", ["timelock", "naive", "cbc"])
+    def test_the_certified_chain_name_is_reserved_under_cbc(self, protocol):
+        sc = json.loads(json.dumps(swap_deal(protocol)).replace('"xchain"', '"cbc"'))
+        if protocol == "cbc":
+            with pytest.raises(ScenarioError, match="'cbc' is the certified log's"):
+                validate_scenario(sc)
+        else:  # without a certified log, the name is an ordinary chain's
+            _, trace = run_scenario(sc)
+            assert {res for res, _ in trace.resolutions.values()} == {"committed"}
+            assert sorted(trace.resolutions) == ["cbc/ann", "ychain/ben"]
 
     def test_deal_and_network_delta_must_agree(self):
         sc = ticket_deal("timelock")
