@@ -14,10 +14,9 @@ the chain records it after each entry, and no entry mutates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .crypto import (
-    KeyPair,
     SignatureScheme,
     certificate_message,
     digest_hex,
@@ -143,8 +142,15 @@ class CbcLogContract:
             }
             entries = [*self.entries, entry]
             decisions = self.state["decisions"]
-            if decisions[entry["h"]].status == UNDECIDED:  # a decided status never changes
-                decisions = {**decisions, entry["h"]: cbc_decide(entries, entry["deal"], entry["h"])}
+            h = entry["h"]
+            # A decided status never changes.  An undecided one has only
+            # commits before this vote (a member's abort is decisive), so
+            # this vote decides it if it aborts or completes the commits.
+            if decisions[h].status == UNDECIDED:
+                committed = {e["voter"] for e in entries if e["op"] == "commit" and e["h"] == h}
+                if op == "abort" or committed >= set(start["plist"]):
+                    status = ABORTED if op == "abort" else COMMITTED
+                    decisions = {**decisions, h: Decision(status, position)}
             self.state = {**self.state, "entries": entries, "decisions": decisions}
             return "accepted", None, {"position": position}
         return "rejected", "unknown-op", {}
@@ -305,7 +311,6 @@ class ValidatorService:
         self.f = f
         self._seed = seed
         self.epochs: List[Tuple[str, ...]] = []
-        self._keys: Dict[str, KeyPair] = {}
         self._hops: List[ReconfigHop] = []
         members = self._fresh_members(0)
         self.epochs.append(members)
@@ -321,10 +326,11 @@ class ValidatorService:
         return service
 
     def _fresh_members(self, epoch: int) -> Tuple[str, ...]:
-        members = tuple(f"{self._seed}-e{epoch}-v{i}" for i in range(3 * self.f + 1))
-        for vid in members:
-            self._keys[vid] = self.scheme.keypair(vid)
-        return members
+        return tuple(f"{self._seed}-e{epoch}-v{i}" for i in range(3 * self.f + 1))
+
+    def _sign(self, validator: str, message: bytes) -> str:
+        # The scheme derives a validator's key when it first signs.
+        return self.scheme.sign(self.scheme.keypair(validator), message)
 
     @property
     def epoch(self) -> int:
@@ -342,7 +348,7 @@ class ValidatorService:
         new_members = self._fresh_members(new_epoch)
         msg = validator_set_message(new_epoch, new_members)
         signers = self.honest_members()[: self.f + 1]
-        sigs = tuple(sorted((v, self.scheme.sign(self._keys[v], msg)) for v in signers))
+        sigs = tuple(sorted((v, self._sign(v, msg)) for v in signers))
         self.epochs.append(new_members)
         hop = ReconfigHop(new_epoch, new_members, sigs)
         self._hops.append(hop)
@@ -361,11 +367,11 @@ class ValidatorService:
             raise CbcError(f"deal {deal_id!r} is undecided; no certificate")
         msg = certificate_message(deal_id, h, status, self.epoch)
         signers = self.honest_members()[: self.f + 1]
-        sigs = tuple(sorted((v, self.scheme.sign(self._keys[v], msg)) for v in signers))
+        sigs = tuple(sorted((v, self._sign(v, msg)) for v in signers))
         return Certificate(deal_id, h, status, self.epoch, sigs)
 
     def corrupt_signatures(self, message: bytes) -> List[Tuple[str, str]]:
         """Corrupt members sign an arbitrary statement on request."""
         return sorted(
-            (v, self.scheme.sign(self._keys[v], message)) for v in sorted(self.corrupt_ids)
+            (v, self._sign(v, message)) for v in sorted(self.corrupt_ids)
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .assets import NOTHING, AssetBundle, Payoff, net_payoff
 
@@ -36,9 +36,10 @@ class DealSpec:
     bound used for all timeout arithmetic.  `extra_acceptable` widens a
     party's acceptability base set beyond the default {all, nothing}.
 
-    `cache_acceptable_bases` stores every party's base set, which
-    `acceptable_base` and `all_payoff` then answer from.  Call it before a
-    run, never during one: a run's controllers share the deal.
+    `cache_derived` stores the deal's chains and every party's gross
+    flows and base set, which `chains`, `gross_flows`, `acceptable_base`
+    and `all_payoff` then answer from.  Call it before a run, never during
+    one: a run's controllers share the deal.
     """
 
     deal_id: str
@@ -47,6 +48,10 @@ class DealSpec:
     t0: int
     delta: int
     extra_acceptable: Mapping[str, Tuple[Payoff, ...]] = field(default_factory=dict)
+    _chains: Optional[Tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _flows: Dict[str, Tuple[AssetBundle, AssetBundle]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _bases: Dict[str, Tuple[Payoff, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -69,6 +74,8 @@ class DealSpec:
     # -- derived structure ---------------------------------------------------
 
     def chains(self) -> Tuple[str, ...]:
+        if self._chains is not None:
+            return self._chains
         seen: List[str] = []
         for ts in self.transfers:
             for chain in sorted(ts.bundle.chains()):
@@ -78,6 +85,9 @@ class DealSpec:
 
     def gross_flows(self, party: str) -> Tuple[AssetBundle, AssetBundle]:
         """Gross (incoming, outgoing) bundles for a party over the full script."""
+        cached = self._flows.get(party)
+        if cached is not None:
+            return cached
         inc = AssetBundle.empty()
         out = AssetBundle.empty()
         for ts in self.transfers:
@@ -103,8 +113,10 @@ class DealSpec:
             raise DealError(f"unknown party {party!r}")
         return (self.all_payoff(party), NOTHING) + tuple(self.extra_acceptable.get(party, ()))
 
-    def cache_acceptable_bases(self):
+    def cache_derived(self):
+        object.__setattr__(self, "_chains", self.chains())
         for party in self.parties:
+            self._flows[party] = self.gross_flows(party)
             self._bases[party] = self.acceptable_base(party)
 
     def to_json(self) -> dict:

@@ -2,19 +2,25 @@
 
 A plan answers, for given starting wallets: which assets each party
 escrows on which chain, through which escrow lot every scripted transfer
-routes, what the commit-owner maps look like once the script has run, and
-which parties end up relying on each lot (its beneficiaries).
+routes, what the commit-owner maps look like once the script has run,
+which parties end up relying on each lot (its beneficiaries), and which
+chains each party has to watch.
 
 Lots are identified by (chain, escrower): each escrow call creates or
 tops up the caller's lot on that chain.
+
+`build_plan` does its arithmetic on plain dicts and sets: each owner's
+commit balance in each lot, and what is left of each transfer to route.
+It builds an `AssetBundle` only for what the plan hands out: the escrows,
+the moves and the final commit-owner entitlements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
-from .assets import AssetBundle
+from .assets import AssetBundle, FungibleKey, TokenKey
 from .deals import DealSpec
 
 LotId = Tuple[str, str]  # (chain id, escrower party)
@@ -47,7 +53,7 @@ class DealPlan:
     deal: DealSpec
     escrows: Dict[Tuple[str, str], AssetBundle]     # (party, chain) -> bundle
     moves: List[PlannedMove]
-    final_c: Dict[LotId, Dict[str, AssetBundle]]    # lot -> commit-owner entitlements
+    final_c: Dict[LotId, Dict[str, AssetBundle]]    # lot -> commit-owner entitlements, none empty
     beneficiaries: Dict[LotId, frozenset]           # lot -> parties receiving through it
     # The query answers, in lot order; per party, keyed by party.
     _lots: Tuple[LotId, ...] = field(init=False, repr=False)
@@ -55,19 +61,25 @@ class DealPlan:
     _escrowed: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
     _source: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
     _entitled: Dict[str, Tuple[LotId, ...]] = field(init=False, repr=False)
+    _interest: Dict[str, Tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         lots = self._lots = tuple(sorted(self.final_c))
+        moved: Dict[str, set] = {}
+        for m in self.moves:
+            moved.setdefault(m.sender, set()).add(m.lot)
         self._voting, self._escrowed, self._source, self._entitled = {}, {}, {}, {}
+        self._interest = {}
         for party in self.deal.parties:
-            escrowed = tuple(lot for lot in lots if lot[1] == party)
-            moved = {m.lot for m in self.moves_by(party)}
-            self._voting[party] = tuple(lot for lot in lots if party in self.beneficiaries[lot])
-            self._escrowed[party] = escrowed
-            self._source[party] = tuple(sorted(moved.union(escrowed)))
-            self._entitled[party] = tuple(
-                lot for lot in lots if not self.entitlement(party, lot).is_empty()
+            escrowed = self._escrowed[party] = tuple(lot for lot in lots if lot[1] == party)
+            voting = self._voting[party] = tuple(
+                lot for lot in lots if party in self.beneficiaries[lot]
             )
+            source = self._source[party] = tuple(sorted(moved.get(party, set()).union(escrowed)))
+            entitled = self._entitled[party] = tuple(
+                lot for lot in lots if party in self.final_c[lot]
+            )
+            self._interest[party] = tuple(sorted({lot[0] for lot in source + voting + entitled}))
 
     def lots(self) -> List[LotId]:
         return list(self._lots)
@@ -98,8 +110,27 @@ class DealPlan:
         """Lots the script leaves something to the party in."""
         return list(self._entitled.get(party, ()))
 
+    def chains_of_interest(self, party: str) -> List[str]:
+        """Chains of the lots the party escrows, relays through, votes on
+        or is entitled in: the deal chains it watches."""
+        return list(self._interest.get(party, ()))
+
     def entitlement(self, party: str, lot: LotId) -> AssetBundle:
         return self.final_c.get(lot, {}).get(party, AssetBundle.empty())
+
+
+# An owner's commit balance in one lot: fungible amounts and tokens, both on
+# the lot's chain.  The planner updates balances in place.
+_Balance = Tuple[Dict[FungibleKey, int], Set[TokenKey]]
+
+
+def _deduct(amounts: Dict[FungibleKey, int], key: FungibleKey, amount: int):
+    """Take `amount` off `amounts[key]`, dropping the key at zero."""
+    left = amounts[key] - amount
+    if left:
+        amounts[key] = left
+    else:
+        del amounts[key]
 
 
 def build_plan(deal: DealSpec, holdings: Mapping[str, AssetBundle]) -> DealPlan:
@@ -111,66 +142,65 @@ def build_plan(deal: DealSpec, holdings: Mapping[str, AssetBundle]) -> DealPlan:
     sender's own lot, splitting across lots when needed.
     """
     escrows: Dict[Tuple[str, str], AssetBundle] = {}
+    # Commit-owner balances per lot while replaying the script.
+    balances: Dict[LotId, Dict[str, _Balance]] = {}
     for party in deal.parties:
         wallet = holdings.get(party, AssetBundle.empty())
         _, out = deal.gross_flows(party)
+        owned = out.tokens & wallet.tokens
         for chain in sorted(out.chains()):
-            need = out.restrict(chain)
-            have = wallet.restrict(chain)
             fun = {
-                k: min(v, have.fungible.get(k, 0))
-                for k, v in need.fungible.items()
-                if have.fungible.get(k, 0)
+                k: min(v, wallet.fungible[k])
+                for k, v in out.fungible.items()
+                if k[0] == chain and wallet.fungible.get(k, 0)
             }
-            bundle = AssetBundle(fun, need.tokens & have.tokens)
-            if not bundle.is_empty():
-                escrows[(party, chain)] = bundle
-
-    # Commit-owner state per lot while replaying the script.
-    c_state: Dict[LotId, Dict[str, AssetBundle]] = {}
-    received: Dict[LotId, set] = {}
-    for (party, chain), bundle in escrows.items():
-        lot = (chain, party)
-        c_state[lot] = {party: bundle}
-        received[lot] = set()
+            toks = {t for t in owned if t[0] == chain}
+            if fun or toks:
+                escrows[(party, chain)] = AssetBundle(fun, toks)
+                balances[(chain, party)] = {party: (fun, toks)}
+    received: Dict[LotId, set] = {lot: set() for lot in balances}
 
     moves: List[PlannedMove] = []
     for ts in deal.transfers:
+        sender = ts.sender
         for chain in sorted(ts.bundle.chains()):
-            part = ts.bundle.restrict(chain)
-            remaining = part
-            own_first = [(chain, ts.sender)] + [
-                lot for lot in sorted(c_state) if lot[0] == chain and lot[1] != ts.sender
+            # What is still to be drawn from some lot on this chain.
+            want_fun = {k: v for k, v in ts.bundle.fungible.items() if k[0] == chain}
+            want_toks = {t for t in ts.bundle.tokens if t[0] == chain}
+            own_first = [(chain, sender)] + [
+                lot for lot in sorted(balances) if lot[0] == chain and lot[1] != sender
             ]
             for lot in own_first:
-                if remaining.is_empty():
+                if not want_fun and not want_toks:
                     break
-                avail = c_state.get(lot, {}).get(ts.sender, AssetBundle.empty())
-                if avail.is_empty():
+                owners = balances.get(lot)
+                if owners is None or sender not in owners:
                     continue
-                take_fun = {
-                    k: min(v, avail.fungible.get(k, 0))
-                    for k, v in remaining.fungible.items()
-                    if avail.fungible.get(k, 0)
-                }
-                take_toks = remaining.tokens & avail.tokens
-                taken = AssetBundle(take_fun, take_toks)
-                if taken.is_empty():
+                avail_fun, avail_toks = owners[sender]
+                take_fun = {k: min(v, avail_fun[k]) for k, v in want_fun.items() if k in avail_fun}
+                take_toks = want_toks & avail_toks
+                if not take_fun and not take_toks:
                     continue
-                c_state[lot][ts.sender] = avail.minus(taken)
-                cur = c_state[lot].get(ts.receiver, AssetBundle.empty())
-                c_state[lot][ts.receiver] = cur.plus(taken)
+                gain_fun, gain_toks = owners.setdefault(ts.receiver, ({}, set()))
+                for k, v in take_fun.items():
+                    _deduct(avail_fun, k, v)
+                    _deduct(want_fun, k, v)
+                    gain_fun[k] = gain_fun.get(k, 0) + v
+                avail_toks -= take_toks
+                want_toks -= take_toks
+                gain_toks |= take_toks
                 received[lot].add(ts.receiver)
-                moves.append(PlannedMove(ts.step, lot, ts.sender, ts.receiver, taken))
-                remaining = remaining.minus(taken)
-            if not remaining.is_empty():
-                raise PlanError(
-                    f"step {ts.step}: {ts.sender} cannot cover {remaining!r} on {chain}"
+                moves.append(
+                    PlannedMove(ts.step, lot, sender, ts.receiver, AssetBundle(take_fun, take_toks))
                 )
+            if want_fun or want_toks:
+                remaining = AssetBundle(want_fun, want_toks)
+                raise PlanError(f"step {ts.step}: {sender} cannot cover {remaining!r} on {chain}")
 
     final_c = {
-        lot: {p: b for p, b in owners.items() if not b.is_empty()}
-        for lot, owners in c_state.items()
+        lot: {p: AssetBundle(f, t) for p, (f, t) in owners.items() if f or t}
+        for lot, owners in balances.items()
     }
-    beneficiaries = {lot: frozenset(received[lot]) for lot in c_state}
+    beneficiaries = {lot: frozenset(received[lot]) for lot in balances}
     return DealPlan(deal, escrows, moves, final_c, beneficiaries)
+

@@ -1,14 +1,17 @@
 """Replay a recorded trace through fresh contract state machines.
 
 Replay applies the trace's published entries, in order, to contracts
-rebuilt from the embedded scenario.  Every entry must produce the status,
-rejection reason and info the trace recorded; the initial and terminal
-ownership, every escrow resolution and its tick, and the metadata's
-`compliant` parties, `scenario_digest`, `unresolved` and
-`liveness_failure` must match as well, and each wake and notify must be
-one the world makes.  The metadata's `truncated` and `final_tick` are not
-re-derived: they describe the event heap and clock of the recorded run,
-which replay does not run.  The first inconsistency is reported by
+rebuilt from the embedded scenario and the trace's own parsed `deal`,
+which is not parsed a second time.  The embedded scenario is validated
+again, and its digest must match the recorded `scenario_digest`, so a
+scenario edited after loading is still rejected.  Every entry must
+produce the status, rejection reason and info the trace recorded; the
+initial and terminal ownership, every escrow resolution and its tick,
+and the metadata's `compliant` parties, `scenario_digest`, `unresolved`
+and `liveness_failure` must match as well, and each wake and notify must
+be one the world makes.  The metadata's `truncated` and `final_tick` are
+not re-derived: they describe the event heap and clock of the recorded
+run, which replay does not run.  The first inconsistency is reported by
 record index where it has one.  Verdicts and costs are then re-derived
 from the replayed trace, so a faithful replay yields the original report.
 """
@@ -21,7 +24,7 @@ from typing import List, Optional
 from .costs import CostReport, GasSchedule, meter
 from .escrow import EscrowInvariantError
 from .properties import Verdict, run_verdicts
-from .scenario import build_world
+from .scenario import assemble_world, prepare
 from .trace import RunTrace
 
 
@@ -37,7 +40,7 @@ class ReplayReport:
 
 
 def replay_trace(trace: RunTrace, schedule: GasSchedule = GasSchedule()) -> ReplayReport:
-    world = build_world(trace.scenario, seed=trace.seed).world
+    world = assemble_world(*prepare(trace.scenario, trace.deal), seed=trace.seed).world
     if world.wallet_snapshots() != trace.initial_wallets:
         raise ReplayError("initial ownership does not match the scenario's wallets")
     published = {}  # (chain, seq) -> (tick, monitors not yet notified) of each publish

@@ -81,16 +81,17 @@ _CBC = {
 
 
 class _Validated(dict):
-    """A scenario `validate_scenario` returned; `deal` is the `DealSpec` it parsed."""
+    """A scenario `validate_scenario` returned; `deal` is its deal's `DealSpec`."""
 
     deal: DealSpec
 
 
-def validate_scenario(raw: dict) -> dict:
+def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
     """Fill defaults and reject inconsistent scenarios; returns a new dict.
 
     The dict's `deal` attribute is the `DealSpec` parsed from its deal, which
-    `prepare` reuses."""
+    `prepare` reuses.  A `deal` already parsed from `raw["deal"]`, such as a
+    loaded trace's, is taken as it is instead."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     sc = _Validated(_copy_json(raw))
@@ -111,10 +112,12 @@ def validate_scenario(raw: dict) -> dict:
         raise ScenarioError(f"network {exc}") from exc
     if network["delta"] <= 0:
         raise ScenarioError("delta must be positive")
-    try:
-        sc.deal = deal = DealSpec.from_json(sc["deal"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad deal: {exc}") from exc
+    if deal is None:
+        try:
+            deal = DealSpec.from_json(sc["deal"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad deal: {exc}") from exc
+    sc.deal = deal
     if deal.delta != network["delta"]:
         raise ScenarioError("deal delta and network delta must agree")
     for party, wallet in _section(sc, "wallets").items():
@@ -226,14 +229,18 @@ def build_world(scenario: dict, seed: Optional[int] = None, choices=None) -> Bui
     return assemble_world(*prepare(scenario), seed, choices)
 
 
-def prepare(scenario: dict) -> Tuple[dict, DealSpec, Dict[str, AssetBundle], DealPlan]:
+def prepare(
+    scenario: dict, deal: Optional[DealSpec] = None
+) -> Tuple[dict, DealSpec, Dict[str, AssetBundle], DealPlan]:
     """The validated scenario with its deal, starting holdings and plan.
 
-    The deal answers its acceptable bases from a cache.  Wallets that cannot
-    fund the script raise the plan's `PlanError` as `ScenarioError`."""
-    sc = validate_scenario(scenario)
+    `deal`, if given, is the scenario's deal already parsed (see
+    `validate_scenario`).  The deal answers its derived structure from a
+    cache, filled here, before any run.  Wallets that cannot fund the script
+    raise the plan's `PlanError` as `ScenarioError`."""
+    sc = validate_scenario(scenario, deal)
     deal = sc.deal
-    deal.cache_acceptable_bases()
+    deal.cache_derived()
     holdings = wallet_holdings(sc)
     try:
         plan = build_plan(deal, holdings)
@@ -291,20 +298,15 @@ def assemble_world(
         world.validator_service = ValidatorService.for_scenario(world.scheme, sc["cbc"])
         validators = world.validator_service.members(0)
 
-    def chains_of_interest(party: str) -> List[str]:
-        lots = set(plan.source_lots(party)) | set(plan.voting_lots(party))
-        lots |= set(plan.escrowed_lots(party)) | set(plan.entitlement_lots(party))
-        chains = {lot[0] for lot in lots}
-        if protocol == "cbc":
-            chains.add(CBC_CHAIN)
-        return sorted(chains)
-
     cfg = PartyConfig(sc["cbc"]["grace"], sc["cbc"]["patience"], validators, sc["cbc"]["f"])
     for party in deal.parties:
         binding = sc["strategies"].get(party, {"name": "compliant"})
         name = binding.get("name", "compliant")
         controller = controller_class(name, protocol)(party, deal, plan, cfg, binding.get("params", {}))
-        world.add_party(party, controller, chains_of_interest(party))
+        watched = plan.chains_of_interest(party)
+        if protocol == "cbc":
+            watched = sorted([*watched, CBC_CHAIN])  # no deal chain of a CBC run is CBC_CHAIN
+        world.add_party(party, controller, watched)
         if name == "compliant":
             world.compliant.add(party)
     return Built(world, deal, plan, sc)

@@ -227,6 +227,32 @@ class TestCertificates:
         assert with_chain.ok
         assert with_chain.verifications == 2 * (service.f + 1)  # one hop + the statement
 
+    def test_a_validator_key_is_derived_only_when_it_signs(self):
+        class CountingScheme(SignatureScheme):
+            def __init__(self):
+                super().__init__("v")
+                self.asked = set()
+
+            def keypair(self, party):
+                self.asked.add(party)
+                return super().keypair(party)
+
+        scheme = CountingScheme()
+        service = ValidatorService(scheme, f=2, corrupt=1)
+        assert scheme.asked == set()
+        service.corrupt_signatures(b"lie")
+        assert scheme.asked == set(service.corrupt_ids)
+        hop = service.reconfigure()
+        assert scheme.asked == set(service.corrupt_ids) | {v for v, _ in hop.signatures}
+        log = CbcLogContract()
+        h = log.apply({"op": "start_deal", "deal": "d", "plist": ["a"]}, "a", 0, None)[2]["h"]
+        log.apply({"op": "commit", "deal": "d", "h": h, "voter": "a"}, "a", 1, None)
+        scheme.asked.clear()
+        cert = service.issue_certificate(log.state, "d", h)
+        assert scheme.asked == {v for v, _ in cert.signatures}
+        assert len(cert.signatures) == service.f + 1 < len(service.members())
+        assert verify_certificate(cert, 0, service.members(0), service.f, scheme, (hop,)).ok
+
 
 def assert_decisions_recorded(states):
     """Each log state records, for every start ref in its entries, the
@@ -281,6 +307,26 @@ class TestRecordedDecisions:
         assert_decisions_recorded([state for state, _ in seen])
         for state, before in seen:
             assert state == before  # no later entry mutated an earlier state
+
+    def test_every_short_vote_sequence_is_decided_without_rescanning_the_log(self, monkeypatch):
+        def rescan(*args):
+            raise AssertionError("apply re-ran cbc_decide over the log")
+
+        votes = itertools.product(("commit", "abort"), "abc", (0, 1))  # op, voter, start
+        for sequence in itertools.product(list(votes), repeat=3):
+            log = CbcLogContract()
+            refs = []
+            for plist in (["a", "b"], ["a", "b", "c"]):
+                start = {"op": "start_deal", "deal": "d", "plist": plist}
+                refs.append(log.apply(start, "a", 0, None)[2]["h"])
+            states = [log.state]
+            with monkeypatch.context() as patch:
+                patch.setattr("dealsim.cbc.cbc_decide", rescan)
+                for op, voter, start in sequence:
+                    payload = {"op": op, "deal": "d", "h": refs[start], "voter": voter}
+                    log.apply(payload, voter, 0, None)
+                    states.append(log.state)
+            assert_decisions_recorded(states)
 
     def test_an_unknown_or_undecided_start_ref_has_no_certificate(self):
         service = ValidatorService(SignatureScheme("v"), f=1)

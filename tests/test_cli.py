@@ -6,6 +6,7 @@ import pytest
 
 from dealsim.cli import main
 from dealsim.costs import meter
+from dealsim.deals import DealSpec
 from dealsim.escrow import EscrowContract, EscrowInvariantError
 from dealsim.properties import check_safety, check_weak_liveness
 from dealsim.replay import ReplayError, replay_trace
@@ -291,6 +292,37 @@ class TestTraceAndReplay:
         code, out, err = run_cli(capsys, "replay", str(tampered))
         assert code == 2
         assert "record" in err
+
+    def test_loading_and_replaying_a_trace_parses_its_deal_once(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.trace.json"
+        run_scenario_dict(corpus["ticket_deal_timelock"])[1].dump(str(path))
+        parse = DealSpec.from_json.__func__
+        parses = []
+
+        def counted(cls, data):
+            parses.append(data["id"])
+            return parse(cls, data)
+
+        monkeypatch.setattr(DealSpec, "from_json", classmethod(counted))
+        replay_trace(RunTrace.load(str(path)))
+        assert parses == ["ticket-deal"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda deal: deal.update(t0=deal["t0"] + 1),
+            lambda deal: deal["transfers"][2]["bundle"].update(fungible=[["coin", "coin", 150]]),
+            lambda deal: deal.update(parties=["alice", "bob"]),
+        ],
+        ids=["t0", "amount", "parties"],
+    )
+    def test_replay_rejects_a_deal_edited_after_loading(self, corpus, edit):
+        trace = self.ticket_trace(corpus)
+        edit(trace.scenario["deal"])
+        with pytest.raises(ReplayError, match="recorded scenario_digest"):
+            replay_trace(trace)
 
     def test_replay_names_first_inconsistent_record(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.json"

@@ -127,7 +127,7 @@ class TestAcceptability:
     def test_cached_bases_equal_a_fresh_parse(self, corpus):
         paid = Payoff(AssetBundle.coins("ch1", "c", 1), AssetBundle.empty())
         widened = replace(simple_deal([("a", "b"), ("b", "a")]), extra_acceptable={"a": (paid,)})
-        widened.cache_acceptable_bases()
+        widened.cache_derived()
         for deal in [prepare(scenario)[1] for scenario in corpus.values()] + [widened]:
             fresh = DealSpec.from_json(deal.to_json())
             assert deal == fresh
@@ -136,6 +136,10 @@ class TestAcceptability:
                 assert deal.acceptable_base(party) is deal.acceptable_base(party)
                 assert deal.acceptable_base(party) == fresh.acceptable_base(party)
                 assert deal.all_payoff(party) == fresh.all_payoff(party)
+                assert deal.gross_flows(party) is deal.gross_flows(party)
+                assert deal.gross_flows(party) == fresh.gross_flows(party)
+            assert deal.chains() is deal.chains()
+            assert deal.chains() == fresh.chains()
             with pytest.raises(DealError):
                 deal.acceptable_base("nobody")
         assert widened.acceptable_base("a")[2] == paid

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from dealsim.adversary import exhaustive_explore
 from dealsim.assets import AssetBundle
 from dealsim.deals import DealSpec, TransferSpec, payoff_of_run
 from dealsim.ledger import NetworkModel
@@ -198,6 +199,14 @@ class TestScenarioFor:
             build_world(sc)
 
 
+def _attributes(obj) -> dict:
+    """Each attribute of `obj` by identity, and of each dict its items by identity."""
+    return {
+        name: (id(value), isinstance(value, dict) and [(k, id(v)) for k, v in value.items()])
+        for name, value in vars(obj).items()
+    }
+
+
 class TestPlanning:
     def test_broker_escrows_nothing(self):
         sc = validate_scenario(ticket_deal("timelock"))
@@ -247,9 +256,33 @@ class TestPlanning:
                 assert plan.entitlement_lots(party) == [
                     lot for lot in lots if not plan.entitlement(party, lot).is_empty()
                 ], (name, party)
+                watched = set(plan.source_lots(party)) | set(plan.voting_lots(party))
+                watched |= set(plan.escrowed_lots(party)) | set(plan.entitlement_lots(party))
+                assert plan.chains_of_interest(party) == sorted({c for c, _ in watched})
                 # Callers get their own list; the shared plan stays as built.
                 plan.voting_lots(party).append(("nowhere", party))
                 assert ("nowhere", party) not in plan.voting_lots(party)
+
+    @pytest.mark.parametrize(
+        "name", ["ticket_deal_timelock", "ticket_deal_cbc", "explore_swap_timelock"]
+    )
+    def test_runs_leave_the_deal_and_plan_as_prepare_left_them(self, corpus, monkeypatch, name):
+        prepared = []
+
+        def recording_prepare(*args):
+            sc, deal, holdings, plan = prepare(*args)
+            prepared.extend((deal, _attributes(deal), plan, _attributes(plan)))
+            return sc, deal, holdings, plan
+
+        monkeypatch.setattr("dealsim.scenario.prepare", recording_prepare)
+        if name.startswith("explore"):
+            assert exhaustive_explore(corpus[name]).runs > 1
+        else:
+            build_world(corpus[name], seed=7).world.run()
+        deal, deal_before, plan, plan_before = prepared
+        assert deal._chains and deal._flows and deal._bases  # filled before the run
+        assert _attributes(deal) == deal_before
+        assert _attributes(plan) == plan_before
 
     def test_infeasible_script_rejected(self):
         deal = DealSpec(
