@@ -31,7 +31,8 @@ for protocol in ("timelock", "cbc"):
         print(f"  {verdict.prop:>16}: {status}")
 
     print()
-    print(render_text(meter(trace), check_asymptotics(meter(trace))))
+    costs = meter(trace)
+    print(render_text(costs.to_json(), [b.to_json() for b in check_asymptotics(costs)]))
 
 print("=" * 64)
 print("Note how the timelock run needs a vote from every party at every")

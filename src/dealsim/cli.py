@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
-from .costs import CostReport, GasSchedule, check_asymptotics, meter
+from .costs import CostReport, GasSchedule, check_asymptotics, meter, render_text
 from .deals import payoff_of_run
 from .ledger import ModelViolation
 from .properties import Verdict, run_verdicts
@@ -28,10 +28,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PROPERTY = 3
 EXIT_INAPPLICABLE = 4
-
-
-def _schedule(args) -> GasSchedule:
-    return GasSchedule(storage_write=args.gas_write, signature_verification=args.gas_sig)
 
 
 def build_report(trace: RunTrace, verdicts: List[Verdict], costs: CostReport) -> dict:
@@ -81,16 +77,7 @@ def render_report(report: dict) -> str:
             f"  {verdict['property']}: {verdict['status'].upper()} ({verdict['details']})"
         )
     lines.append("costs:")
-    costs = report["costs"]
-    for phase, pc in costs["phases"].items():
-        lines.append(
-            f"  {phase:<9} writes={pc['writes']:<4} sigver={pc['verifications']:<4}"
-            f" gas={pc['gas']:<7} ticks={costs['durations'][phase]}"
-        )
-    lines.append(f"  gas total: {costs['gas_total']}")
-    for bound in report["bounds"]:
-        flag = "ok" if bound["ok"] else "VIOLATED"
-        lines.append(f"  bound {bound['name']}: {bound['measured']} vs {bound['bound']} [{flag}]")
+    lines += ["  " + line for line in render_text(report["costs"], report["bounds"]).splitlines()]
     lines.append(f"trace digest: {report['trace_digest']}")
     return "\n".join(lines)
 
@@ -152,7 +139,8 @@ def _campaign(args, scenario: dict) -> int:
 
 def _single_run(args, scenario: dict) -> int:
     trace = build_world(scenario, seed=args.seed).world.run()
-    report = build_report(trace, run_verdicts(trace), meter(trace, _schedule(args)))
+    costs = meter(trace, GasSchedule(args.gas_write, args.gas_sig))
+    report = build_report(trace, run_verdicts(trace), costs)
     if args.trace:
         trace.dump(args.trace)
     if args.report == "structured":
@@ -169,7 +157,7 @@ def cmd_replay(args) -> int:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        replayed = replay_trace(trace, _schedule(args))
+        replayed = replay_trace(trace, GasSchedule(args.gas_write, args.gas_sig))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -204,8 +192,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Deterministic simulator for multi-chain escrowed asset deals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The report options `run` and `replay` share; the gas prices default to `GasSchedule`'s.
+    prices = GasSchedule()
+    reporting = argparse.ArgumentParser(add_help=False)
+    reporting.add_argument("--report", choices=("text", "structured"), default="text")
+    reporting.add_argument("--gas-write", type=int, default=prices.storage_write)
+    reporting.add_argument("--gas-sig", type=int, default=prices.signature_verification)
 
-    run_p = sub.add_parser("run", help="run one scenario (or a campaign / exploration)")
+    run_p = sub.add_parser(
+        "run", parents=[reporting], help="run one scenario (or a campaign / exploration)"
+    )
     run_p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument(
@@ -218,17 +214,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument(
         "--max-runs", type=_positive_int, default=100000, help="exploration run cap"
     )
-    run_p.add_argument("--report", choices=("text", "structured"), default="text")
     run_p.add_argument("--trace", default=None, help="write the run trace to this path")
-    run_p.add_argument("--gas-write", type=int, default=5000)
-    run_p.add_argument("--gas-sig", type=int, default=3000)
     run_p.set_defaults(func=cmd_run)
 
-    replay_p = sub.add_parser("replay", help="re-derive verdicts from a trace file")
+    replay_p = sub.add_parser(
+        "replay", parents=[reporting], help="re-derive verdicts from a trace file"
+    )
     replay_p.add_argument("trace_file")
-    replay_p.add_argument("--report", choices=("text", "structured"), default="text")
-    replay_p.add_argument("--gas-write", type=int, default=5000)
-    replay_p.add_argument("--gas-sig", type=int, default=3000)
     replay_p.set_defaults(func=cmd_replay)
 
     list_p = sub.add_parser("list", help="list bundled scenarios")

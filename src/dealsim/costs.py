@@ -2,33 +2,54 @@
 
 Costs are dominated by two operations: long-lived storage writes and
 signature verifications.  Metering is a pure fold over the trace's
-published entries.  Writes are charged by constant:
-
-    escrow call            4 writes
-    tentative transfer     2 writes
-    accepted vote          1 write
-    lot finalization       2 writes (outcome + ownership update)
-    shared-ledger entry    1 write (startDeal / commit / abort bookkeeping)
+published entries, and `CHARGES` is the whole write model: each op's
+phase, its writes per accepted call, and whether a rejected call is still
+charged.  A call that finalizes a lot pays `FINALIZE_WRITES` more, and any
+other accepted entry on the certified log is one bookkeeping write
+(`LOG_ENTRY`).  The bounds in `check_asymptotics` read the same table.
 
 Verifications are not recomputed here.  Every vote or settle call the
-escrow contract judges, accepted or rejected, records its ruling's
-signature-verification count as `info["verifications"]`, and the meter
-charges that count: |path| for an accepted vote, f+1 per reconfiguration
-hop plus f+1 for the certificate on an accepted settle, and on a rejected
-call only the checks made before the failing one, in on-chain
-require-order (so a settle whose hop verifies but whose certificate's
-first signature is bad costs f+1 + 1).
+escrow contract judges, accepted or rejected, records the signature
+verifications its ruling made, in on-chain order up to any failing check,
+as `info["verifications"]` (see `timelock.judge_vote` and
+`cbc.verify_certificate`), and the meter charges that count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from operator import eq, le
+from typing import Dict, Iterable, List
 
 from .cbc import CBC_CHAIN
 
-FINALIZE_WRITES = 2
+FINALIZE_WRITES = 2  # outcome + ownership update
 PHASES = ("escrow", "transfer", "commit")
+
+
+@dataclass(frozen=True)
+class Charge:
+    """How the meter charges one op: the phase it counts in, its storage
+    writes per accepted call, and whether a rejected call still counts
+    (with the verifications its ruling made)."""
+
+    phase: str
+    writes: int
+    rejected: bool = False
+
+
+CHARGES = {
+    "escrow": Charge("escrow", 4),
+    "transfer": Charge("transfer", 2),
+    "commit": Charge("commit", 1, rejected=True),  # a vote an escrow contract judges
+    "timeout": Charge("commit", 0),
+    "settle": Charge("commit", 0, rejected=True),
+}
+# The certified log's startDeal / commit / abort bookkeeping, and any op
+# the table does not name there.
+LOG_ENTRY = Charge("commit", 1)
+LOG_CHARGES = {**CHARGES, "commit": LOG_ENTRY}
+VOTE_OPS = ("commit", "abort")  # the earliest accepted one starts a CBC commit phase
 
 
 @dataclass(frozen=True)
@@ -46,10 +67,11 @@ class PhaseCost:
     verifications: int = 0
     calls: int = 0
 
-    def add(self, writes=0, verifications=0, calls=0):
+    def charge(self, writes: int, verifications: int):
+        """Count one charged call."""
         self.writes += writes
         self.verifications += verifications
-        self.calls += calls
+        self.calls += 1
 
 
 @dataclass
@@ -60,7 +82,10 @@ class CostReport:
     per_contract: Dict[str, PhaseCost]      # chain id -> totals
     durations: Dict[str, int]               # phase -> ticks
     schedule: GasSchedule
-    escrow_calls: int = 0
+
+    @property
+    def escrow_calls(self) -> int:
+        return self.phases["escrow"].calls
 
     def total(self, field_name: str) -> int:
         return sum(getattr(pc, field_name) for pc in self.phases.values())
@@ -77,12 +102,7 @@ class CostReport:
             "protocol": self.protocol,
             "params": dict(self.params),
             "phases": {
-                name: {
-                    "writes": pc.writes,
-                    "verifications": pc.verifications,
-                    "calls": pc.calls,
-                    "gas": self.phase_gas(name),
-                }
+                name: {**asdict(pc), "gas": self.phase_gas(name)}
                 for name, pc in self.phases.items()
             },
             "per_contract": {
@@ -91,98 +111,65 @@ class CostReport:
             },
             "durations": dict(self.durations),
             "gas_total": self.gas_total(),
-            "schedule": {
-                "storage_write": self.schedule.storage_write,
-                "signature_verification": self.schedule.signature_verification,
-            },
+            "schedule": asdict(self.schedule),
         }
 
 
 def meter(trace, schedule: GasSchedule = GasSchedule()) -> CostReport:
     """Fold gas charges and phase durations out of a complete trace."""
     scenario = trace.scenario
-    protocol = scenario["protocol"]
     deal = trace.deal
-    f = scenario.get("cbc", {}).get("f", 0)
     phases = {name: PhaseCost() for name in PHASES}
     per_contract: Dict[str, PhaseCost] = {}
-    escrow_calls = 0
-    transfers = 0
     transfers_per_lot: Dict[str, int] = {}
     spans: Dict[str, List[int]] = {name: [] for name in PHASES}
     vote_ticks: List[int] = []
 
-    def charge(phase: str, contract: PhaseCost, writes: int = 0, verifications: int = 0):
-        """One call's cost, counted in its phase and on its contract."""
-        phases[phase].add(writes, verifications, calls=1)
-        contract.add(writes, verifications, calls=1)
-
     for event in trace.events:
         if event.kind != "publish":
             continue
-        op = event.payload.get("op")
-        accepted = event.status == "accepted"
         contract = per_contract.setdefault(event.where, PhaseCost())
-        if op == "escrow":
-            if accepted:
-                escrow_calls += 1
-                charge("escrow", contract, writes=4)
-            spans["escrow"].append(event.tick)
-        elif op == "transfer":
-            if accepted:
-                transfers += 1
+        op = event.payload.get("op")
+        if event.where == CBC_CHAIN:
+            rule = LOG_CHARGES.get(op, LOG_ENTRY)
+        else:
+            rule = CHARGES.get(op)
+        if rule is None:
+            continue
+        spans[rule.phase].append(event.tick)
+        accepted = event.status == "accepted"
+        if not (accepted or rule.rejected):
+            continue
+        writes = 0
+        if accepted:
+            writes = rule.writes + (FINALIZE_WRITES if event.info.get("finalized") else 0)
+            if op == "transfer":
                 lot = f"{event.where}/{event.payload['lot']}"
                 transfers_per_lot[lot] = transfers_per_lot.get(lot, 0) + 1
-                charge("transfer", contract, writes=2)
-            spans["transfer"].append(event.tick)
-        elif op == "timeout":
-            spans["commit"].append(event.tick)
-            if accepted:
-                charge("commit", contract, writes=FINALIZE_WRITES)
-        elif op == "commit" and event.where != CBC_CHAIN:
-            spans["commit"].append(event.tick)
-            writes = 0
-            if accepted:
-                writes = 1 + (FINALIZE_WRITES if event.info.get("finalized") else 0)
+            elif op in VOTE_OPS:
                 vote_ticks.append(event.tick)
-            charge("commit", contract, writes, event.info.get("verifications", 0))
-        elif op == "settle":
-            spans["commit"].append(event.tick)
-            writes = FINALIZE_WRITES if accepted else 0
-            charge("commit", contract, writes, event.info.get("verifications", 0))
-        elif event.where == CBC_CHAIN:
-            spans["commit"].append(event.tick)
-            if accepted:
-                charge("commit", contract, writes=1)
-                if op in ("commit", "abort"):
-                    vote_ticks.append(event.tick)
+        verifications = event.info.get("verifications", 0)
+        phases[rule.phase].charge(writes, verifications)
+        contract.charge(writes, verifications)
 
-    resolution_ticks = [t for res, t in trace.resolutions.values() if t is not None]
-    durations = {}
-    for name in ("escrow", "transfer"):
-        ticks = spans[name]
-        durations[name] = (max(ticks) - min(ticks)) if ticks else 0
-    if resolution_ticks:
-        if protocol in ("timelock", "naive"):
-            start = deal.t0
-        else:
-            start = min(vote_ticks) if vote_ticks else deal.t0
-        durations["commit"] = max(0, max(resolution_ticks) - start)
-    else:
-        durations["commit"] = 0
+    durations = {name: (max(ticks) - min(ticks)) if ticks else 0 for name, ticks in spans.items()}
+    # Commit time runs from t0, or under CBC from the first vote on the log.
+    start = min(vote_ticks) if scenario["protocol"] == "cbc" and vote_ticks else deal.t0
+    resolved = [t for _, t in trace.resolutions.values() if t is not None]
+    durations["commit"] = max(0, max(resolved, default=start) - start)
 
-    lots = {key for key in trace.resolutions}
+    cbc = scenario.get("cbc", {})
     params = {
         "n": len(deal.parties),
-        "m": len(lots),
-        "t": transfers,
+        "m": len(trace.resolutions),
+        "t": phases["transfer"].calls,
         "k": max(transfers_per_lot.values(), default=0),
-        "f": f,
+        "f": cbc.get("f", 0),
         "delta": deal.delta,
-        "reconfigurations": scenario.get("cbc", {}).get("reconfigurations", 0),
+        "reconfigurations": cbc.get("reconfigurations", 0),
         "synchronous": 1 if scenario["network"]["mode"] == "synchronous" else 0,
     }
-    return CostReport(protocol, params, phases, per_contract, durations, schedule, escrow_calls)
+    return CostReport(scenario["protocol"], params, phases, per_contract, durations, schedule)
 
 
 @dataclass
@@ -203,84 +190,55 @@ def check_asymptotics(report: CostReport) -> List[BoundVerdict]:
     get gas verdicts only.
     """
     p = report.params
-    n, m, t, k, f, delta = p["n"], p["m"], p["t"], p["k"], p["f"], p["delta"]
-    synchronous = bool(p.get("synchronous", 1))
-    verdicts = []
-    total_ver = report.total("verifications")
+    n, m, k, f, delta = p["n"], p["m"], p["k"], p["f"], p["delta"]
+    verifications, spent = report.total("verifications"), report.durations
+    escrow, transfer = report.phases["escrow"], report.phases["transfer"]
+    # name, measured, bound, relation, whether it bounds a delay
     if report.protocol in ("timelock", "naive"):
-        verdicts.append(BoundVerdict("sig-verifications <= m*n^2", total_ver <= m * n * n, total_ver, m * n * n))
-        if synchronous:
-            verdicts.append(
-                BoundVerdict(
-                    "commit duration <= n*delta",
-                    report.durations["commit"] <= n * delta,
-                    report.durations["commit"],
-                    n * delta,
-                )
-            )
+        rows = [
+            ("sig-verifications <= m*n^2", verifications, m * n * n, le, False),
+            ("commit duration <= n*delta", spent["commit"], n * delta, le, True),
+        ]
     else:
-        reconf = p["reconfigurations"]
-        bound = m * (reconf + 1) * (f + 1)
-        verdicts.append(
-            BoundVerdict("sig-verifications <= m*(k_r+1)*(f+1)", total_ver <= bound, total_ver, bound)
-        )
-        if synchronous:
-            verdicts.append(
-                BoundVerdict(
-                    "commit duration <= 3*delta",
-                    report.durations["commit"] <= 3 * delta,
-                    report.durations["commit"],
-                    3 * delta,
-                )
-            )
-    escrow_writes = report.phases["escrow"].writes
-    verdicts.append(
-        BoundVerdict("escrow writes == 4*calls", escrow_writes == 4 * report.escrow_calls,
-                     escrow_writes, 4 * report.escrow_calls)
-    )
-    transfer_writes = report.phases["transfer"].writes
-    verdicts.append(
-        BoundVerdict("transfer writes == 2*t", transfer_writes == 2 * t, transfer_writes, 2 * t)
-    )
-    if synchronous:
-        verdicts.append(
-            BoundVerdict(
-                "escrow duration <= delta", report.durations["escrow"] <= delta,
-                report.durations["escrow"], delta,
-            )
-        )
-        verdicts.append(
-            BoundVerdict(
-                "transfer duration <= k*delta",
-                report.durations["transfer"] <= max(k, 1) * delta,
-                report.durations["transfer"],
-                max(k, 1) * delta,
-            )
-        )
-    return verdicts
+        quorums = m * (p["reconfigurations"] + 1) * (f + 1)
+        rows = [
+            ("sig-verifications <= m*(k_r+1)*(f+1)", verifications, quorums, le, False),
+            ("commit duration <= 3*delta", spent["commit"], 3 * delta, le, True),
+        ]
+    per_escrow, per_transfer = CHARGES["escrow"].writes, CHARGES["transfer"].writes
+    rows += [
+        (f"escrow writes == {per_escrow}*calls", escrow.writes, per_escrow * escrow.calls, eq, False),
+        (f"transfer writes == {per_transfer}*t", transfer.writes, per_transfer * p["t"], eq, False),
+        ("escrow duration <= delta", spent["escrow"], delta, le, True),
+        ("transfer duration <= k*delta", spent["transfer"], max(k, 1) * delta, le, True),
+    ]
+    return [
+        BoundVerdict(name, relation(measured, bound), measured, bound)
+        for name, measured, bound, relation, delay in rows
+        if p["synchronous"] or not delay
+    ]
 
 
-def render_text(report: CostReport, bounds: Optional[List[BoundVerdict]] = None) -> str:
-    """Aligned text table mirroring the analysis summary."""
-    lines = []
-    lines.append(f"gas model: write={report.schedule.storage_write} sigver={report.schedule.signature_verification}")
+def render_text(costs: dict, bounds: Iterable[dict] = ()) -> str:
+    """Aligned text table of a cost report and its bound verdicts, both in
+    JSON form (`CostReport.to_json()`, `BoundVerdict.to_json()`)."""
+    schedule = costs["schedule"]
     header = f"{'phase':<10} {'writes':>7} {'sig.ver':>8} {'gas':>10} {'ticks':>6}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in PHASES:
-        pc = report.phases[name]
+    lines = [
+        f"gas model: write={schedule['storage_write']} sigver={schedule['signature_verification']}",
+        header,
+        "-" * len(header),
+    ]
+    for name, pc in costs["phases"].items():
         lines.append(
-            f"{name:<10} {pc.writes:>7} {pc.verifications:>8} {report.phase_gas(name):>10} {report.durations[name]:>6}"
+            f"{name:<10} {pc['writes']:>7} {pc['verifications']:>8} {pc['gas']:>10}"
+            f" {costs['durations'][name]:>6}"
         )
-    lines.append(
-        f"{'total':<10} {report.total('writes'):>7} {report.total('verifications'):>8} {report.gas_total():>10}"
-    )
-    lines.append(
-        "params: "
-        + " ".join(f"{key}={report.params[key]}" for key in ("n", "m", "t", "k", "f"))
-    )
-    if bounds:
-        for verdict in bounds:
-            flag = "ok" if verdict.ok else "VIOLATED"
-            lines.append(f"bound {verdict.name}: {verdict.measured} vs {verdict.bound} [{flag}]")
+    writes, verifications = (sum(pc[key] for pc in costs["phases"].values())
+                             for key in ("writes", "verifications"))
+    lines.append(f"{'total':<10} {writes:>7} {verifications:>8} {costs['gas_total']:>10}")
+    lines.append("params: " + " ".join(f"{key}={costs['params'][key]}" for key in "nmtkf"))
+    for verdict in bounds:
+        flag = "ok" if verdict["ok"] else "VIOLATED"
+        lines.append(f"bound {verdict['name']}: {verdict['measured']} vs {verdict['bound']} [{flag}]")
     return "\n".join(lines)

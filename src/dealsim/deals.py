@@ -141,6 +141,12 @@ class DealSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "DealSpec":
+        names = [data["id"], *data["parties"]]
+        if not all(isinstance(name, str) for name in names):
+            raise DealError(f"deal id and parties must be strings, got {names!r}")
+        numbers = [data["t0"], data["delta"], *(t["step"] for t in data["transfers"])]
+        if not all(type(number) is int for number in numbers):
+            raise DealError(f"deal t0, delta and transfer steps must be integers, got {numbers!r}")
         return cls(
             deal_id=data["id"],
             parties=tuple(data["parties"]),

@@ -197,9 +197,6 @@ class CompliantParty:
     def forward_targets(self, ctx) -> List[LotId]:
         return self.plan.voting_lots(self.me)
 
-    def forward_sources(self, ctx) -> List[LotId]:
-        return self.plan.source_lots(self.me)
-
     def acceptability_ok(self, ctx, payoff: Payoff) -> bool:
         return is_acceptable(self.me, payoff, self.deal)
 
@@ -208,6 +205,15 @@ class CompliantParty:
 
     def on_validation_failed(self, ctx):
         pass
+
+    @staticmethod
+    def active_lot(ctx, lot: LotId) -> Optional[dict]:
+        """`lot`'s view as the party sees it, or None unless it is escrowed and active."""
+        chain, escrower = lot
+        lot_view = ctx.view(chain)["lots"].get(escrower)
+        if lot_view is None or lot_view["resolution"] != "active":
+            return None
+        return lot_view
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -254,11 +260,8 @@ class CompliantParty:
         while self.moves_done < len(self.my_moves):
             move = self.my_moves[self.moves_done]
             chain, escrower = move.lot
-            view = ctx.view(chain)
-            lot_view = view["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
-                return
-            if not self._c_bundle(chain, lot_view, self.me).covers(move.bundle):
+            lot_view = self.active_lot(ctx, move.lot)
+            if lot_view is None or not self._c_bundle(chain, lot_view, self.me).covers(move.bundle):
                 return
             ctx.publish(
                 chain,
@@ -308,14 +311,11 @@ class CompliantParty:
         entitled = self.plan.entitlement_lots(self.me)
         incoming_chains = sorted({lot[0] for lot in entitled})
         for lot in entitled:
-            chain, escrower = lot
-            view = ctx.view(chain)
-            if not self.deal_config_ok(ctx, view):
+            chain = lot[0]
+            if not self.deal_config_ok(ctx, ctx.view(chain)):
                 return
-            lot_view = view["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
-                return
-            if not self._c_bundle(chain, lot_view, self.me).covers(
+            lot_view = self.active_lot(ctx, lot)
+            if lot_view is None or not self._c_bundle(chain, lot_view, self.me).covers(
                 self.plan.entitlement(self.me, lot)
             ):
                 return
@@ -385,10 +385,10 @@ class TimelockParty(CompliantParty):
 
     def publish_vote_at(self, ctx, lot: LotId):
         """Publish my direct vote at `lot` unless it is resolved or has it."""
-        chain, escrower = lot
-        lot_view = ctx.view(chain)["lots"].get(escrower)
-        if lot_view is None or lot_view["resolution"] != "active":
+        lot_view = self.active_lot(ctx, lot)
+        if lot_view is None:
             return
+        chain, escrower = lot
         if self.me not in lot_view["voted"]:
             path = direct_vote(ctx.scheme, self.keypair(ctx), self.my_vote())
             ctx.publish(chain, vote_payload(escrower, path, self.deal.deal_id))
@@ -397,7 +397,7 @@ class TimelockParty(CompliantParty):
     def observed_votes(self, ctx) -> Dict[str, dict]:
         """Shortest-path version of each voter's accepted vote at watched lots."""
         seen: Dict[str, tuple] = {}
-        for chain, escrower in self.forward_sources(ctx):
+        for chain, escrower in self.plan.source_lots(self.me):
             lot_view = ctx.view(chain).get("lots", {}).get(escrower)
             if lot_view is None:
                 continue
@@ -424,10 +424,10 @@ class TimelockParty(CompliantParty):
         """Publish `path` extended by my signature at `lot` unless it is
         resolved or already holds the voter's vote.  A path in JSON form is
         parsed only when the forward is published."""
-        chain, escrower = lot
-        lot_view = ctx.view(chain)["lots"].get(escrower)
-        if lot_view is None or lot_view["resolution"] != "active":
+        lot_view = self.active_lot(ctx, lot)
+        if lot_view is None:
             return
+        chain, escrower = lot
         if voter not in lot_view["voted"]:
             if not isinstance(path, PathSignature):
                 path = PathSignature.from_json(path)
@@ -542,11 +542,10 @@ class CbcParty(CompliantParty):
         for lot in self.settle_targets(cert.status):
             if lot in self.settled:
                 continue
-            chain, escrower = lot
-            lot_view = ctx.view(chain)["lots"].get(escrower)
-            if lot_view is None or lot_view["resolution"] != "active":
+            if self.active_lot(ctx, lot) is None:
                 self.settled.add(lot)
                 continue
+            chain, escrower = lot
             payload = {
                 "op": "settle",
                 "deal": self.deal.deal_id,

@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .assets import AssetBundle
+from .assets import AssetBundle, AssetError
 from .cbc import CBC_CHAIN, CbcLogContract, ValidatorService
 from .deals import DealSpec
 from .escrow import EscrowContract
@@ -102,7 +102,7 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
         raise ScenarioError(f"unknown protocol {sc['protocol']!r}")
     sc.setdefault("name", "unnamed")
     sc.setdefault("seed", 0)
-    if not isinstance(sc["seed"], int):
+    if not is_int(sc["seed"]):
         raise ScenarioError("seed must be an integer")
     network = _section(sc, "network", _NETWORK)
     try:
@@ -236,11 +236,15 @@ def prepare(
 
     `deal`, if given, is the scenario's deal already parsed (see
     `validate_scenario`).  The deal answers its derived structure from a
-    cache, filled here, before any run.  Wallets that cannot fund the script
-    raise the plan's `PlanError` as `ScenarioError`."""
+    cache, filled here, before any run.  A deal whose gross flows hold one
+    token twice, and wallets that cannot fund the script, raise
+    `ScenarioError`."""
     sc = validate_scenario(scenario, deal)
     deal = sc.deal
-    deal.cache_derived()
+    try:
+        deal.cache_derived()
+    except AssetError as exc:  # a party sends or receives one token twice
+        raise ScenarioError(f"bad deal: {exc}") from exc
     holdings = wallet_holdings(sc)
     try:
         plan = build_plan(deal, holdings)

@@ -44,6 +44,16 @@ MISTYPED_PARAMS = {
 }
 
 
+def receive_tickets_twice(sc):
+    """alice receives bob's two tickets, passes them to carol, and receives
+    them again from carol: one token twice in her gross flows."""
+    tickets = sc["deal"]["transfers"][0]["bundle"]
+    sc["deal"]["transfers"] += [
+        {"from": "carol", "to": "alice", "step": 4, "bundle": tickets},
+        {"from": "alice", "to": "carol", "step": 5, "bundle": tickets},
+    ]
+
+
 class TestRunCommand:
     def test_happy_path_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "run", "--scenario", "ticket_deal_timelock")
@@ -92,11 +102,18 @@ class TestRunCommand:
             lambda sc: sc["network"].update(allow_model_violation="false"),
             lambda sc: sc["cbc"].update(corupt=1),
             lambda sc: sc["cbc"].update(grace="10"),
+            lambda sc: sc["deal"].update(t0="30"),
+            lambda sc: sc["deal"].update(t0=None),
+            lambda sc: sc["deal"].update(id=7),
+            receive_tickets_twice,
+            lambda sc: sc.update(seed=True),
             *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
         ],
         ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
              "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
-             "model-violation-string", "cbc-corupt", "cbc-grace-string", *MISTYPED_PARAMS],
+             "model-violation-string", "cbc-corupt", "cbc-grace-string", "deal-t0-string",
+             "deal-t0-null", "deal-id-int", "token-received-twice", "seed-bool",
+             *MISTYPED_PARAMS],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")

@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 
+import pytest
+
+from dealsim.cbc import CBC_CHAIN
 from dealsim.costs import GasSchedule, check_asymptotics, meter, render_text
-from dealsim.scenario import build_world, list_bundled, load_scenario
-from dealsim.trace import TraceEvent
+from dealsim.scenario import build_world, list_bundled, load_scenario, ticket_deal, validate_scenario
+from dealsim.trace import RunTrace, TraceEvent
 
 from conftest import run_scenario_dict
 
@@ -141,6 +144,127 @@ class TestBounds:
         assert after == before - 2 * (f + 1) + (f + 2)  # the accepted settle's charge replaced
 
 
+# Every op, accepted and rejected, on an escrow chain and on the certified
+# log: (tick, chain, op, status, info as the contract would record it).
+CALLS = [
+    (1, "coin", "escrow", "accepted", {"lot": "carol"}),
+    (2, "coin", "escrow", "rejected", {}),
+    (3, CBC_CHAIN, "escrow", "accepted", {}),
+    (4, CBC_CHAIN, "escrow", "rejected", {}),
+    (5, "coin", "transfer", "accepted", {"lot": "carol"}),
+    (6, "coin", "transfer", "rejected", {}),
+    (7, CBC_CHAIN, "transfer", "accepted", {}),
+    (8, CBC_CHAIN, "transfer", "rejected", {}),
+    (9, "coin", "transfer", "accepted", {"lot": "carol"}),
+    (30, CBC_CHAIN, "start_deal", "accepted", {"h": "h0", "position": 0}),
+    (31, CBC_CHAIN, "start_deal", "rejected", {}),
+    (32, "coin", "start_deal", "accepted", {}),
+    (33, "coin", "start_deal", "rejected", {}),
+    (34, CBC_CHAIN, "commit", "accepted", {"position": 1}),
+    (35, CBC_CHAIN, "commit", "rejected", {}),
+    (36, CBC_CHAIN, "abort", "accepted", {"position": 2}),
+    (37, CBC_CHAIN, "abort", "rejected", {}),
+    (38, "coin", "commit", "accepted", {"lot": "carol", "verifications": 2}),
+    (39, "coin", "commit", "accepted", {"lot": "carol", "verifications": 3, "finalized": "committed"}),
+    (40, "coin", "commit", "rejected", {"lot": "carol", "verifications": 1}),
+    (41, "coin", "commit", "rejected", {}),  # refused before the vote is judged
+    (42, "coin", "abort", "accepted", {}),
+    (43, "coin", "abort", "rejected", {}),
+    (44, "coin", "timeout", "accepted", {"lot": "carol", "finalized": "aborted"}),
+    (45, "coin", "timeout", "rejected", {}),
+    (46, CBC_CHAIN, "timeout", "accepted", {"finalized": "aborted"}),
+    (47, CBC_CHAIN, "timeout", "rejected", {}),
+    (48, "coin", "settle", "accepted", {"lot": "carol", "verifications": 4, "finalized": "committed"}),
+    (49, "coin", "settle", "rejected", {"lot": "carol", "verifications": 3}),
+    (50, "coin", "settle", "rejected", {}),  # refused before any verification
+    (51, CBC_CHAIN, "settle", "accepted", {"finalized": "committed"}),
+    (52, CBC_CHAIN, "settle", "rejected", {}),
+    (53, "coin", "frobnicate", "accepted", {}),
+    (54, "coin", "frobnicate", "rejected", {}),
+    (55, CBC_CHAIN, "frobnicate", "accepted", {}),
+    (56, CBC_CHAIN, "frobnicate", "rejected", {}),
+    (57, "idle", "frobnicate", "accepted", {}),
+]
+
+
+def hand_built_trace(protocol: str, mode: str) -> RunTrace:
+    scenario = validate_scenario(ticket_deal("cbc"))
+    scenario["protocol"] = protocol
+    scenario["network"]["mode"] = mode
+    events = [TraceEvent(0, "alice", "wake", "info", {"tag": "start"})]
+    for seq, (tick, chain, op, status, info) in enumerate(CALLS):
+        payload = {"op": op, "deal": "ticket-deal", "lot": "carol"}
+        events.append(TraceEvent(tick, chain, "publish", status, payload, seq, "carol", None, info))
+    events.append(TraceEvent(58, "bob", "notify", "info", {"chain": "coin"}))
+    resolutions = {
+        "coin/carol": ("committed", 60),
+        "ticket/bob": ("aborted", 58),
+        "coin/alice": ("active", None),
+    }
+    return RunTrace(scenario, 1, events, {}, {}, resolutions, scenario.deal)
+
+
+GAS_ROWS = {
+    "escrow writes == 4*calls": (True, 8, 8),
+    "transfer writes == 2*t": (True, 6, 6),
+}
+DELAY_ROWS = {
+    "escrow duration <= delta": (True, 3, 5),
+    "transfer duration <= k*delta": (True, 4, 10),
+}
+
+
+class TestChargeRules:
+    """Which calls the meter charges, in which phase and on which contract.
+
+    Accepted escrow, transfer and vote calls pay their writes, and a call
+    that finalizes a lot pays the finalization too.  A rejected vote judged
+    on an escrow chain, and any rejected settle, still pays the verifications
+    its ruling made.  Every accepted certified-log entry is one write.  An op
+    no branch knows costs nothing on an escrow chain and is ignored for the
+    phase spans."""
+
+    @pytest.mark.parametrize(
+        "protocol, mode, commit_ticks, bounds",
+        [
+            ("cbc", "synchronous", 26, {
+                "sig-verifications <= m*(k_r+1)*(f+1)": (False, 13, 6),
+                "commit duration <= 3*delta": (False, 26, 15),
+                **GAS_ROWS, **DELAY_ROWS,
+            }),
+            ("timelock", "synchronous", 30, {
+                "sig-verifications <= m*n^2": (True, 13, 27),
+                "commit duration <= n*delta": (False, 30, 15),
+                **GAS_ROWS, **DELAY_ROWS,
+            }),
+            ("cbc", "semi-synchronous", 26, {
+                "sig-verifications <= m*(k_r+1)*(f+1)": (False, 13, 6),
+                **GAS_ROWS,
+            }),
+        ],
+    )
+    def test_every_op_on_either_kind_of_chain(self, protocol, mode, commit_ticks, bounds):
+        report = meter(hand_built_trace(protocol, mode))
+        phases = {
+            name: (pc.writes, pc.verifications, pc.calls) for name, pc in report.phases.items()
+        }
+        assert phases == {"escrow": (8, 0, 2), "transfer": (6, 0, 3), "commit": (16, 13, 15)}
+        contracts = {
+            chain: (pc.writes, pc.verifications, pc.calls)
+            for chain, pc in report.per_contract.items()
+        }
+        assert contracts == {"coin": (16, 13, 11), CBC_CHAIN: (14, 0, 9), "idle": (0, 0, 0)}
+        assert report.escrow_calls == 2
+        assert report.durations == {"escrow": 3, "transfer": 4, "commit": commit_ticks}
+        assert report.params == {
+            "n": 3, "m": 3, "t": 3, "k": 2, "f": 1, "delta": 5, "reconfigurations": 0,
+            "synchronous": int(mode == "synchronous"),
+        }
+        assert report.gas_total() == 30 * 5000 + 13 * 3000
+        verdicts = [(b.name, (b.ok, b.measured, b.bound)) for b in check_asymptotics(report)]
+        assert verdicts == list(bounds.items())
+
+
 class TestDurations:
     def test_phase_durations_within_network_bounds(self, corpus):
         for name in ("ticket_deal_timelock", "ticket_deal_cbc", "virus_alice_timelock"):
@@ -160,6 +284,6 @@ class TestRendering:
     def test_text_table_mentions_totals_and_bounds(self, ticket_timelock_run):
         built, trace = ticket_timelock_run
         report = meter(trace)
-        text = render_text(report, check_asymptotics(report))
+        text = render_text(report.to_json(), [b.to_json() for b in check_asymptotics(report)])
         assert "phase" in text and "total" in text and "bound" in text
         assert str(report.gas_total()) in text

@@ -81,6 +81,17 @@ class TestModuleGraph:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not list(package_imports(node)), (module, node.name)
 
+    @pytest.mark.parametrize("module", MODULES + ["__init__"])
+    def test_no_broad_exception_handler(self, module):
+        """A handler names the errors it expects: no bare `except:`, and no
+        `Exception` or `BaseException`, alone or in a tuple."""
+        for node in ast.walk(parse(module)):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names = {c.id for c in caught if isinstance(c, ast.Name)}
+                assert node.type is not None, (module, node.lineno, "bare except")
+                assert not names & {"Exception", "BaseException"}, (module, node.lineno)
+
 
 class TestRegistry:
     def test_catalog_matches_the_strategy_table(self):
