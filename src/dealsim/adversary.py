@@ -160,6 +160,20 @@ class ExploreResult:
         }
 
 
+def _shared_outcome(outcomes: Dict[tuple, List[tuple]], trace) -> tuple:
+    """The trace's (terminal wallets, resolutions, metadata), or an equal
+    triple that an earlier record holds, so that records share one copy of
+    each distinct outcome.  Runs with the same resolutions seldom differ in
+    the rest, so each list of candidates stays short."""
+    outcome = (trace.terminal_wallets, trace.resolutions, trace.metadata)
+    candidates = outcomes.setdefault(tuple(trace.resolutions.items()), [])
+    for earlier in candidates:
+        if earlier == outcome:
+            return earlier
+    candidates.append(outcome)
+    return outcome
+
+
 def exhaustive_explore(
     scenario: dict,
     bound: ExplorationBound = ExplorationBound(),
@@ -194,7 +208,14 @@ def exhaustive_explore(
     and its trace is its own events up to the key's snapshot followed by
     those of the run that went on from the key, whose outcome and pick
     count it also takes.  Every schedule's trace is that of running it to
-    its end.
+    its end.  A visited key keeps only that reusable tail, not a whole
+    trace: the run that went on from it keeps one record, its events from
+    the snapshot of the first key it added on, its terminal wallets,
+    resolutions and metadata (one copy per distinct outcome, shared by the
+    records), and each of its keys holds its offset into those events and
+    its pick count.  A reused tail's trace is a `dataclasses.replace` of
+    the first schedule's trace, whose scenario, seed, initial wallets and
+    deal all schedules share.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -208,9 +229,18 @@ def exhaustive_explore(
     world = built.world
     # (absolute tape, picks made before the resume point, its snapshot)
     stack: List[tuple] = [([], 0, world.snapshot())]
-    # Each visited branch key -> (the run that went on from it, that run's
-    # trace length at the key's snapshot, its picks before quiescence after it).
+    # Each visited branch key -> (the record of the run that went on from it,
+    # the key's snapshot's offset into the record's events, the run's picks
+    # before quiescence after the key).  A run that adds keys keeps one
+    # record: its events from the snapshot of the first key it added, its
+    # terminal wallets, resolutions and metadata.
     known: Dict[tuple, tuple] = {}
+    # Resolutions -> the distinct outcomes with them that records hold.
+    outcomes: Dict[tuple, List[tuple]] = {}
+    # The first schedule's trace, which reuses nothing: every schedule shares
+    # its scenario, seed, initial wallets and deal, so a reused tail's trace
+    # is a copy of it with its own events and outcome.
+    template = None
     runs = 0
     branch_points = 0
     violations: List[dict] = []
@@ -227,11 +257,19 @@ def exhaustive_explore(
             trace = world.run()
         except KnownContinuation as stop:
             # The key fixes the rest of the run: this run's events up to the
-            # key's snapshot, then the known run's from its own.
+            # key's snapshot, then the known run's from its own, and its outcome.
             key, (first, (_, _, n_events, *_)) = stop.args
-            ran, ran_events, picks = known[key]
-            trace = replace(ran, events=world.trace_events[:n_events] + ran.events[ran_events:])
+            (events, terminal_wallets, resolutions, metadata), offset, picks = known[key]
+            trace = replace(
+                template,
+                events=world.trace_events[:n_events] + events[offset:],
+                terminal_wallets=terminal_wallets,
+                resolutions=resolutions,
+                metadata=metadata,
+            )
             choices.depth = first + picks
+        if template is None:
+            template = trace
         runs += 1
         failures = evaluate(trace)
         if failures:
@@ -248,12 +286,16 @@ def exhaustive_explore(
         if base + choices.depth > bound.max_choice_points:
             complete = False
             continue
+        record = None
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
             if key is None or key in known:
                 continue
             first, event_snap = start
-            known[key] = (trace, event_snap[2], choices.depth - first)
+            if record is None:
+                kept = event_snap[2]
+                record = (trace.events[kept:], *_shared_outcome(outcomes, trace))
+            known[key] = (record, event_snap[2] - kept, choices.depth - first)
             branch_points += 1
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):

@@ -119,10 +119,18 @@ def _explore(args, scenario: dict) -> int:
                 print(f"    {failure['property']}: {failure['details']}")
                 for item in failure["witness"]:
                     print(f"      witness: {json.dumps(item, sort_keys=True)}")
-    if args.trace and result.witness_traces:
-        result.witness_traces[0].dump(args.trace)
-        print(f"witness trace written to {args.trace}")
+    _write_witness(args, result.witness_traces)
     return EXIT_PROPERTY if result.verdict == "VIOLATION" else EXIT_OK
+
+
+def _write_witness(args, witness_traces: list):
+    """Write the first violation witness to the `--trace` path, if both
+    exist.  Under `--report structured` the notice goes to stderr, so that
+    stdout stays one JSON document."""
+    if args.trace and witness_traces:
+        witness_traces[0].dump(args.trace)
+        notice = sys.stderr if args.report == "structured" else sys.stdout
+        print(f"witness trace written to {args.trace}", file=notice)
 
 
 def _campaign(args, scenario: dict) -> int:
@@ -134,6 +142,7 @@ def _campaign(args, scenario: dict) -> int:
         print(f"campaign: {report.runs} runs, {report.violation_count} violations")
         for name, count in sorted(report.outcomes.items()):
             print(f"  {name}: {count}")
+    _write_witness(args, report.witness_traces)
     return EXIT_PROPERTY if report.violations else EXIT_OK
 
 
@@ -179,11 +188,18 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    """The argparse type of a count: anything but a positive integer is a usage error."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_from(least: int, kind: str):
+    """The argparse type of an integer option: anything but an integer of
+    at least `least` is a usage error."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_from(1, "positive")  # a count
+_price = _int_from(0, "non-negative")  # a gas price
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -196,8 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     prices = GasSchedule()
     reporting = argparse.ArgumentParser(add_help=False)
     reporting.add_argument("--report", choices=("text", "structured"), default="text")
-    reporting.add_argument("--gas-write", type=int, default=prices.storage_write)
-    reporting.add_argument("--gas-sig", type=int, default=prices.signature_verification)
+    reporting.add_argument("--gas-write", type=_price, default=prices.storage_write)
+    reporting.add_argument("--gas-sig", type=_price, default=prices.signature_verification)
 
     run_p = sub.add_parser(
         "run", parents=[reporting], help="run one scenario (or a campaign / exploration)"
@@ -227,6 +243,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     list_p.set_defaults(func=cmd_list)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.explore and args.runs > 1:
+        run_p.error("--explore runs every schedule once; it takes no --runs")
     return args.func(args)
 
 

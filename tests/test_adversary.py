@@ -1,6 +1,7 @@
 """Strategy catalog behaviors, campaigns, exploration, and witness replay."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -34,7 +35,7 @@ from dealsim.scenario import (
     ticket_deal,
     validate_scenario,
 )
-from dealsim.trace import canonical_json
+from dealsim.trace import RunTrace, canonical_json
 
 from conftest import run_scenario_dict
 
@@ -523,6 +524,33 @@ class TestSuffixResumption:
         with_reuse, reused = explore(True)
         assert reused
         assert explore(False) == (with_reuse, False)
+
+    @pytest.mark.parametrize(
+        "name", ["explore_swap_timelock", "explore_swap_naive", "explore_ticket_allcompliant"]
+    )
+    def test_the_explorer_keeps_no_whole_run(self, corpus, name):
+        # A visited key keeps a tail of the run that went on from it, not
+        # that run's trace: the live traces are the first schedule's (the
+        # template of reused tails), the schedule being judged and the kept
+        # witnesses, however many keys the search holds.
+        def live_traces():
+            return sum(isinstance(obj, RunTrace) for obj in gc.get_objects())
+
+        gc.collect()
+        before = live_traces()
+        counts, schedules = [], itertools.count(1)
+
+        def evaluate(trace):
+            if next(schedules) % 50 == 0:
+                counts.append(live_traces() - before)
+            return properties.evaluate_run(trace)["failures"]
+
+        keep = 3
+        result = exhaustive_explore(
+            corpus[name], ExplorationBound(), evaluate=evaluate, keep_witnesses=keep
+        )
+        assert result.complete and len(counts) == result.runs // 50
+        assert max(counts) <= keep + 2
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(

@@ -143,6 +143,28 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gas-write", "-5"], "expected a non-negative integer"),
+            (["--gas-sig", "-1"], "expected a non-negative integer"),
+            (["--gas-write", "2.5"], "expected a non-negative integer"),
+            (["--runs", "3", "--explore"], "--explore runs every schedule once"),
+        ],
+        ids=["gas-write-negative", "gas-sig-negative", "gas-write-fraction", "explore-with-runs"],
+    )
+    def test_a_value_the_mode_cannot_honour_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "explore_swap_timelock", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_free_gas_prices_are_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--scenario", "ticket_deal_timelock", "--gas-write", "0", "--gas-sig", "0"
+        )
+        assert code == 0 and "gas model: write=0 sigver=0" in out
+
     @pytest.mark.parametrize("case", sorted(MISTYPED_PARAMS))
     def test_mistyped_param_error_names_party_and_param(self, case):
         edit, party, param = MISTYPED_PARAMS[case]
@@ -278,6 +300,31 @@ class TestTraceAndReplay:
         body1 = out1.strip().splitlines()
         body2 = out2.strip().splitlines()[1:]
         assert body1 == body2
+
+    def test_a_campaign_writes_its_first_witness_trace(self, tmp_path, capsys):
+        trace_path = tmp_path / "witness.trace.json"
+        code, out, _ = run_cli(
+            capsys, "run", "--scenario", "naive_timeout_regression", "--runs", "50",
+            "--trace", str(trace_path),
+        )
+        assert code == 3 and "50 violations" in out
+        assert f"witness trace written to {trace_path}" in out
+        code, out, _ = run_cli(capsys, "replay", str(trace_path))
+        assert code == 3 and "consistent" in out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "scenario, mode",
+        [("naive_timeout_regression", ["--runs", "50"]), ("explore_swap_naive", ["--explore"])],
+        ids=["campaign", "explore"],
+    )
+    def test_a_structured_report_stays_one_json_document(self, tmp_path, capsys, scenario, mode):
+        trace_path = tmp_path / "witness.trace.json"
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", scenario, *mode, "--report", "structured",
+            "--trace", str(trace_path),
+        )
+        assert code == 3 and json.loads(out)["violations"]
+        assert f"witness trace written to {trace_path}" in err and trace_path.exists()
 
     def test_replay_judges_and_meters_once(self, tmp_path, capsys, monkeypatch):
         import dealsim.cli as cli
