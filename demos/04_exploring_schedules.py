@@ -3,8 +3,9 @@
 # in a bounded space, up to quiescence: message delivery latencies in
 # {1, delta} plus one adversary's vote/forward timing menu, until no choice
 # can change any lot's resolution, its tick, or a wallet (a lot past its
-# refund deadline can only refund); a run that reaches an already-explored
-# branch point reuses the known tail.  Under path-scaled deadlines the
+# refund deadline can only refund).  Each explored state is judged once: a
+# run that reaches a visited state stops there unjudged, so a violation is
+# listed once per violating state.  Under path-scaled deadlines the
 # two-party swap space is safe; under a single fixed deadline the same
 # space contains a concrete theft schedule.
 
@@ -20,7 +21,8 @@ print(f"  verdict: {safe.verdict} over {safe.runs} complete schedules "
 print()
 print("same swap, same adversary, one fixed deadline per party per asset...")
 broken = exhaustive_explore(load_scenario("explore_swap_naive"), ExplorationBound())
-print(f"  verdict: {broken.verdict} ({len(broken.violations)} violating schedules)")
+print(f"  verdict: {broken.verdict} ({broken.runs} schedules; "
+      f"violating states: {len(broken.violations)})")
 
 witness = broken.violations[0]
 print(f"  sample witness tape: {witness['tape']}")

@@ -8,7 +8,7 @@ runs and judges them with `properties.evaluate_run`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from . import properties
@@ -135,7 +135,8 @@ class ExplorationBound:
     verdict.  `max_choice_points` caps the picks a schedule makes before
     the world is quiescent (no choice can change any lot's resolution, its
     tick, or a wallet); the picks after it are not choice points.  A
-    schedule that reuses a known tail counts that tail's picks too."""
+    run that stops at a visited state counts the picks of the run that went
+    on from it too."""
 
     max_runs: int = 100000
     max_choice_points: int = 600
@@ -160,20 +161,6 @@ class ExploreResult:
         }
 
 
-def _shared_outcome(outcomes: Dict[tuple, List[tuple]], trace) -> tuple:
-    """The trace's (terminal wallets, resolutions, metadata), or an equal
-    triple that an earlier record holds, so that records share one copy of
-    each distinct outcome.  Runs with the same resolutions seldom differ in
-    the rest, so each list of candidates stays short."""
-    outcome = (trace.terminal_wallets, trace.resolutions, trace.metadata)
-    candidates = outcomes.setdefault(tuple(trace.resolutions.items()), [])
-    for earlier in candidates:
-        if earlier == outcome:
-            return earlier
-    candidates.append(outcome)
-    return outcome
-
-
 def exhaustive_explore(
     scenario: dict,
     bound: ExplorationBound = ExplorationBound(),
@@ -181,7 +168,7 @@ def exhaustive_explore(
     keep_witnesses: int = 3,
 ) -> ExploreResult:
     """Enumerate every schedule in the scenario's choice space, up to
-    quiescence.
+    quiescence, and judge each explored state once.
 
     A schedule is a sequence of choice-point decisions: every choice of
     delivery latency and of the `explored` adversary's action timings,
@@ -189,9 +176,8 @@ def exhaustive_explore(
     change any lot's resolution, its tick, or a wallet; a timelock or naive
     lot past its local refund deadline can only refund).  After that a run
     takes first options and has no branch points, since every continuation
-    ends with the same resolutions and wallets; so `evaluate` is called
-    once per schedule and sees one continuation per quiescent state, and
-    the depth cap counts only the picks made before quiescence.
+    ends with the same resolutions and wallets, and the depth cap counts
+    only the picks made before quiescence.
     Same-tick events pop in push order and parties act in name order;
     neither order is a choice point, so renaming the chains keeps every
     outcome but renaming the parties may not (ROADMAP item 3(b) measured
@@ -201,21 +187,19 @@ def exhaustive_explore(
     choice is made.  A latency resumes at its event's send phase, after the
     controller's work; a controller's choice, and a latency it draws
     first, resume at the start of its event.  Only the picks since that
-    snapshot are replayed.  A branch point whose key (the snapshot's state
-    and the choices made since) was already visited is pruned; that is
-    exact, since the two fix the rest of the run.  So the rest is reused
-    too: a run whose fresh pick reaches a visited key stops at that pick,
-    and its trace is its own events up to the key's snapshot followed by
-    those of the run that went on from the key, whose outcome and pick
-    count it also takes.  Every schedule's trace is that of running it to
-    its end.  A visited key keeps only that reusable tail, not a whole
-    trace: the run that went on from it keeps one record, its events from
-    the snapshot of the first key it added on, its terminal wallets,
-    resolutions and metadata (one copy per distinct outcome, shared by the
-    records), and each of its keys holds its offset into those events and
-    its pick count.  A reused tail's trace is a `dataclasses.replace` of
-    the first schedule's trace, whose scenario, seed, initial wallets and
-    deal all schedules share.
+    snapshot are replayed.
+
+    A visited state is a branch key or a run's quiescent key (see
+    `TapeChoices`).  A branch point whose key was visited is pruned, and a
+    run that reaches a visited state stops there, untraced and unjudged:
+    the run that went on from it was judged, and the key fixes what the
+    default judges read (the rest of the run, or every final resolution,
+    its tick and every balance; for a CBC world also the last accepted
+    vote's tick and the certificates published so far, `World.state_key`).
+    So `evaluate` is called once per run that reaches its end, and a custom
+    `evaluate` may judge only what the key fixes.  A stopped run still
+    counts in `runs`, takes the depth of the run that went on, and adds the
+    keys of its own earlier fresh picks and their branches.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -229,18 +213,9 @@ def exhaustive_explore(
     world = built.world
     # (absolute tape, picks made before the resume point, its snapshot)
     stack: List[tuple] = [([], 0, world.snapshot())]
-    # Each visited branch key -> (the record of the run that went on from it,
-    # the key's snapshot's offset into the record's events, the run's picks
-    # before quiescence after the key).  A run that adds keys keeps one
-    # record: its events from the snapshot of the first key it added, its
-    # terminal wallets, resolutions and metadata.
-    known: Dict[tuple, tuple] = {}
-    # Resolutions -> the distinct outcomes with them that records hold.
-    outcomes: Dict[tuple, List[tuple]] = {}
-    # The first schedule's trace, which reuses nothing: every schedule shares
-    # its scenario, seed, initial wallets and deal, so a reused tail's trace
-    # is a copy of it with its own events and outcome.
-    template = None
+    # Each visited key -> the picks before quiescence of the run that went
+    # on from it, from the key's pick on (see `TapeChoices`).
+    known: Dict[tuple, int] = {}
     runs = 0
     branch_points = 0
     violations: List[dict] = []
@@ -253,50 +228,36 @@ def exhaustive_explore(
         tape, base, snap = stack.pop()
         world.restore(snap)
         choices = world.choices = TapeChoices(tape[base:], known)
+        runs += 1
         try:
             trace = world.run()
-        except KnownContinuation as stop:
-            # The key fixes the rest of the run: this run's events up to the
-            # key's snapshot, then the known run's from its own, and its outcome.
-            key, (first, (_, _, n_events, *_)) = stop.args
-            (events, terminal_wallets, resolutions, metadata), offset, picks = known[key]
-            trace = replace(
-                template,
-                events=world.trace_events[:n_events] + events[offset:],
-                terminal_wallets=terminal_wallets,
-                resolutions=resolutions,
-                metadata=metadata,
-            )
-            choices.depth = first + picks
-        if template is None:
-            template = trace
-        runs += 1
-        failures = evaluate(trace)
-        if failures:
-            violations.append(
-                {
-                    "tape": list(tape),
-                    "failures": failures,
-                    "resolutions": {k: list(v) for k, v in trace.resolutions.items()},
-                }
-            )
-            if len(witnesses) < keep_witnesses:
-                witnesses.append(trace)
+        except KnownContinuation:
+            pass  # a run that went on from this state was judged
+        else:
+            if choices.quiescent_key is not None:
+                known[choices.quiescent_key] = 0
+            failures = evaluate(trace)
+            if failures:
+                violations.append(
+                    {
+                        "tape": list(tape),
+                        "failures": failures,
+                        "resolutions": {k: list(v) for k, v in trace.resolutions.items()},
+                    }
+                )
+                if len(witnesses) < keep_witnesses:
+                    witnesses.append(trace)
         log = choices.log
         if base + choices.depth > bound.max_choice_points:
             complete = False
             continue
-        record = None
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
             if key is None or key in known:
                 continue
-            first, event_snap = start
-            if record is None:
-                kept = event_snap[2]
-                record = (trace.events[kept:], *_shared_outcome(outcomes, trace))
-            known[key] = (record, event_snap[2] - kept, choices.depth - first)
+            known[key] = choices.depth - j
             branch_points += 1
+            first, event_snap = start
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
                 stack.append((prefix + [k], base + first, event_snap))

@@ -17,9 +17,10 @@ event, where a choosing controller (`Explored`) branches, or a send
 phase, where a latency branches without re-running the event's
 controller work.  Once the world is quiescent (`World.quiescent`), no
 choice can change any lot's resolution, its tick, or a wallet, and the
-explorer stops branching; a run that reaches a branch key some earlier
-run went on from stops there too (`KnownContinuation`), and the explorer
-reuses that known tail.
+explorer stops branching.  A run that reaches a state some earlier run
+went on from (a branch key, or the contract states at its first quiescent
+boundary) stops there (`KnownContinuation`), untraced: the explorer has
+already judged that state.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
 from .deals import DealSpec
 from .timelock import refund_deadline
-from .trace import RunTrace, TraceEvent, payload_digest
+from .trace import RunTrace, TraceEvent, canonical_json, payload_digest
 
 TIMER_SENDER = "@timer"
 
@@ -91,8 +92,8 @@ class SeededChoices:
 
 
 class KnownContinuation(Exception):
-    """Stops a `TapeChoices` run whose rest is already known; its args are
-    the known key and the key's resume point.  See `TapeChoices`."""
+    """Stops a `TapeChoices` run that reaches a visited state; its arg is
+    the visited key.  See `TapeChoices`."""
 
 
 class TapeChoices:
@@ -107,12 +108,19 @@ class TapeChoices:
     once per snapshot, with the choices made since; the two fix the rest
     of the run, so the key is exact.  Once the world is quiescent, no
     choice can change any lot's resolution, its tick, or a wallet, so there
-    is no snapshot and no key: the run finishes on first options without
-    branch points.
+    is no snapshot and no branch key: the run finishes on first options
+    without branch points.  Its first quiescent boundary has a key of its
+    own, `quiescent_key`: each chain's contract state key, which fixes every
+    final resolution, its tick and every balance.  A doomed lot refunds when
+    its timer fires: at its refund deadline plus the chain's skew, or, for a
+    lot opened after that deadline, at its opening, which every timelock
+    and naive strategy fixes (each escrows at its start or resume wake).
 
-    A fresh pick whose key is in `known` (keys some earlier run went on
-    from) makes the run known from there: the pick raises
-    `KnownContinuation` with that key and its resume point.  Stopping at
+    `known` maps visited keys to the picks the run that went on from each
+    made before quiescence, from that key's pick on (0 for a quiescent
+    key).  A run that reaches a known key, at a fresh pick or at its first
+    quiescent boundary, stops there: it raises `KnownContinuation` with
+    its depth set to its picks so far plus the key's count.  Stopping at
     the pick is exact, since the run that added the key took first options
     from it, so every later pick of the same event has a known key too.
     """
@@ -124,6 +132,7 @@ class TapeChoices:
         # (label, n_options, chosen, state_key | None, resume point | None)
         self.log: List[tuple] = []
         self.depth = 0  # picks made before the run was found quiescent
+        self.quiescent_key: Optional[tuple] = None
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
         self._quiescent = False  # a run never leaves quiescence
@@ -137,11 +146,22 @@ class TapeChoices:
             self._take_snapshot(world)
 
     def _take_snapshot(self, world):
-        if self._quiescent or world.quiescent():
+        if self._quiescent:
+            return
+        if world.quiescent():
             self._quiescent = True
+            # Tagged: a branch key is a (state key, choices) pair.
+            contracts = tuple(chain.snapshot()[1] for chain in world.chains.values())
+            self.quiescent_key = ("quiescent", contracts)
+            self._stop_if_known(self.quiescent_key)
             return
         self._start = (len(self.log), world.snapshot())
         self._start_key = None
+
+    def _stop_if_known(self, key: tuple):
+        if key in self.known:
+            self.depth += self.known[key]
+            raise KnownContinuation(key)
 
     def pick(self, label: tuple, options: list, world=None):
         n = len(options)
@@ -151,14 +171,13 @@ class TapeChoices:
             raise IndexError(f"tape choice {chosen} out of range for {label} ({n} options)")
         key = start = None
         if not self._quiescent:
-            self.depth += 1
             if n > 1 and not replaying:
                 start = self._start
                 if self._start_key is None:
                     self._start_key = world.state_key(start[1])
                 key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
-                if key in self.known:
-                    raise KnownContinuation(key, start)
+                self._stop_if_known(key)
+            self.depth += 1
         self.log.append((label, n, chosen, key, start))
         self.pos += 1
         return options[chosen]
@@ -394,7 +413,7 @@ class World:
                 seq=seq,
                 publisher=publisher,
                 reason=reason,
-                info=dict(info),
+                info=info,
             )
         )
         if publisher in self.frontiers:
@@ -521,18 +540,37 @@ class World:
         before it: a notify pops before a pending event of the same due
         exactly when it was published first, so that count and the sends in
         publish order fix how ties pop under every latency.
+
+        The state fixes the rest of the run, but a CBC run's judges also
+        read two facts of its past that no state holds, so a world with a
+        certified log adds them: the tick of the last accepted vote on the
+        log (the weak-liveness bound) and every certificate published so
+        far, rejected settles included (the agreement check).
         """
-        now, heap, _, chains, parties, sends = snap or self.snapshot()
+        now, heap, n_events, chains, parties, sends = snap or self.snapshot()
+        past = self._judged_past(n_events) if CBC_CHAIN in self.chains else ()
         pending = sorted(heap)
         if sends:
             counters = [send[0] for send in sends]
             pending = tuple(
                 (due, kind, data, bisect.bisect(counters, seq)) for due, seq, kind, data in pending
             )
-            return now, pending, tuple(send[1:] for send in sends), chains, parties
+            return now, pending, tuple(send[1:] for send in sends), chains, parties, *past
         tick = max(now, pending[0][0]) if pending else now
         pending = tuple((due, kind, data) for due, _, kind, data in pending)
-        return tick, pending, (), chains, parties
+        return tick, pending, (), chains, parties, *past
+
+    def _judged_past(self, n_events: int) -> tuple:
+        """The tick of the last accepted vote on the certified log among the
+        first `n_events` trace events, and the certificates they publish."""
+        last_vote, certificates = None, []
+        for event in self.trace_events[:n_events]:
+            if event.kind == "publish" and "cert" in event.payload:
+                certificates.append(canonical_json(event.payload["cert"]))
+            elif event.kind == "publish" and event.where == CBC_CHAIN and event.status == "accepted":
+                if event.payload["op"] in ("commit", "abort"):
+                    last_vote = event.tick
+        return last_vote, tuple(certificates)
 
     def snapshot(self) -> tuple:
         """The tick, a heap copy, the trace length, each chain's and

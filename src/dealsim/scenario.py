@@ -287,10 +287,10 @@ def assemble_world(
         for chain_id, token in bundle.tokens:
             wallets[chain_id]["tokens"][token] = party
 
-    skew_rng = random.Random(f"skew-{run_seed}")
+    skew_rng = random.Random(f"skew-{run_seed}") if network.skew_max else None
     protocol = sc["protocol"]
     for chain_id in chains:
-        skew = skew_rng.randint(0, network.skew_max) if network.skew_max else 0
+        skew = skew_rng.randint(0, network.skew_max) if skew_rng else 0
         contract = EscrowContract(
             chain_id, deal.deal_id, deal.parties, deal.t0, deal.delta, protocol, wallets[chain_id]
         )

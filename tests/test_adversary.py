@@ -1,6 +1,7 @@
 """Strategy catalog behaviors, campaigns, exploration, and witness replay."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -21,7 +22,7 @@ from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
 from dealsim.ledger import (
-    Chain, KnownContinuation, PartyContext, SeededChoices, TapeChoices, World,
+    Chain, PartyContext, SeededChoices, TapeChoices, World,
 )
 from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
 from dealsim.properties import check_safety
@@ -355,18 +356,52 @@ def check_outcomes(result, seen, found, outcomes, digest, violating):
     assert found == violating
 
 
+def check_stopping_changes_no_schedule(scenario, bound, monkeypatch) -> dict:
+    """Explore `scenario` with and without stopping at visited states.  Runs,
+    branch points, depths, verdict, outcome set and violating set must be
+    equal, each trace judged with stopping must be one the full search
+    judged, and some run must have stopped.  Returns the result's JSON."""
+
+    def explore(stop):
+        made, judged, outcomes = [], [], set()
+
+        def recorded(tape, known=()):
+            made.append(TapeChoices(tape, known if stop else ()))
+            return made[-1]
+
+        def evaluate(trace):
+            judged.append((trace.digest(), canonical_json(trace.to_json())))
+            outcomes.add(canonical_json(trace.resolutions))
+            return properties.evaluate_run(trace)["failures"]
+
+        monkeypatch.setattr(adversary, "TapeChoices", recorded)
+        result = exhaustive_explore(scenario, bound, evaluate=evaluate).to_json()
+        violating = {canonical_json(v["resolutions"]) for v in result.pop("violations")}
+        depths = [(choices.tape, choices.depth) for choices in made]
+        return result, depths, outcomes, violating, judged
+
+    *stopped, judged = explore(True)
+    *full, judged_full = explore(False)
+    assert stopped == full
+    assert set(judged) <= set(judged_full) and len(judged) < len(judged_full)
+    return stopped[0]
+
+
 class TestSuffixResumption:
     """The explorer resumes branches from event-boundary snapshots; every
     schedule must equal a from-scratch run of its whole tape."""
 
-    @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
-    def test_every_schedule_matches_a_fresh_run_of_its_tape(self, corpus, name):
-        # Reporting every schedule as a failure records its absolute tape.
+    @pytest.mark.parametrize(
+        "name, judged", [("explore_swap_timelock", 33), ("explore_swap_naive", 41)]
+    )
+    def test_every_schedule_matches_a_fresh_run_of_its_tape(self, corpus, name, judged):
+        # Reporting every judged run as a failure records its absolute tape;
+        # a run that stops at a visited state is not judged.
         def evaluate(trace):
             return [{"property": "probe", "digest": trace.digest()}]
 
         result = exhaustive_explore(corpus[name], ExplorationBound(), evaluate=evaluate)
-        assert result.complete and len(result.violations) == result.runs
+        assert result.complete and len(result.violations) == judged
         for violation in result.violations:
             fresh = build_world(corpus[name], choices=TapeChoices(violation["tape"]))
             assert fresh.world.run().digest() == violation["failures"][0]["digest"]
@@ -458,7 +493,8 @@ class TestSuffixResumption:
         result = exhaustive_explore(
             corpus["explore_swap_naive"], ExplorationBound(), evaluate=evaluate, keep_witnesses=10
         )
-        assert len(result.witness_traces) == 10
+        # Only judged runs give witnesses: one per violating state.
+        assert digests and len(result.witness_traces) == min(10, len(digests))
         assert [w.digest() for w in result.witness_traces] == digests[:10]
 
     def test_max_choice_points_counts_absolute_picks(self, corpus):
@@ -494,63 +530,70 @@ class TestSuffixResumption:
     def test_reusing_a_known_continuation_changes_no_schedule(
         self, corpus, monkeypatch, name, bound
     ):
-        # A run that reaches a visited key stops and takes the rest of its
-        # trace, and its depth, from the run that went on from that key;
-        # every schedule must be that of running it to its end.
-        def explore(reuse):
-            made, traces, stopped = [], [], []
+        check_stopping_changes_no_schedule(corpus[name], bound, monkeypatch)
 
-            class Counted(TapeChoices):
-                def pick(self, *args):
-                    try:
-                        return super().pick(*args)
-                    except KnownContinuation:
-                        stopped.append(self.tape)
-                        raise
+    @pytest.mark.parametrize(
+        "strategies, cbc, runs",
+        [
+            ({}, {}, 125),
+            ({"ann": {"name": "fake_certificate", "params": {}}}, {"corrupt": 1}, 727),
+            ({"ben": {"name": "abort_after_commit", "params": {}}}, {}, 391),
+        ],
+        ids=["compliant", "fake-certificate", "abort-after-commit"],
+    )
+    def test_stopping_changes_no_cbc_schedule(self, monkeypatch, strategies, cbc, runs):
+        # A CBC world is never quiescent, so only branch keys stop runs there,
+        # and its judges read the past that the key adds.
+        scenario = swap_deal("cbc")
+        scenario["network"].update({"mode": "semi-synchronous", "gst": 30, "pre_gst_cap": 2})
+        scenario["strategies"].update(strategies)
+        scenario["cbc"].update(cbc)
+        result = check_stopping_changes_no_schedule(scenario, ExplorationBound(), monkeypatch)
+        assert result["runs"] == runs
 
-            def recorded(tape, known=()):
-                made.append(Counted(tape, known if reuse else ()))
-                return made[-1]
-
-            def evaluate(trace):
-                traces.append((trace.digest(), canonical_json(trace.to_json())))
-                return properties.evaluate_run(trace)["failures"]
-
-            monkeypatch.setattr(adversary, "TapeChoices", recorded)
-            result = exhaustive_explore(corpus[name], bound, evaluate=evaluate)
-            depths = [(choices.tape, choices.depth) for choices in made]
-            return (traces, depths, result.to_json()), bool(stopped)
-
-        with_reuse, reused = explore(True)
-        assert reused
-        assert explore(False) == (with_reuse, False)
+    def test_a_cbc_key_holds_the_last_vote_tick_and_every_certificate(self):
+        world = build_world(swap_deal("cbc")).world
+        world.run()
+        key = world.state_key()
+        events = world.trace_events
+        votes = [
+            i for i, e in enumerate(events)
+            if e.kind == "publish" and e.where == "cbc" and e.status == "accepted"
+            and e.payload["op"] in ("commit", "abort")
+        ]
+        settle = next(e for e in events if e.kind == "publish" and "cert" in e.payload)
+        last_vote = events[votes[-1]]
+        events[votes[-1]] = dataclasses.replace(last_vote, tick=last_vote.tick + 1)
+        assert world.state_key() != key
+        events[votes[-1]] = last_vote
+        assert world.state_key() == key
+        events.append(dataclasses.replace(settle, status="rejected", reason="already-resolved"))
+        assert world.state_key() != key
 
     @pytest.mark.parametrize(
         "name", ["explore_swap_timelock", "explore_swap_naive", "explore_ticket_allcompliant"]
     )
     def test_the_explorer_keeps_no_whole_run(self, corpus, name):
-        # A visited key keeps a tail of the run that went on from it, not
-        # that run's trace: the live traces are the first schedule's (the
-        # template of reused tails), the schedule being judged and the kept
-        # witnesses, however many keys the search holds.
+        # A visited key keeps a pick count, not a trace: the live traces are
+        # the run being judged and the kept witnesses, however many keys the
+        # search holds.
         def live_traces():
             return sum(isinstance(obj, RunTrace) for obj in gc.get_objects())
 
         gc.collect()
         before = live_traces()
-        counts, schedules = [], itertools.count(1)
+        counts = []
 
         def evaluate(trace):
-            if next(schedules) % 50 == 0:
-                counts.append(live_traces() - before)
+            counts.append(live_traces() - before)
             return properties.evaluate_run(trace)["failures"]
 
         keep = 3
         result = exhaustive_explore(
             corpus[name], ExplorationBound(), evaluate=evaluate, keep_witnesses=keep
         )
-        assert result.complete and len(counts) == result.runs // 50
-        assert max(counts) <= keep + 2
+        assert result.complete and 0 < len(counts) < result.runs
+        assert max(counts) <= keep + 1
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(
