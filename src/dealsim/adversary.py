@@ -191,15 +191,11 @@ def exhaustive_explore(
 
     A visited state is a branch key or a run's quiescent key (see
     `TapeChoices`).  A branch point whose key was visited is pruned, and a
-    run that reaches a visited state stops there, untraced and unjudged:
-    the run that went on from it was judged, and the key fixes what the
-    default judges read (the rest of the run, or every final resolution,
-    its tick and every balance; for a CBC world also the last accepted
-    vote's tick and the certificates published so far, `World.state_key`).
-    So `evaluate` is called once per run that reaches its end, and a custom
-    `evaluate` may judge only what the key fixes.  A stopped run still
-    counts in `runs`, takes the depth of the run that went on, and adds the
-    keys of its own earlier fresh picks and their branches.
+    run that reaches a visited state stops there unjudged, but counts in
+    `runs`.  The key fixes what the default judges read (for a CBC world
+    it adds the last accepted vote's tick and the certificates published
+    so far), so `evaluate` is called once per run that reaches its end,
+    and a custom `evaluate` may judge only what the key fixes.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:

@@ -18,9 +18,9 @@ phase, where a latency branches without re-running the event's
 controller work.  Once the world is quiescent (`World.quiescent`), no
 choice can change any lot's resolution, its tick, or a wallet, and the
 explorer stops branching.  A run that reaches a state some earlier run
-went on from (a branch key, or the contract states at its first quiescent
-boundary) stops there (`KnownContinuation`), untraced: the explorer has
-already judged that state.
+went on from (a branch key, or the contract states and late refunds at
+its first quiescent boundary) stops there (`KnownContinuation`),
+untraced: the explorer has already judged that state.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .cbc import CBC_CHAIN
 from .crypto import SignatureScheme
 from .deals import DealSpec
 from .timelock import refund_deadline
+from .properties import judged_past
 from .trace import RunTrace, TraceEvent, canonical_json, payload_digest
 
 TIMER_SENDER = "@timer"
@@ -111,10 +112,9 @@ class TapeChoices:
     is no snapshot and no branch key: the run finishes on first options
     without branch points.  Its first quiescent boundary has a key of its
     own, `quiescent_key`: each chain's contract state key, which fixes every
-    final resolution, its tick and every balance.  A doomed lot refunds when
-    its timer fires: at its refund deadline plus the chain's skew, or, for a
-    lot opened after that deadline, at its opening, which every timelock
-    and naive strategy fixes (each escrows at its start or resume wake).
+    final resolution, its tick and every balance, with `World.late_refunds`:
+    a doomed lot refunds at its deadline plus the chain's skew, or, if it
+    opened after that deadline, at once, a tick no contract state holds.
 
     `known` maps visited keys to the picks the run that went on from each
     made before quiescence, from that key's pick on (0 for a quiescent
@@ -152,7 +152,7 @@ class TapeChoices:
             self._quiescent = True
             # Tagged: a branch key is a (state key, choices) pair.
             contracts = tuple(chain.snapshot()[1] for chain in world.chains.values())
-            self.quiescent_key = ("quiescent", contracts)
+            self.quiescent_key = ("quiescent", contracts, world.late_refunds())
             self._stop_if_known(self.quiescent_key)
             return
         self._start = (len(self.log), world.snapshot())
@@ -543,34 +543,28 @@ class World:
 
         The state fixes the rest of the run, but a CBC run's judges also
         read two facts of its past that no state holds, so a world with a
-        certified log adds them: the tick of the last accepted vote on the
-        log (the weak-liveness bound) and every certificate published so
-        far, rejected settles included (the agreement check).
+        certified log adds them (`properties.judged_past`): the last accepted
+        vote's tick and every certificate published so far.
         """
         now, heap, n_events, chains, parties, sends = snap or self.snapshot()
-        past = self._judged_past(n_events) if CBC_CHAIN in self.chains else ()
+        cbc = CBC_CHAIN in self.chains
+        past = canonical_json(judged_past(self.trace_events[:n_events])) if cbc else None
         pending = sorted(heap)
         if sends:
             counters = [send[0] for send in sends]
             pending = tuple(
                 (due, kind, data, bisect.bisect(counters, seq)) for due, seq, kind, data in pending
             )
-            return now, pending, tuple(send[1:] for send in sends), chains, parties, *past
+            return now, pending, tuple(send[1:] for send in sends), chains, parties, past
         tick = max(now, pending[0][0]) if pending else now
         pending = tuple((due, kind, data) for due, _, kind, data in pending)
-        return tick, pending, (), chains, parties, *past
+        return tick, pending, (), chains, parties, past
 
-    def _judged_past(self, n_events: int) -> tuple:
-        """The tick of the last accepted vote on the certified log among the
-        first `n_events` trace events, and the certificates they publish."""
-        last_vote, certificates = None, []
-        for event in self.trace_events[:n_events]:
-            if event.kind == "publish" and "cert" in event.payload:
-                certificates.append(canonical_json(event.payload["cert"]))
-            elif event.kind == "publish" and event.where == CBC_CHAIN and event.status == "accepted":
-                if event.payload["op"] in ("commit", "abort"):
-                    last_vote = event.tick
-        return last_vote, tuple(certificates)
+    def late_refunds(self) -> tuple:
+        """`now` and the lots of the pending refund timers past due, which
+        fire at `now` (a lot opened after its deadline has one); () if none."""
+        late = sorted(data for due, _, kind, data in self._heap if kind == "timer" and due < self.now)
+        return (self.now, tuple(late)) if late else ()
 
     def snapshot(self) -> tuple:
         """The tick, a heap copy, the trace length, each chain's and

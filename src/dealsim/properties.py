@@ -68,6 +68,22 @@ def check_safety(trace, compliant: Optional[Iterable[str]] = None) -> Verdict:
     return Verdict("safety", True, f"{len(compliant)} compliant parties acceptable")
 
 
+def judged_past(events) -> tuple:
+    """What the CBC judges read of a run besides its final state: the latest
+    tick of an accepted vote on the certified log (None if none), which sets
+    the weak-liveness bound, and every certificate published, rejected
+    settles included, which the agreement check verifies."""
+    last_vote, certificates = None, []
+    for e in events:
+        if e.kind != "publish":
+            continue
+        if "cert" in e.payload:
+            certificates.append(e.payload["cert"])
+        if e.where == CBC_CHAIN and e.status == "accepted" and e.payload.get("op") in ("commit", "abort"):
+            last_vote = e.tick if last_vote is None else max(last_vote, e.tick)
+    return last_vote, certificates
+
+
 def weak_liveness_bound(trace) -> int:
     """The resolution deadline implied by the protocol's timeout structure."""
     deal = trace.deal
@@ -76,13 +92,9 @@ def weak_liveness_bound(trace) -> int:
     if protocol in ("timelock", "naive"):
         return refund_deadline(deal.t0, deal.delta, n) + deal.delta
     grace = trace.scenario["cbc"]["grace"]
-    vote_ticks = [
-        e.tick
-        for e in trace.events
-        if e.kind == "publish" and e.where == CBC_CHAIN and e.status == "accepted"
-        and e.payload.get("op") in ("commit", "abort")
-    ]
-    last_vote = max(vote_ticks, default=trace.scenario["cbc"]["patience"])
+    last_vote = judged_past(trace.events)[0]
+    if last_vote is None:
+        last_vote = trace.scenario["cbc"]["patience"]
     return last_vote + grace + 2 * deal.delta
 
 
@@ -154,10 +166,8 @@ def check_agreement(trace) -> Verdict:
     service = ValidatorService.for_scenario(scheme, cbc_cfg)
     hops = service.reconfig_chain()
     verified: Dict[tuple, set] = {}
-    for event in trace.events:
-        if event.kind != "publish" or "cert" not in event.payload:
-            continue
-        cert = Certificate.from_json(event.payload["cert"])
+    for cert_json in judged_past(trace.events)[1]:
+        cert = Certificate.from_json(cert_json)
         use_hops = hops if cert.epoch > 0 else ()
         ruling = verify_certificate(
             cert, 0, service.members(0), cbc_cfg["f"], scheme, use_hops

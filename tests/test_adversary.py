@@ -24,7 +24,7 @@ from dealsim.deals import payoff_of_run
 from dealsim.ledger import (
     Chain, PartyContext, SeededChoices, TapeChoices, World,
 )
-from dealsim.parties import PROTOCOLS, STRATEGIES, controller_class
+from dealsim.parties import PROTOCOLS, STRATEGIES, TimelockParty, controller_class
 from dealsim.properties import check_safety
 from dealsim.replay import replay_trace
 from dealsim.scenario import (
@@ -36,6 +36,7 @@ from dealsim.scenario import (
     ticket_deal,
     validate_scenario,
 )
+from dealsim.timelock import refund_deadline
 from dealsim.trace import RunTrace, canonical_json
 
 from conftest import run_scenario_dict
@@ -387,6 +388,17 @@ def check_stopping_changes_no_schedule(scenario, bound, monkeypatch) -> dict:
     return stopped[0]
 
 
+class EscrowAfterDeadline(TimelockParty):
+    """Escrows at its first event at or past the refund deadline: a notify,
+    so the lot opens, and at once refunds, at a tick the latencies set."""
+
+    strategy_name = "escrow_after_deadline"
+
+    def ready_to_escrow(self, ctx):
+        deal = self.deal
+        return ctx.now >= refund_deadline(deal.t0, deal.delta, len(deal.parties))
+
+
 class TestSuffixResumption:
     """The explorer resumes branches from event-boundary snapshots; every
     schedule must equal a from-scratch run of its whole tape."""
@@ -550,6 +562,19 @@ class TestSuffixResumption:
         scenario["cbc"].update(cbc)
         result = check_stopping_changes_no_schedule(scenario, ExplorationBound(), monkeypatch)
         assert result["runs"] == runs
+
+    def test_stopping_changes_no_schedule_when_a_lot_opens_late(self, monkeypatch):
+        # Ben's lot opens past its refund deadline, at a tick set by the
+        # latency of the notify that wakes him, so the quiescent contract
+        # states are the same for every refund tick: the key's late refunds
+        # tell them apart.
+        monkeypatch.setitem(STRATEGIES, EscrowAfterDeadline.strategy_name, EscrowAfterDeadline)
+        scenario = swap_deal("timelock")
+        scenario["network"]["explore_from"] = 25
+        scenario["strategies"]["ben"] = {"name": EscrowAfterDeadline.strategy_name, "params": {}}
+        check_stopping_changes_no_schedule(scenario, ExplorationBound(), monkeypatch)
+        _, seen, _ = explore_outcomes(scenario)
+        assert len({tuple(json.loads(o)["ychain/ben"]) for o in seen}) > 1
 
     def test_a_cbc_key_holds_the_last_vote_tick_and_every_certificate(self):
         world = build_world(swap_deal("cbc")).world
