@@ -187,15 +187,17 @@ def exhaustive_explore(
     choice is made.  A latency resumes at its event's send phase, after the
     controller's work; a controller's choice, and a latency it draws
     first, resume at the start of its event.  Only the picks since that
-    snapshot are replayed.
+    snapshot are replayed, and the branch reuses the snapshot's state key,
+    the first part of its branch key.
 
-    A visited state is a branch key or a run's quiescent key (see
-    `TapeChoices`).  A branch point whose key was visited is pruned, and a
-    run that reaches a visited state stops there unjudged, but counts in
-    `runs`.  The key fixes what the default judges read (for a CBC world
-    it adds the last accepted vote's tick and the certificates published
-    so far), so `evaluate` is called once per run that reaches its end,
-    and a custom `evaluate` may judge only what the key fixes.
+    A visited state is a branch key, the key of a choosing event's start
+    reached past the tape, or a run's quiescent key (see `TapeChoices`).  A
+    branch point whose key was visited is pruned, and a run that reaches a
+    visited state stops there unjudged, but counts in `runs`.  The key
+    fixes what the default judges read (for a CBC world it adds the last
+    accepted vote's tick and the certificates published so far), so
+    `evaluate` is called once per run that reaches its end, and a custom
+    `evaluate` may judge only what the key fixes.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -207,10 +209,11 @@ def exhaustive_explore(
             return properties.evaluate_run(trace)["failures"]
 
     world = built.world
-    # (absolute tape, picks made before the resume point, its snapshot)
-    stack: List[tuple] = [([], 0, world.snapshot())]
+    # (absolute tape, picks made before the resume point, its snapshot, the
+    # snapshot's state key; None for the first run)
+    stack: List[tuple] = [([], 0, world.snapshot(), None)]
     # Each visited key -> the picks before quiescence of the run that went
-    # on from it, from the key's pick on (see `TapeChoices`).
+    # on from it, from the key's pick or event start on (see `TapeChoices`).
     known: Dict[tuple, int] = {}
     runs = 0
     branch_points = 0
@@ -221,9 +224,11 @@ def exhaustive_explore(
         if runs >= bound.max_runs:
             complete = False
             break
-        tape, base, snap = stack.pop()
+        tape, base, snap, snap_key = stack.pop()
         world.restore(snap)
         choices = world.choices = TapeChoices(tape[base:], known)
+        if snap_key is not None:
+            choices.resume_at(snap, snap_key)
         runs += 1
         try:
             trace = world.run()
@@ -247,6 +252,8 @@ def exhaustive_explore(
         if base + choices.depth > bound.max_choice_points:
             complete = False
             continue
+        for key, depth in choices.start_keys:
+            known[key] = choices.depth - depth
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
             if key is None or key in known:
@@ -256,7 +263,7 @@ def exhaustive_explore(
             first, event_snap = start
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
-                stack.append((prefix + [k], base + first, event_snap))
+                stack.append((prefix + [k], base + first, event_snap, key[0]))
     if violations:
         verdict = "VIOLATION"
     elif complete:

@@ -18,9 +18,10 @@ phase, where a latency branches without re-running the event's
 controller work.  Once the world is quiescent (`World.quiescent`), no
 choice can change any lot's resolution, its tick, or a wallet, and the
 explorer stops branching.  A run that reaches a state some earlier run
-went on from (a branch key, or the contract states and late refunds at
-its first quiescent boundary) stops there (`KnownContinuation`),
-untraced: the explorer has already judged that state.
+went on from (a branch key, the start of a choosing event, or the
+contract states and late refunds at its first quiescent boundary) stops
+there (`KnownContinuation`), untraced: the explorer has already judged
+that state.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class SeededChoices:
 
 
 class KnownContinuation(Exception):
-    """Stops a `TapeChoices` run that reaches a visited state; its arg is
-    the visited key.  See `TapeChoices`."""
+    """Stops a `TapeChoices` run that reaches a visited state: a branch
+    key, an event start key or a quiescent key.  Its arg is the visited
+    key.  See `TapeChoices`."""
 
 
 class TapeChoices:
@@ -107,22 +109,29 @@ class TapeChoices:
     the key the exhaustive explorer prunes on and the snapshot it resumes
     the branch from.  The key is the snapshot's state key, computed at most
     once per snapshot, with the choices made since; the two fix the rest
-    of the run, so the key is exact.  Once the world is quiescent, no
-    choice can change any lot's resolution, its tick, or a wallet, so there
-    is no snapshot and no branch key: the run finishes on first options
-    without branch points.  Its first quiescent boundary has a key of its
-    own, `quiescent_key`: each chain's contract state key, which fixes every
-    final resolution, its tick and every balance, with `World.late_refunds`:
-    a doomed lot refunds at its deadline plus the chain's skew, or, if it
-    opened after that deadline, at once, a tick no contract state holds.
+    of the run, so the key is exact.  A run resumed at a restored boundary
+    (`resume_at`) reuses that boundary's snapshot and key.  Once the world
+    is quiescent, no choice can change any lot's resolution, its tick, or
+    a wallet, so there is no snapshot and no branch key: the run finishes
+    on first options without branch points.  Its first quiescent boundary
+    has a key of its own, `quiescent_key`: each chain's contract state key,
+    which fixes every final resolution, its tick and every balance, with
+    `World.late_refunds`: a doomed lot refunds at its deadline plus the
+    chain's skew, or, if it opened after that deadline, at once, a tick no
+    contract state holds.
 
     `known` maps visited keys to the picks the run that went on from each
-    made before quiescence, from that key's pick on (0 for a quiescent
-    key).  A run that reaches a known key, at a fresh pick or at its first
-    quiescent boundary, stops there: it raises `KnownContinuation` with
-    its depth set to its picks so far plus the key's count.  Stopping at
-    the pick is exact, since the run that added the key took first options
-    from it, so every later pick of the same event has a known key too.
+    made before quiescence, from that key's pick or event start on (0 for
+    a quiescent key).  A run that reaches a known key stops there: at a
+    fresh pick, at the start of a choosing event past its tape, or at its
+    first quiescent boundary.  It raises `KnownContinuation` with its depth
+    set to its picks so far plus the key's count.  Stopping is exact, since
+    the run that added the key took first options from it, so every later
+    pick of that run has a known key too.  An event start's key is its
+    state key tagged "start": as `(state key, ())` it would equal its first
+    pick's branch key, and that branch point would pass for visited.
+    `start_keys` lists each one the run reached unvisited, with its picks
+    so far, for the explorer to add once the run ends.
     """
 
     def __init__(self, tape: List[int], known=()):
@@ -133,30 +142,46 @@ class TapeChoices:
         self.log: List[tuple] = []
         self.depth = 0  # picks made before the run was found quiescent
         self.quiescent_key: Optional[tuple] = None
+        self.start_keys: List[tuple] = []  # (event start key, depth there)
         self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
         self._start_key: Optional[tuple] = None
+        self._resume: Optional[tuple] = None  # (restored snapshot, its state key)
         self._quiescent = False  # a run never leaves quiescence
 
+    def resume_at(self, snap: tuple, state_key: tuple):
+        """Make the run's first boundary, before its first pick, the
+        non-quiescent one `snap` was taken at, whose state key is given."""
+        self._resume = snap, state_key
+
     def event_start(self, world):
-        if world.next_chooses():
-            self._take_snapshot(world)
+        if world.next_chooses() and self._take_snapshot(world) and self.pos >= len(self.tape):
+            self._start_key = world.state_key(self._start[1])
+            key = ("start", self._start_key)
+            self._stop_if_known(key)
+            self.start_keys.append((key, self.depth))
 
     def send_phase(self, world):
         if self.pos + len(world._sends) > len(self.tape):
             self._take_snapshot(world)
 
-    def _take_snapshot(self, world):
+    def _take_snapshot(self, world) -> bool:
+        """Start a boundary; returns whether it took a new snapshot."""
         if self._quiescent:
-            return
+            return False
+        if self._resume is not None and not self.log:
+            snap, self._start_key = self._resume
+            self._start = (0, snap)
+            return False
         if world.quiescent():
             self._quiescent = True
             # Tagged: a branch key is a (state key, choices) pair.
             contracts = tuple(chain.snapshot()[1] for chain in world.chains.values())
             self.quiescent_key = ("quiescent", contracts, world.late_refunds())
             self._stop_if_known(self.quiescent_key)
-            return
+            return False
         self._start = (len(self.log), world.snapshot())
         self._start_key = None
+        return True
 
     def _stop_if_known(self, key: tuple):
         if key in self.known:

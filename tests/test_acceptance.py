@@ -32,7 +32,7 @@ from dealsim.scenario import (
     swap_deal,
     ticket_deal,
 )
-from dealsim.trace import canonical_json
+from dealsim.trace import canonical_json, payload_digest
 
 RESULTS = []
 
@@ -313,6 +313,13 @@ def test_c08_certified_ledger_agreement(cbc_campaign, corpus):
         f"10^4 runs with <=f corrupt validators: 0 conflicting certificates; "
         f"{forged_attempts} forged certificates all rejected",
     )
+
+
+def test_campaign_reports_are_unchanged(timelock_campaign, cbc_campaign):
+    # The c02 and c08 10^4-run reports, outcome counts and every violation
+    # included: no speedup or refactor may change a campaign report.
+    assert payload_digest(timelock_campaign.to_json()) == "586bc9448f13ba4d"
+    assert payload_digest(cbc_campaign.to_json()) == "1f999620ada68048"
 
 
 def test_c09_decide_matches_prefix_oracle_exhaustively():

@@ -1,5 +1,6 @@
 """Strategy catalog behaviors, campaigns, exploration, and witness replay."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -22,7 +23,7 @@ from dealsim.assets import AssetBundle, Payoff
 from dealsim.crypto import KeyPair
 from dealsim.deals import payoff_of_run
 from dealsim.ledger import (
-    Chain, PartyContext, SeededChoices, TapeChoices, World,
+    Chain, KnownContinuation, PartyContext, SeededChoices, TapeChoices, World,
 )
 from dealsim.parties import PROTOCOLS, STRATEGIES, TimelockParty, controller_class
 from dealsim.properties import check_safety
@@ -492,6 +493,88 @@ class TestSuffixResumption:
         at_send_phase, in_an_event = branches[False], branches[True]
         assert at_send_phase and not any(at_send_phase)
         assert all(in_an_event) and len(in_an_event) < len(at_send_phase) / 10
+
+    @pytest.mark.parametrize(
+        "name, stops",
+        [
+            ("explore_swap_timelock", {"branch": 82, "start": 194, "quiescent": 292}),
+            ("explore_swap_naive", {"branch": 82, "start": 190, "quiescent": 242}),
+        ],
+    )
+    def test_a_run_stops_at_a_visited_event_start(self, corpus, monkeypatch, name, stops):
+        # A run past its tape that reaches the start of a choosing event some
+        # earlier run went on from stops there, before that event runs.
+        found = collections.Counter()
+        run = World.run
+
+        def recorded_run(world):
+            try:
+                return run(world)
+            except KnownContinuation as stop:
+                key = stop.args[0]
+                found[key[0] if isinstance(key[0], str) else "branch"] += 1
+                if key[0] == "start":
+                    assert world.choices.pos >= len(world.choices.tape)
+                    assert key == ("start", world.state_key())
+                raise
+
+        monkeypatch.setattr(World, "run", recorded_run)
+        result = exhaustive_explore(corpus[name], ExplorationBound())
+        assert result.complete and found == stops
+
+    def test_a_run_replaying_its_tape_does_not_stop_at_a_visited_event_start(self, corpus):
+        # The first choosing event start of a run is made visited.  A run
+        # that replays a tape through it runs on; one whose tape ends just
+        # before it stops there, with the key's count (0) added.
+        scenario = corpus["explore_swap_timelock"]
+        first = TapeChoices([])
+        trace = build_world(scenario, choices=first).world.run()
+        (key, depth), *_ = first.start_keys
+        tape = first.chosen_prefix(len(first.log))
+        assert depth < len(tape)
+        replayed = TapeChoices(tape, {key: 0})
+        assert build_world(scenario, choices=replayed).world.run().digest() == trace.digest()
+        past_its_tape = TapeChoices(tape[:depth], {key: 0})
+        with pytest.raises(KnownContinuation):
+            build_world(scenario, choices=past_its_tape).world.run()
+        assert (past_its_tape.pos, past_its_tape.depth) == (depth, depth)
+
+    @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
+    def test_a_branch_resumes_on_its_own_snapshot_and_key(self, corpus, monkeypatch, name):
+        # Until its next boundary, a restored branch reuses the snapshot it
+        # was restored to and that snapshot's state key: it takes no
+        # snapshot, checks no quiescence and computes no key.
+        boundaries = {}  # each resumed run's choices -> boundaries reached
+        extra = []
+        resume_at = TapeChoices.resume_at
+
+        def recorded_resume(choices, snap, key):
+            boundaries[choices] = 0
+            resume_at(choices, snap, key)
+
+        def counted_boundary(method):
+            def wrapper(choices, world):
+                if choices in boundaries:
+                    boundaries[choices] += 1
+                return method(choices, world)
+            return wrapper
+
+        def checked(method):
+            def wrapper(world, *args):
+                # A run that was not resumed reads as past its first boundary.
+                if boundaries.get(world.choices, 2) < 2:
+                    extra.append(method.__name__)
+                return method(world, *args)
+            return wrapper
+
+        monkeypatch.setattr(TapeChoices, "resume_at", recorded_resume)
+        for hook in ("event_start", "send_phase"):
+            monkeypatch.setattr(TapeChoices, hook, counted_boundary(getattr(TapeChoices, hook)))
+        for method in ("snapshot", "quiescent", "state_key"):
+            monkeypatch.setattr(World, method, checked(getattr(World, method)))
+        result = exhaustive_explore(corpus[name], ExplorationBound())
+        assert result.complete and len(boundaries) == result.runs - 1
+        assert extra == []
 
     def test_witness_traces_survive_later_schedules(self, corpus):
         digests = []

@@ -17,7 +17,7 @@ from dealsim.properties import (
     run_verdicts,
     weak_liveness_bound,
 )
-from dealsim.scenario import bundled_scenarios
+from dealsim.scenario import bundled_scenarios, dual_broker_deal
 from dealsim.trace import RunTrace, TraceEvent
 
 from conftest import run_scenario_dict
@@ -53,6 +53,15 @@ class TestSafety:
         verdict = check_safety(short)
         assert verdict.passed is False
         assert [w["party"] for w in verdict.witness] == ["bob"]
+
+    def test_an_all_compliant_dual_broker_run_commits(self):
+        # A controller memo keyed after the party's own publishes once broke
+        # safety on exactly this run.
+        built, trace = run_scenario_dict(dual_broker_deal("timelock"), seed=275978550)
+        report = evaluate_run(trace)
+        assert trace.metadata["compliant"] == ["alice", "bob", "carol"]
+        assert (report["outcome"], report["failures"]) == ("committed", [])
+        assert {res for res, _ in trace.resolutions.values()} == {COMMITTED}
 
     def test_no_finalize_means_everyone_nothing(self, corpus):
         built, trace = run_scenario_dict(corpus["silent_party_timelock"])
