@@ -187,17 +187,18 @@ def exhaustive_explore(
     choice is made.  A latency resumes at its event's send phase, after the
     controller's work; a controller's choice, and a latency it draws
     first, resume at the start of its event.  Only the picks since that
-    snapshot are replayed, and the branch reuses the snapshot's state key,
-    the first part of its branch key.
+    snapshot are replayed, and the branch reuses the snapshot's state key.
 
-    A visited state is a branch key, the key of a choosing event's start
-    reached past the tape, or a run's quiescent key (see `TapeChoices`).  A
-    branch point whose key was visited is pruned, and a run that reaches a
-    visited state stops there unjudged, but counts in `runs`.  The key
-    fixes what the default judges read (for a CBC world it adds the last
-    accepted vote's tick and the certificates published so far), so
-    `evaluate` is called once per run that reaches its end, and a custom
-    `evaluate` may judge only what the key fixes.
+    A visited key is the state key of a boundary, or the quiescent key of
+    a run's first quiescent boundary, that an earlier run reached past its
+    tape (see `TapeChoices`).  A run that reaches a visited key past its
+    tape stops there unjudged, but counts in `runs`.  A pick past the tape
+    is a branch point unless its boundary's key was visited, and a
+    branch's own resume boundary is never pruned.  The key fixes what the
+    default judges read (for a CBC world it adds the last accepted vote's
+    tick and the certificates published so far), so `evaluate` is called
+    once per run that reaches its end, and a custom `evaluate` may judge
+    only what the key fixes.
     """
     built = build_world(scenario, choices=TapeChoices([]))
     if len(built.deal.parties) > MAX_PARTIES:
@@ -212,8 +213,8 @@ def exhaustive_explore(
     # (absolute tape, picks made before the resume point, its snapshot, the
     # snapshot's state key; None for the first run)
     stack: List[tuple] = [([], 0, world.snapshot(), None)]
-    # Each visited key -> the picks before quiescence of the run that went
-    # on from it, from the key's pick or event start on (see `TapeChoices`).
+    # Each visited boundary's key -> the picks before quiescence of the run
+    # that went on from it, from that boundary on (see `TapeChoices`).
     known: Dict[tuple, int] = {}
     runs = 0
     branch_points = 0
@@ -235,8 +236,6 @@ def exhaustive_explore(
         except KnownContinuation:
             pass  # a run that went on from this state was judged
         else:
-            if choices.quiescent_key is not None:
-                known[choices.quiescent_key] = 0
             failures = evaluate(trace)
             if failures:
                 violations.append(
@@ -252,18 +251,17 @@ def exhaustive_explore(
         if base + choices.depth > bound.max_choice_points:
             complete = False
             continue
-        for key, depth in choices.start_keys:
-            known[key] = choices.depth - depth
         for j in range(len(tape) - base, len(log)):
             label, n, chosen, key, start = log[j]
-            if key is None or key in known:
-                continue
-            known[key] = choices.depth - j
+            if key is None or (key[0] in known and key[0] != snap_key):
+                continue  # an earlier run went on from this pick's boundary
             branch_points += 1
-            first, event_snap = start
+            first, event_snap, event_key = start
             prefix = tape[:base] + choices.chosen_prefix(j)
             for k in range(n - 1, 0, -1):
-                stack.append((prefix + [k], base + first, event_snap, key[0]))
+                stack.append((prefix + [k], base + first, event_snap, event_key))
+        for key, depth in choices.keys:
+            known.setdefault(key, choices.depth - depth)
     if violations:
         verdict = "VIOLATION"
     elif complete:

@@ -17,11 +17,11 @@ event, where a choosing controller (`Explored`) branches, or a send
 phase, where a latency branches without re-running the event's
 controller work.  Once the world is quiescent (`World.quiescent`), no
 choice can change any lot's resolution, its tick, or a wallet, and the
-explorer stops branching.  A run that reaches a state some earlier run
-went on from (a branch key, the start of a choosing event, or the
-contract states and late refunds at its first quiescent boundary) stops
-there (`KnownContinuation`), untraced: the explorer has already judged
-that state.
+explorer stops branching.  A run keys each boundary it reaches: by its
+state key, or, at its first quiescent boundary, by the contract states
+and late refunds.  A run that reaches a boundary some earlier run went on
+from stops there (`KnownContinuation`), untraced: the explorer has
+already judged that state.
 """
 
 from __future__ import annotations
@@ -94,57 +94,51 @@ class SeededChoices:
 
 
 class KnownContinuation(Exception):
-    """Stops a `TapeChoices` run that reaches a visited state: a branch
-    key, an event start key or a quiescent key.  Its arg is the visited
-    key.  See `TapeChoices`."""
+    """Stops a `TapeChoices` run that reaches a visited boundary past its
+    tape.  Its arg is the boundary's key: a state key, or a quiescent key.
+    See `TapeChoices`."""
 
 
 class TapeChoices:
     """Replays a recorded choice prefix, then takes first options.
 
-    The world is snapshotted only where a fresh pick (beyond the tape) can
-    happen: at the start of an event delivered to a controller that
-    chooses, and at a send phase whose latency picks go past the tape.
-    Every pick is logged with its option count and, at fresh branch points,
-    the key the exhaustive explorer prunes on and the snapshot it resumes
-    the branch from.  The key is the snapshot's state key, computed at most
-    once per snapshot, with the choices made since; the two fix the rest
-    of the run, so the key is exact.  A run resumed at a restored boundary
-    (`resume_at`) reuses that boundary's snapshot and key.  Once the world
-    is quiescent, no choice can change any lot's resolution, its tick, or
-    a wallet, so there is no snapshot and no branch key: the run finishes
-    on first options without branch points.  Its first quiescent boundary
-    has a key of its own, `quiescent_key`: each chain's contract state key,
-    which fixes every final resolution, its tick and every balance, with
-    `World.late_refunds`: a doomed lot refunds at its deadline plus the
-    chain's skew, or, if it opened after that deadline, at once, a tick no
-    contract state holds.
+    A run has a boundary where a fresh pick (beyond the tape) can happen:
+    the start of an event delivered to a controller that chooses, and a
+    send phase whose latency picks go past the tape.  Each new boundary is
+    snapshotted and keyed at once with `World.state_key`; the state fixes
+    the rest of the run, so the key is exact.  A run resumed at a restored
+    boundary (`resume_at`) reuses that boundary's snapshot and key.  Every
+    pick is logged with its option count and, at fresh branch points, its
+    boundary's key with the choices made since, and the boundary the
+    exhaustive explorer resumes the branch from.  Once the world is
+    quiescent, no choice can change any lot's resolution, its tick, or a
+    wallet, so there is no snapshot and no branch point: the run finishes
+    on first options.  Its first quiescent boundary is keyed by each
+    chain's contract state key, which fixes every final resolution, its
+    tick and every balance, with `World.late_refunds`: a doomed lot refunds
+    at its deadline plus the chain's skew, or, if it opened after that
+    deadline, at once, a tick no contract state holds.
 
-    `known` maps visited keys to the picks the run that went on from each
-    made before quiescence, from that key's pick or event start on (0 for
-    a quiescent key).  A run that reaches a known key stops there: at a
-    fresh pick, at the start of a choosing event past its tape, or at its
-    first quiescent boundary.  It raises `KnownContinuation` with its depth
-    set to its picks so far plus the key's count.  Stopping is exact, since
-    the run that added the key took first options from it, so every later
-    pick of that run has a known key too.  An event start's key is its
-    state key tagged "start": as `(state key, ())` it would equal its first
-    pick's branch key, and that branch point would pass for visited.
-    `start_keys` lists each one the run reached unvisited, with its picks
-    so far, for the explorer to add once the run ends.
+    `known` maps visited boundary keys to the picks the run that went on
+    from each made before quiescence, from that boundary on (0 for a
+    quiescent key).  A run past its tape that reaches a known key stops
+    there and raises `KnownContinuation`, with its depth set to its picks
+    so far plus the key's count.  Stopping is exact, since the run that
+    added the key took first options from it, so every later boundary of
+    that run has a known key too.  `keys` lists each boundary the run
+    reached past its tape unvisited, with its picks so far, for the
+    explorer to add once the run ends.
     """
 
     def __init__(self, tape: List[int], known=()):
         self.tape = list(tape)
         self.pos = 0
         self.known = known
-        # (label, n_options, chosen, state_key | None, resume point | None)
+        # (label, n_options, chosen, (boundary key, choices since) | None, boundary | None)
         self.log: List[tuple] = []
         self.depth = 0  # picks made before the run was found quiescent
-        self.quiescent_key: Optional[tuple] = None
-        self.start_keys: List[tuple] = []  # (event start key, depth there)
-        self._start: Optional[tuple] = None  # (len(log) at the snapshot, world snapshot)
-        self._start_key: Optional[tuple] = None
+        self.keys: List[tuple] = []  # (boundary key, depth there)
+        self._start: Optional[tuple] = None  # (len(log) there, its snapshot, its state key)
         self._resume: Optional[tuple] = None  # (restored snapshot, its state key)
         self._quiescent = False  # a run never leaves quiescence
 
@@ -154,39 +148,33 @@ class TapeChoices:
         self._resume = snap, state_key
 
     def event_start(self, world):
-        if world.next_chooses() and self._take_snapshot(world) and self.pos >= len(self.tape):
-            self._start_key = world.state_key(self._start[1])
-            key = ("start", self._start_key)
-            self._stop_if_known(key)
-            self.start_keys.append((key, self.depth))
+        if world.next_chooses():
+            self._boundary(world)
 
     def send_phase(self, world):
         if self.pos + len(world._sends) > len(self.tape):
-            self._take_snapshot(world)
+            self._boundary(world)
 
-    def _take_snapshot(self, world) -> bool:
-        """Start a boundary; returns whether it took a new snapshot."""
+    def _boundary(self, world):
         if self._quiescent:
-            return False
+            return
         if self._resume is not None and not self.log:
-            snap, self._start_key = self._resume
-            self._start = (0, snap)
-            return False
+            self._start = (0, *self._resume)
+            return
         if world.quiescent():
             self._quiescent = True
-            # Tagged: a branch key is a (state key, choices) pair.
+            # Tagged: a state key starts with a tick.
             contracts = tuple(chain.snapshot()[1] for chain in world.chains.values())
-            self.quiescent_key = ("quiescent", contracts, world.late_refunds())
-            self._stop_if_known(self.quiescent_key)
-            return False
-        self._start = (len(self.log), world.snapshot())
-        self._start_key = None
-        return True
-
-    def _stop_if_known(self, key: tuple):
-        if key in self.known:
-            self.depth += self.known[key]
-            raise KnownContinuation(key)
+            key = ("quiescent", contracts, world.late_refunds())
+        else:
+            snap = world.snapshot()
+            key = world.state_key(snap)
+            self._start = (len(self.log), snap, key)
+        if self.pos >= len(self.tape):
+            if key in self.known:
+                self.depth += self.known[key]
+                raise KnownContinuation(key)
+            self.keys.append((key, self.depth))
 
     def pick(self, label: tuple, options: list, world=None):
         n = len(options)
@@ -198,10 +186,7 @@ class TapeChoices:
         if not self._quiescent:
             if n > 1 and not replaying:
                 start = self._start
-                if self._start_key is None:
-                    self._start_key = world.state_key(start[1])
-                key = (self._start_key, tuple(entry[2] for entry in self.log[start[0]:]))
-                self._stop_if_known(key)
+                key = (start[2], tuple(entry[2] for entry in self.log[start[0]:]))
             self.depth += 1
         self.log.append((label, n, chosen, key, start))
         self.pos += 1

@@ -497,13 +497,15 @@ class TestSuffixResumption:
     @pytest.mark.parametrize(
         "name, stops",
         [
-            ("explore_swap_timelock", {"branch": 82, "start": 194, "quiescent": 292}),
-            ("explore_swap_naive", {"branch": 82, "start": 190, "quiescent": 242}),
+            ("explore_swap_timelock", {"boundary": 276, "quiescent": 292}),
+            ("explore_swap_naive", {"boundary": 272, "quiescent": 242}),
         ],
     )
     def test_a_run_stops_at_a_visited_event_start(self, corpus, monkeypatch, name, stops):
-        # A run past its tape that reaches the start of a choosing event some
-        # earlier run went on from stops there, before that event runs.
+        # A run past its tape that reaches a boundary some earlier run went
+        # on from stops there: at a choosing event's start, before that
+        # event runs, at a send phase, before its picks, or at its first
+        # quiescent boundary.
         found = collections.Counter()
         run = World.run
 
@@ -512,10 +514,12 @@ class TestSuffixResumption:
                 return run(world)
             except KnownContinuation as stop:
                 key = stop.args[0]
-                found[key[0] if isinstance(key[0], str) else "branch"] += 1
-                if key[0] == "start":
-                    assert world.choices.pos >= len(world.choices.tape)
-                    assert key == ("start", world.state_key())
+                assert world.choices.pos >= len(world.choices.tape)
+                if key[0] == "quiescent":
+                    found["quiescent"] += 1
+                else:
+                    found["boundary"] += 1
+                    assert key == world.state_key()
                 raise
 
         monkeypatch.setattr(World, "run", recorded_run)
@@ -523,13 +527,14 @@ class TestSuffixResumption:
         assert result.complete and found == stops
 
     def test_a_run_replaying_its_tape_does_not_stop_at_a_visited_event_start(self, corpus):
-        # The first choosing event start of a run is made visited.  A run
-        # that replays a tape through it runs on; one whose tape ends just
-        # before it stops there, with the key's count (0) added.
+        # The boundaries a run reaches past its tape are made visited.  A
+        # run that replays a tape through a choosing event's start runs on;
+        # one whose tape ends just before it stops there, with the key's
+        # count (0) added.  An event start's state key holds no queued sends.
         scenario = corpus["explore_swap_timelock"]
         first = TapeChoices([])
         trace = build_world(scenario, choices=first).world.run()
-        (key, depth), *_ = first.start_keys
+        key, depth = next((key, depth) for key, depth in first.keys if depth and key[2] == ())
         tape = first.chosen_prefix(len(first.log))
         assert depth < len(tape)
         replayed = TapeChoices(tape, {key: 0})
@@ -538,6 +543,56 @@ class TestSuffixResumption:
         with pytest.raises(KnownContinuation):
             build_world(scenario, choices=past_its_tape).world.run()
         assert (past_its_tape.pos, past_its_tape.depth) == (depth, depth)
+
+    @pytest.mark.parametrize(
+        "name, judged", [("explore_swap_timelock", 33), ("explore_swap_naive", 41)]
+    )
+    def test_known_holds_only_boundary_and_quiescent_keys(self, corpus, monkeypatch, name, judged):
+        # A visited key is a boundary's state key, or the quiescent key of a
+        # judged run's first quiescent boundary, which no pick follows.
+        made, state_keys = [], set()
+        state_key = World.state_key
+
+        def recorded(tape, known=()):
+            made.append(TapeChoices(tape, known))
+            return made[-1]
+
+        def recorded_key(world, *args):
+            key = state_key(world, *args)
+            state_keys.add(key)
+            return key
+
+        monkeypatch.setattr(adversary, "TapeChoices", recorded)
+        monkeypatch.setattr(World, "state_key", recorded_key)
+        assert exhaustive_explore(corpus[name], ExplorationBound()).complete
+        known = made[-1].known
+        quiescent = {key: n for key, n in known.items() if key[0] == "quiescent"}
+        assert len(quiescent) == judged and set(quiescent.values()) == {0}
+        assert known.keys() - quiescent.keys() <= state_keys
+
+    @pytest.mark.parametrize(
+        "name, branch_points", [("explore_swap_timelock", 421), ("explore_swap_naive", 375)]
+    )
+    def test_the_pick_log_marks_each_branch_point_once(
+        self, corpus, monkeypatch, name, branch_points
+    ):
+        # perfbench/tracing.py patches each choice source's own `pick` and
+        # counts an exploration's branch points as the distinct index-3 keys
+        # of the log entry each pick appends.
+        assert "pick" in vars(SeededChoices) and "pick" in vars(TapeChoices)
+        made = []
+
+        def recorded(tape, known=()):
+            made.append(TapeChoices(tape, known))
+            return made[-1]
+
+        monkeypatch.setattr(adversary, "TapeChoices", recorded)
+        result = exhaustive_explore(corpus[name], ExplorationBound())
+        runs = made[1:]  # made[0] is the one `build_world` takes, which runs nothing
+        assert len(runs) == result.runs
+        assert all(len(entry) == 5 for choices in runs for entry in choices.log)
+        keys = [entry[3] for choices in runs for entry in choices.log if entry[3] is not None]
+        assert len(set(keys)) == len(keys) == result.branch_points == branch_points
 
     @pytest.mark.parametrize("name", ["explore_swap_timelock", "explore_swap_naive"])
     def test_a_branch_resumes_on_its_own_snapshot_and_key(self, corpus, monkeypatch, name):
