@@ -7,88 +7,3 @@ a certified shared-ledger protocol with validator certificates -- plus
 post-hoc checkers for safety, liveness, and agreement, and a gas/delay
 cost model.
 """
-
-from .assets import AssetBundle, AssetError, Payoff, net_payoff
-from .cbc import Certificate, ValidatorService, cbc_decide, decide_votes, verify_certificate
-from .crypto import (
-    KeyPair,
-    PathSignature,
-    SignatureScheme,
-    Vote,
-    direct_vote,
-    extend_path,
-    verify_path,
-)
-from .deals import (
-    DealSpec,
-    TransferSpec,
-    build_digraph,
-    is_acceptable,
-    is_well_formed,
-    payoff_of_run,
-)
-from .ledger import NetworkModel, SeededChoices, TapeChoices, World
-from .planning import DealPlan, build_plan
-from .properties import (
-    check_agreement,
-    check_safety,
-    check_strong_liveness,
-    check_weak_liveness,
-)
-from .costs import GasSchedule, check_asymptotics, meter
-from .adversary import (
-    ExplorationBound,
-    builtin_strategies,
-    exhaustive_explore,
-    random_campaign,
-)
-from .scenario import build_world, load_scenario, run_scenario
-from .trace import RunTrace
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AssetBundle",
-    "AssetError",
-    "Payoff",
-    "net_payoff",
-    "Certificate",
-    "ValidatorService",
-    "cbc_decide",
-    "decide_votes",
-    "verify_certificate",
-    "KeyPair",
-    "PathSignature",
-    "SignatureScheme",
-    "Vote",
-    "direct_vote",
-    "extend_path",
-    "verify_path",
-    "DealSpec",
-    "TransferSpec",
-    "build_digraph",
-    "is_acceptable",
-    "is_well_formed",
-    "payoff_of_run",
-    "NetworkModel",
-    "SeededChoices",
-    "TapeChoices",
-    "World",
-    "DealPlan",
-    "build_plan",
-    "check_agreement",
-    "check_safety",
-    "check_strong_liveness",
-    "check_weak_liveness",
-    "GasSchedule",
-    "check_asymptotics",
-    "meter",
-    "ExplorationBound",
-    "builtin_strategies",
-    "exhaustive_explore",
-    "random_campaign",
-    "build_world",
-    "load_scenario",
-    "run_scenario",
-    "RunTrace",
-]

@@ -18,7 +18,6 @@ from typing import List, Optional
 from .adversary import ExplorationBound, exhaustive_explore, random_campaign
 from .costs import CostReport, GasSchedule, check_asymptotics, meter, render_text
 from .deals import payoff_of_run
-from .ledger import ModelViolation
 from .properties import Verdict, run_verdicts
 from .replay import ReplayError, replay_trace
 from .scenario import ScenarioError, build_world, list_bundled, load_scenario
@@ -96,8 +95,7 @@ def cmd_run(args) -> int:
         if args.runs > 1:
             return _campaign(args, scenario)
         return _single_run(args, scenario)
-    except (ScenarioError, ModelViolation) as exc:
-        # A timing model the scenario breaks is found lazily, at its first pick.
+    except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -224,11 +222,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--runs", type=_positive_int, default=1, help="campaign mode: number of seeded runs"
     )
     run_p.add_argument("--explore", action="store_true", help="exhaustive schedule exploration")
+    bound = ExplorationBound()  # the exploration caps default to its own
     run_p.add_argument(
-        "--max-depth", type=_positive_int, default=600, help="exploration choice-point cap"
+        "--max-depth", type=_positive_int, default=bound.max_choice_points,
+        help="exploration choice-point cap",
     )
     run_p.add_argument(
-        "--max-runs", type=_positive_int, default=100000, help="exploration run cap"
+        "--max-runs", type=_positive_int, default=bound.max_runs, help="exploration run cap"
     )
     run_p.add_argument("--trace", default=None, help="write the run trace to this path")
     run_p.set_defaults(func=cmd_run)

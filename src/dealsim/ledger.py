@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cbc import CBC_CHAIN
@@ -42,16 +42,14 @@ from .trace import RunTrace, TraceEvent, canonical_json, payload_digest
 TIMER_SENDER = "@timer"
 
 
-class ModelViolation(RuntimeError):
-    """A schedule broke the declared network timing model."""
-
-
 @dataclass
 class NetworkModel:
+    """A scenario's timing model, as `scenario.validate_scenario` checked it."""
+
     mode: str = "synchronous"  # synchronous | semi-synchronous
     delta: int = 5
     gst: int = 0
-    pre_gst_cap: Optional[int] = None
+    pre_gst_cap: Optional[int] = None  # default: 4*delta
     skew_max: int = 0
     allow_model_violation: bool = False
     latency_menu: Optional[List[int]] = None  # default: 1..delta
@@ -59,20 +57,11 @@ class NetworkModel:
     # worst case instead of branching.  Setup phases whose schedules all
     # converge before the commit window don't blow up the search space.
     explore_from: Optional[int] = None
-    _sync_menu: Optional[List[int]] = field(default=None, init=False, repr=False, compare=False)
 
-    def sync_menu(self) -> List[int]:
-        """The synchronous latency options, built and checked on first use."""
-        if self._sync_menu is None:
-            menu = self.latency_menu or list(range(1, self.delta + 1))
-            if not self.allow_model_violation and any(l > self.delta for l in menu):
-                raise ModelViolation("latency menu exceeds delta in synchronous mode")
-            self._sync_menu = menu
-        return self._sync_menu
-
-    def pre_gst_menu(self) -> List[int]:
+    def __post_init__(self):
+        self.sync_menu = self.latency_menu or list(range(1, self.delta + 1))
         cap = self.pre_gst_cap if self.pre_gst_cap is not None else 4 * self.delta
-        return list(range(1, cap + 1))
+        self.pre_gst_menu = list(range(1, cap + 1))
 
 
 class SeededChoices:
@@ -376,7 +365,7 @@ class World:
         for counter, monitor, chain_id, seq in sends:
             lat = self._latency(chain_id, seq, monitor, self.now)
             heapq.heappush(
-                self._heap, (self.now + max(1, lat), counter, "notify", (monitor, chain_id, seq))
+                self._heap, (self.now + lat, counter, "notify", (monitor, chain_id, seq))
             )
 
     def quiescent(self) -> bool:
@@ -398,13 +387,11 @@ class World:
     def _latency(self, chain_id: str, seq: int, monitor: str, publish_tick: int) -> int:
         net = self.network
         if net.mode == "semi-synchronous" and publish_tick < net.gst:
-            menu = net.pre_gst_menu()
-            lat = self.choices.pick(("lat", chain_id, seq, monitor), menu, self)
+            lat = self.choices.pick(("lat", chain_id, seq, monitor), net.pre_gst_menu, self)
             return min(publish_tick + lat, net.gst + net.delta) - publish_tick
-        menu = net.sync_menu()
         if net.explore_from is not None and publish_tick < net.explore_from:
-            return max(menu)
-        return self.choices.pick(("lat", chain_id, seq, monitor), menu, self)
+            return max(net.sync_menu)
+        return self.choices.pick(("lat", chain_id, seq, monitor), net.sync_menu, self)
 
     # -- the ledger operation ------------------------------------------------
 

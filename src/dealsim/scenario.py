@@ -110,8 +110,18 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
         check_args({**_NETWORK, "explore_from": (None, is_int)}, network)
     except ValueError as exc:
         raise ScenarioError(f"network {exc}") from exc
+    # `NetworkModel` builds its latency menus from these unchecked.
     if network["delta"] <= 0:
         raise ScenarioError("delta must be positive")
+    menu = network["latency_menu"] or []
+    if min(menu, default=1) < 1:
+        raise ScenarioError("latency_menu options must be at least 1")
+    if max(menu, default=0) > network["delta"] and not network["allow_model_violation"]:
+        raise ScenarioError("latency_menu exceeds delta without allow_model_violation")
+    if network["pre_gst_cap"] is not None and network["pre_gst_cap"] < 1:
+        raise ScenarioError("pre_gst_cap must be at least 1")
+    if network["skew_max"] < 0:
+        raise ScenarioError("skew_max must not be negative")
     if deal is None:
         try:
             deal = DealSpec.from_json(sc["deal"])
@@ -139,6 +149,10 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
             check_args({**PARTY_OPTIONS, **STRATEGIES[name].params}, binding.get("params", {}))
         except ValueError as exc:
             raise ScenarioError(f"strategy {name!r} for {party!r} {exc}") from exc
+        if name == "overpay":
+            outside = {chain for chain, _, _ in binding["params"]["extra"]} - set(deal.chains())
+            if outside:
+                raise ScenarioError(f"overpay for {party!r} pays on {min(outside)!r}, no deal chain")
     cbc = _section(sc, "cbc", _CBC)
     try:
         check_args(_CBC, cbc)

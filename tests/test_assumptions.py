@@ -1,8 +1,9 @@
 """Negative controls: a breached assumption of the paper must be reported.
 
 The paper's claims are conditional.  Timelock safety needs every message
-within Δ, so a checker, a state key or a quiescence cut that went blind
-would still pass every SAFE exploration.  Each control here breaks one
+within Δ, and CBC agreement needs at most f corrupt validators, so a
+checker, a state key or a quiescence cut that went blind would still pass
+every SAFE exploration.  Each control here breaks one
 assumption in a test-built world, requires the property it names to fail
 for a compliant party, and explores with stopping at visited states and
 without: a key that merged a violating state into a safe one would show
@@ -13,6 +14,7 @@ import collections
 
 from dealsim import properties
 from dealsim.adversary import ExplorationBound, exhaustive_explore
+from dealsim.cbc import ValidatorService
 from dealsim.scenario import load_scenario, swap_deal
 
 from test_adversary import check_stopping_changes_no_schedule
@@ -66,4 +68,37 @@ def test_a_latency_above_delta_breaks_strong_liveness(monkeypatch):
 
     assert check_stopping_changes_no_schedule(scenario, ExplorationBound(), monkeypatch) == {
         "verdict": "VIOLATION", "runs": 26, "branch_points": 25, "complete": True,
+    }
+
+
+def test_f_plus_one_corrupt_validators_break_cbc_agreement(monkeypatch):
+    # CBC agreement holds while at most f validators deviate.  Ann asks the
+    # corrupt ones to sign a contradictory status; with f + 1 = 2 of them her
+    # forged certificate reaches a quorum.  Validation still admits only
+    # corrupt <= f, so the service is widened after it is built.
+    build = ValidatorService.for_scenario.__func__
+
+    def widened(cls, scheme, cbc):
+        service = build(cls, scheme, cbc)
+        service.corrupt_ids = frozenset(service.members(0)[: service.f + 1])
+        return service
+
+    monkeypatch.setattr(ValidatorService, "for_scenario", classmethod(widened))
+    scenario = swap_deal("cbc")
+    scenario["network"].update({"mode": "semi-synchronous", "gst": 30, "pre_gst_cap": 2})
+    scenario["strategies"]["ann"] = {"name": "fake_certificate", "params": {}}
+    scenario["cbc"]["corrupt"] = 1
+    result = exhaustive_explore(scenario, ExplorationBound())
+    assert (result.verdict, result.complete) == ("VIOLATION", True)
+
+    witness = result.violations[0]
+    assert witness["resolutions"] == {"xchain/ann": ["aborted", 2], "ychain/ben": ["committed", 2]}
+    assert result.witness_traces[0].metadata["compliant"] == ["ben"]
+    safety, agreement = witness["failures"]
+    assert (safety["property"], agreement["property"]) == ("safety", "agreement")
+    assert [harmed["party"] for harmed in safety["witness"]] == ["ben"]
+    assert agreement["witness"][0]["statuses"] == ["aborted", "committed"]
+
+    assert check_stopping_changes_no_schedule(scenario, ExplorationBound(), monkeypatch) == {
+        "verdict": "VIOLATION", "runs": 657, "branch_points": 656, "complete": True,
     }

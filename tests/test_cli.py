@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dealsim.adversary import ExplorationBound, exhaustive_explore
 from dealsim.cli import main
 from dealsim.costs import meter
 from dealsim.deals import DealSpec
@@ -41,6 +42,21 @@ MISTYPED_PARAMS = {
     "ignore-string": (bind_bob("selective_communication", ignore="bob"), "bob", "ignore"),
     "forward-with-vote-string": (bind_bob("late_claim", forward_with_vote="no"), "bob", "forward_with_vote"),
     "phase-typo": (bind_bob("silent_crash", phase="validate"), "bob", "phase"),
+}
+
+
+# Scenarios whose timing model or overpayment no run may use, each found at
+# load, and a word of the error it raises.
+LOAD_TIME_ERRORS = {
+    "overpay-outside-chain": (bind("carol", "overpay", step=2, extra=[["nochain", "coin", 5]]), "nochain"),
+    "pre-gst-cap-zero": (
+        lambda sc: sc["network"].update(mode="semi-synchronous", gst=30, pre_gst_cap=0), "pre_gst_cap"
+    ),
+    "skew-negative": (lambda sc: sc["network"].update(skew_max=-2), "skew_max"),
+    "latency-zero": (lambda sc: sc["network"].update(latency_menu=[0, 5]), "at least 1"),
+    "latency-above-delta": (
+        lambda sc: sc["network"].update(latency_menu=[1, 9], allow_model_violation=False), "exceeds delta"
+    ),
 }
 
 
@@ -108,12 +124,13 @@ class TestRunCommand:
             receive_tickets_twice,
             lambda sc: sc.update(seed=True),
             *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
+            *(edit for edit, _ in LOAD_TIME_ERRORS.values()),
         ],
         ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
              "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
              "model-violation-string", "cbc-corupt", "cbc-grace-string", "deal-t0-string",
              "deal-t0-null", "deal-id-int", "token-received-twice", "seed-bool",
-             *MISTYPED_PARAMS],
+             *MISTYPED_PARAMS, *LOAD_TIME_ERRORS],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
@@ -176,14 +193,16 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]
     )
-    def test_broken_timing_model_is_a_parse_error(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("case", sorted(LOAD_TIME_ERRORS))
+    def test_a_model_no_run_may_use_is_a_parse_error(self, tmp_path, capsys, mode, case):
+        edit, word = LOAD_TIME_ERRORS[case]
         scenario = ticket_deal("timelock")
-        scenario["network"].update(latency_menu=[1, 9], allow_model_violation=False)
+        edit(scenario)
         path = tmp_path / "violation.json"
         path.write_text(json.dumps(scenario))
         code, out, err = run_cli(capsys, "run", "--scenario", str(path), *mode)
         assert code == 2
-        assert "scenario error" in err and "exceeds delta" in err
+        assert "scenario error" in err and word in err
 
     @pytest.mark.parametrize(
         "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]
@@ -213,6 +232,17 @@ class TestRunCommand:
         )
         assert code == 2
         assert "exceeds exploration party bound" in err
+
+    def test_a_bare_explore_passes_the_default_bound(self, capsys, monkeypatch):
+        passed = []
+
+        def explore(scenario, bound):
+            passed.append(bound)
+            return exhaustive_explore(scenario, bound)
+
+        monkeypatch.setattr("dealsim.cli.exhaustive_explore", explore)
+        code, out, err = run_cli(capsys, "run", "--scenario", "explore_swap_timelock", "--explore")
+        assert code == 0 and passed == [ExplorationBound()]
 
     def test_structured_report_is_json(self, capsys):
         code, out, err = run_cli(

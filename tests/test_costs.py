@@ -206,7 +206,6 @@ def hand_built_trace(protocol: str, mode: str) -> RunTrace:
 
 GAS_ROWS = {
     "escrow calls == m": (False, 2, 3),  # one escrow on the log; two lots have none
-    "transfer writes == 2*t": (True, 6, 6),
 }
 DELAY_ROWS = {
     "escrow duration <= delta": (True, 3, 5),

@@ -6,7 +6,7 @@ import pytest
 
 from dealsim.deals import DealSpec
 from dealsim.ledger import (
-    TIMER_SENDER, ModelViolation, NetworkModel, PartyContext, SeededChoices, World,
+    TIMER_SENDER, NetworkModel, PartyContext, SeededChoices, World,
 )
 from dealsim.scenario import ScenarioError, build_world, ticket_deal
 from dealsim.timelock import refund_deadline
@@ -129,20 +129,16 @@ class TestDeterminism:
 
 
 class TestNetworkModel:
-    def test_latency_menu_beyond_delta_is_a_model_violation(self):
-        with pytest.raises(ModelViolation):
-            NetworkModel(delta=5, latency_menu=[1, 10]).sync_menu()
-
-    def test_model_violation_is_raised_at_the_first_pick_not_at_build(self):
+    def test_latency_menu_beyond_delta_is_a_scenario_error_at_load(self):
         scenario = ticket_deal("timelock")
         scenario["network"]["latency_menu"] = [1, 10]
-        world = build_world(scenario).world
-        with pytest.raises(ModelViolation):
-            world.run()
+        with pytest.raises(ScenarioError, match="exceeds delta"):
+            build_world(scenario)
 
     def test_declared_model_violation_class_is_allowed(self):
-        menu = NetworkModel(delta=5, latency_menu=[1, 10], allow_model_violation=True).sync_menu()
-        assert 10 in menu
+        scenario = ticket_deal("timelock")
+        scenario["network"].update(latency_menu=[1, 10], allow_model_violation=True)
+        assert build_world(scenario).world.network.sync_menu == [1, 10]
 
     def test_pre_gst_deliveries_clamped_to_gst_plus_delta(self, corpus):
         built, trace = run_scenario_dict(corpus["pre_gst_delay_storm_cbc"])
