@@ -292,9 +292,7 @@ class EscrowContract:
         lot, reason = self._active_lot(payload)
         if lot is None:
             return "rejected", reason, {}
-        cbc = self.state.get("cbc")
-        if cbc is None:
-            return "rejected", "unconfigured", {}
+        cbc = self.state["cbc"]  # recorded by the escrow that opened the lot
         cert = Certificate.from_json(payload["cert"])
         if cert.deal != self.state["deal"] or cert.h != cbc["h"]:
             return "rejected", "wrong-deal-ref", {}

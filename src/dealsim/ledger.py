@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cbc import CBC_CHAIN
@@ -40,28 +39,6 @@ from .properties import judged_past
 from .trace import RunTrace, TraceEvent, canonical_json, payload_digest
 
 TIMER_SENDER = "@timer"
-
-
-@dataclass
-class NetworkModel:
-    """A scenario's timing model, as `scenario.validate_scenario` checked it."""
-
-    mode: str = "synchronous"  # synchronous | semi-synchronous
-    delta: int = 5
-    gst: int = 0
-    pre_gst_cap: Optional[int] = None  # default: 4*delta
-    skew_max: int = 0
-    allow_model_violation: bool = False
-    latency_menu: Optional[List[int]] = None  # default: 1..delta
-    # Exploration knob: before this tick, latency is pinned to the menu's
-    # worst case instead of branching.  Setup phases whose schedules all
-    # converge before the commit window don't blow up the search space.
-    explore_from: Optional[int] = None
-
-    def __post_init__(self):
-        self.sync_menu = self.latency_menu or list(range(1, self.delta + 1))
-        cap = self.pre_gst_cap if self.pre_gst_cap is not None else 4 * self.delta
-        self.pre_gst_menu = list(range(1, cap + 1))
 
 
 class SeededChoices:
@@ -297,20 +274,17 @@ class PartyContext:
 class World:
     """One simulation run: chains, parties, clock, and the event heap."""
 
-    def __init__(
-        self,
-        scenario: dict,
-        deal: DealSpec,
-        network: NetworkModel,
-        seed: int,
-        horizon: int,
-        choices=None,
-    ):
+    def __init__(self, scenario: dict, deal: DealSpec, seed: int, choices=None):
+        """`scenario` is checked (`scenario.validate_scenario`): its network
+        and horizon are read as they are."""
         self.scenario = scenario
         self.deal = deal  # the parsed scenario["deal"], handed to each trace
-        self.network = network
+        self.network = network = scenario["network"]
+        self.horizon = scenario["horizon"]
+        delta = network["delta"]
+        self.sync_menu = network["latency_menu"] or list(range(1, delta + 1))
+        self.pre_gst_menu = list(range(1, (network["pre_gst_cap"] or 4 * delta) + 1))
         self.seed = seed
-        self.horizon = horizon
         self.scenario_digest = payload_digest(scenario)
         self.choices = choices if choices is not None else SeededChoices(seed)
         self.now = 0
@@ -386,12 +360,15 @@ class World:
 
     def _latency(self, chain_id: str, seq: int, monitor: str, publish_tick: int) -> int:
         net = self.network
-        if net.mode == "semi-synchronous" and publish_tick < net.gst:
-            lat = self.choices.pick(("lat", chain_id, seq, monitor), net.pre_gst_menu, self)
-            return min(publish_tick + lat, net.gst + net.delta) - publish_tick
-        if net.explore_from is not None and publish_tick < net.explore_from:
-            return max(net.sync_menu)
-        return self.choices.pick(("lat", chain_id, seq, monitor), net.sync_menu, self)
+        if net["mode"] == "semi-synchronous" and publish_tick < net["gst"]:
+            lat = self.choices.pick(("lat", chain_id, seq, monitor), self.pre_gst_menu, self)
+            return min(publish_tick + lat, net["gst"] + net["delta"]) - publish_tick
+        # Exploration knob, written only when given: before this tick, latency is
+        # pinned to the menu's worst case instead of branching.
+        explore_from = net.get("explore_from")
+        if explore_from is not None and publish_tick < explore_from:
+            return max(self.sync_menu)
+        return self.choices.pick(("lat", chain_id, seq, monitor), self.sync_menu, self)
 
     # -- the ledger operation ------------------------------------------------
 
@@ -503,7 +480,7 @@ class World:
             "compliant": sorted(self.compliant),
             "liveness_failure": bool(
                 unresolved
-                and self.network.mode == "synchronous"
+                and self.network["mode"] == "synchronous"
                 and self.compliant == set(self.scenario.get("deal", {}).get("parties", []))
             ),
             "final_tick": self.now,

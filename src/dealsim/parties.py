@@ -84,6 +84,11 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+def at_least(low, most=None):
+    """A test admitting integers from `low` up, to `most` if given."""
+    return lambda value: is_int(value) and value >= low and (most is None or value <= most)
+
+
 def list_of(test):
     """A test admitting lists whose every item passes `test`."""
     return lambda value: isinstance(value, list) and all(map(test, value))

@@ -48,10 +48,10 @@ from .assets import AssetBundle, AssetError
 from .cbc import CBC_CHAIN, CbcLogContract, ValidatorService
 from .deals import DealSpec
 from .escrow import EscrowContract
-from .ledger import NetworkModel, World
+from .ledger import World
 from .parties import (
-    PARTY_OPTIONS, PROTOCOLS, STRATEGIES, PartyConfig, check_args, controller_class, is_bool,
-    is_int, list_of,
+    PARTY_OPTIONS, PROTOCOLS, STRATEGIES, PartyConfig, at_least, check_args, controller_class,
+    is_bool, is_int, list_of,
 )
 from .planning import DealPlan, PlanError, build_plan
 
@@ -63,21 +63,24 @@ class ScenarioError(ValueError):
 # Network key -> (default, accepts), as `parties.check_args` reads it.
 _NETWORK = {
     "mode": ("synchronous", ("synchronous", "semi-synchronous")),
-    "delta": (5, is_int),
+    "delta": (5, at_least(1)),
     "gst": (0, is_int),
-    "pre_gst_cap": (None, is_int),  # None: 4*delta
-    "skew_max": (0, is_int),
-    "latency_menu": (None, list_of(is_int)),  # None: 1..delta
+    "pre_gst_cap": (None, at_least(1)),  # None: 4*delta
+    "skew_max": (0, at_least(0)),
+    "latency_menu": (None, list_of(at_least(1))),  # None: 1..delta
     "allow_model_violation": (False, is_bool),
 }
 
 _CBC = {
-    "f": (1, is_int),
-    "corrupt": (0, is_int),
-    "grace": (10, is_int),
-    "patience": (60, is_int),
-    "reconfigurations": (0, is_int),
+    "f": (1, at_least(0)),
+    "corrupt": (0, at_least(0)),
+    "grace": (10, at_least(0)),
+    "patience": (60, at_least(0)),
+    "reconfigurations": (0, at_least(0, most=1)),
 }
+
+# The schema's top-level keys; any other is a scenario error.
+_KEYS = {"name", "protocol", "seed", "network", "horizon", "wallets", "deal", "strategies", "cbc"}
 
 
 class _Validated(dict):
@@ -94,6 +97,9 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
     loaded trace's, is taken as it is instead."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
+    unknown = raw.keys() - _KEYS
+    if unknown:
+        raise ScenarioError(f"scenario takes no {sorted(unknown)}")
     sc = _Validated(_copy_json(raw))
     for key in ("protocol", "deal"):
         if key not in sc:
@@ -110,18 +116,9 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
         check_args({**_NETWORK, "explore_from": (None, is_int)}, network)
     except ValueError as exc:
         raise ScenarioError(f"network {exc}") from exc
-    # `NetworkModel` builds its latency menus from these unchecked.
-    if network["delta"] <= 0:
-        raise ScenarioError("delta must be positive")
     menu = network["latency_menu"] or []
-    if min(menu, default=1) < 1:
-        raise ScenarioError("latency_menu options must be at least 1")
     if max(menu, default=0) > network["delta"] and not network["allow_model_violation"]:
         raise ScenarioError("latency_menu exceeds delta without allow_model_violation")
-    if network["pre_gst_cap"] is not None and network["pre_gst_cap"] < 1:
-        raise ScenarioError("pre_gst_cap must be at least 1")
-    if network["skew_max"] < 0:
-        raise ScenarioError("skew_max must not be negative")
     if deal is None:
         try:
             deal = DealSpec.from_json(sc["deal"])
@@ -159,10 +156,8 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
     except ValueError as exc:
         raise ScenarioError(f"cbc {exc}") from exc
     if sc["protocol"] == "cbc":
-        if cbc["f"] < 0 or cbc["corrupt"] > cbc["f"]:
-            raise ScenarioError("need 0 <= corrupt <= f")
-        if cbc["reconfigurations"] not in (0, 1):
-            raise ScenarioError("at most one reconfiguration step is supported")
+        if cbc["corrupt"] > cbc["f"]:
+            raise ScenarioError("need corrupt <= f")
         if CBC_CHAIN in deal.chains():
             raise ScenarioError(f"chain {CBC_CHAIN!r} is the certified log's; no transfer may use it")
     n = len(deal.parties)
@@ -286,8 +281,7 @@ def assemble_world(
     callers running many worlds from one scenario prepare it once.
     """
     run_seed = sc["seed"] if seed is None else seed
-    network = NetworkModel(**sc["network"])
-    world = World(sc, deal, network, run_seed, sc["horizon"], choices)
+    world = World(sc, deal, run_seed, choices)
 
     # Each deal chain's starting balances; the certified chain holds no assets.
     chains = deal.chains()
@@ -301,10 +295,11 @@ def assemble_world(
         for chain_id, token in bundle.tokens:
             wallets[chain_id]["tokens"][token] = party
 
-    skew_rng = random.Random(f"skew-{run_seed}") if network.skew_max else None
+    skew_max = sc["network"]["skew_max"]
+    skew_rng = random.Random(f"skew-{run_seed}") if skew_max else None
     protocol = sc["protocol"]
     for chain_id in chains:
-        skew = skew_rng.randint(0, network.skew_max) if skew_rng else 0
+        skew = skew_rng.randint(0, skew_max) if skew_rng else 0
         contract = EscrowContract(
             chain_id, deal.deal_id, deal.parties, deal.t0, deal.delta, protocol, wallets[chain_id]
         )

@@ -1,11 +1,18 @@
 import pytest
 
-from dealsim.scenario import build_world, bundled_scenarios
+from dealsim.scenario import _NETWORK, build_world, bundled_scenarios
 
 
 @pytest.fixture(scope="session")
 def corpus():
     return bundled_scenarios()
+
+
+def idle_scenario(horizon, **network):
+    """The part of a checked scenario a test-built `World` reads: the
+    declared network defaults, updated by `network`, and `horizon`."""
+    defaults = {key: default for key, (default, _) in _NETWORK.items()}
+    return {"deal": {"parties": []}, "network": {**defaults, **network}, "horizon": horizon}
 
 
 def run_scenario_dict(scenario, seed=None):

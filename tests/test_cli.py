@@ -45,18 +45,59 @@ MISTYPED_PARAMS = {
 }
 
 
-# Scenarios whose timing model or overpayment no run may use, each found at
-# load, and a word of the error it raises.
+def under_cbc(**cbc):
+    """A scenario edit that runs the deal under CBC with `cbc` settings."""
+
+    def edit(sc):
+        sc["protocol"] = "cbc"
+        sc["cbc"].update(cbc)
+
+    return edit
+
+
+# Scenarios whose timing model, overpayment, CBC settings or keys no run may
+# use, each found at load, and a word of the error it raises.
 LOAD_TIME_ERRORS = {
     "overpay-outside-chain": (bind("carol", "overpay", step=2, extra=[["nochain", "coin", 5]]), "nochain"),
     "pre-gst-cap-zero": (
         lambda sc: sc["network"].update(mode="semi-synchronous", gst=30, pre_gst_cap=0), "pre_gst_cap"
     ),
     "skew-negative": (lambda sc: sc["network"].update(skew_max=-2), "skew_max"),
-    "latency-zero": (lambda sc: sc["network"].update(latency_menu=[0, 5]), "at least 1"),
+    "latency-zero": (lambda sc: sc["network"].update(latency_menu=[0, 5]), "latency_menu"),
     "latency-above-delta": (
         lambda sc: sc["network"].update(latency_menu=[1, 9], allow_model_violation=False), "exceeds delta"
     ),
+    "strategies-misspelled": (lambda sc: sc.update(stratgies=sc.pop("strategies")), "stratgies"),
+    "corrupt-negative": (under_cbc(corrupt=-1), "corrupt"),
+    "grace-negative": (under_cbc(grace=-5), "grace"),
+    "patience-negative": (under_cbc(patience=-5), "patience"),
+}
+
+
+def without(key):
+    def edit(sc):
+        del sc[key]
+
+    return edit
+
+
+def first_transfer(**changes):
+    """A scenario edit of the deal's first transfer, bob's tickets to alice."""
+    return lambda sc: sc["deal"]["transfers"][0].update(changes)
+
+
+# Deals whose own checks refuse them, and a word of the refusal.
+MALFORMED_DEALS = {
+    "self-transfer": (first_transfer(to="bob"), "endpoints must differ"),
+    "empty-transfer": (first_transfer(bundle={"fungible": [], "tokens": []}), "non-empty"),
+    "duplicate-party": (lambda sc: sc["deal"]["parties"].append("bob"), "distinct ids"),
+    "no-parties": (lambda sc: sc["deal"].update(parties=[]), "non-empty list"),
+    "endpoint-outsider": (first_transfer(to="mallory"), "endpoint outside plist"),
+    "steps-unordered": (first_transfer(step=9), "step order"),
+    "acceptable-outsider": (
+        lambda sc: sc["deal"].update(extra_acceptable={"mallory": []}), "for unknown party"
+    ),
+    "deal-delta-zero": (lambda sc: sc["deal"].update(delta=0), "delta must be positive"),
 }
 
 
@@ -123,6 +164,13 @@ class TestRunCommand:
             lambda sc: sc["deal"].update(id=7),
             receive_tickets_twice,
             lambda sc: sc.update(seed=True),
+            lambda sc: [sc],
+            without("protocol"),
+            without("deal"),
+            lambda sc: sc["wallets"].update(mallory={"fungible": [], "tokens": []}),
+            lambda sc: sc["strategies"].update(bob="compliant"),
+            lambda sc: sc.update(horizon="200"),
+            *(edit for edit, _ in MALFORMED_DEALS.values()),
             *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
             *(edit for edit, _ in LOAD_TIME_ERRORS.values()),
         ],
@@ -130,13 +178,14 @@ class TestRunCommand:
              "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
              "model-violation-string", "cbc-corupt", "cbc-grace-string", "deal-t0-string",
              "deal-t0-null", "deal-id-int", "token-received-twice", "seed-bool",
-             *MISTYPED_PARAMS, *LOAD_TIME_ERRORS],
+             "not-an-object", "no-protocol", "no-deal", "wallet-unknown-party", "binding-string",
+             "horizon-string", *MALFORMED_DEALS, *MISTYPED_PARAMS, *LOAD_TIME_ERRORS],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
-        edit(scenario)
+        document = edit(scenario)  # an edit changes `scenario` or returns a new document
         path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(scenario))
+        path.write_text(json.dumps(scenario if document is None else document))
         code, out, err = run_cli(capsys, "run", "--scenario", str(path))
         assert code == 2
         assert "scenario error" in err
@@ -181,6 +230,14 @@ class TestRunCommand:
             capsys, "run", "--scenario", "ticket_deal_timelock", "--gas-write", "0", "--gas-sig", "0"
         )
         assert code == 0 and "gas model: write=0 sigver=0" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DEALS))
+    def test_a_malformed_deal_error_names_its_fault(self, case):
+        edit, word = MALFORMED_DEALS[case]
+        scenario = ticket_deal("timelock")
+        edit(scenario)
+        with pytest.raises(ScenarioError, match=f"bad deal: .*{word}"):
+            validate_scenario(scenario)
 
     @pytest.mark.parametrize("case", sorted(MISTYPED_PARAMS))
     def test_mistyped_param_error_names_party_and_param(self, case):

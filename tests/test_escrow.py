@@ -10,11 +10,13 @@ import textwrap
 import pytest
 
 from dealsim.assets import AssetBundle
-from dealsim.cbc import CbcLogContract, ValidatorService
+from dealsim.cbc import CbcError, CbcLogContract, ValidatorService
 from dealsim.crypto import SignatureScheme, Vote, direct_vote
 from dealsim.escrow import EscrowContract, EscrowInvariantError, check_invariants
-from dealsim.ledger import NetworkModel, World
+from dealsim.ledger import World
 from dealsim.timelock import vote_payload
+
+from conftest import idle_scenario
 
 
 PARTIES = ("alice", "bob", "carol")
@@ -227,7 +229,7 @@ class TestDoomedLots:
 
     def test_the_chain_skew_shifts_the_deadline(self, protocol):
         contract = self._active(protocol)
-        world = World({}, None, NetworkModel(), 0, 100)
+        world = World(idle_scenario(100), None, 0)
         world.add_chain("ticket", contract, skew=3)
         world.now = 41
         assert not world.quiescent()
@@ -367,6 +369,88 @@ class TestRecordedStates:
         apply({**settle, "cert": {**cert, "h": "other"}}, "bob", 5, "rejected")
         apply(settle, "bob", 5, "accepted")
         assert contract.state["lots"]["carol"]["resolution"] == "committed"
+
+
+def timelock_lot(scheme):
+    """A timelock contract where bob has escrowed one ticket and holds another."""
+    contract = EscrowContract(
+        "ticket", "deal-1", PARTIES, 30, 5, "timelock", wallets({"tkt1": "bob", "tkt2": "bob"})
+    )
+    contract.apply(escrow_payload("bob", TKT1), "bob", 0, scheme)
+    return contract
+
+
+def cbc_lot(scheme):
+    """A CBC contract where bob has escrowed one ticket, configured with
+    epoch 0 of a one-fault validator service, and holds another."""
+    contract = EscrowContract(
+        "ticket", "deal-1", PARTIES, 30, 5, "cbc", wallets({"tkt1": "bob", "tkt2": "bob"})
+    )
+    contract.apply({**escrow_payload("bob", TKT1), **cbc_config(scheme)}, "bob", 0, scheme)
+    return contract
+
+
+def cbc_config(scheme, **changes):
+    members = ValidatorService(scheme, f=1).members(0)
+    return {"h": "h0", "epoch": 0, "validators": list(members), "f": 1, **changes}
+
+
+def settle(status="committed", epoch=0, reconfig=()):
+    cert = {"deal": "deal-1", "h": "h0", "status": status, "epoch": epoch, "signatures": []}
+    return {"op": "settle", "deal": "deal-1", "lot": "bob", "cert": cert, "reconfig": reconfig}
+
+
+def mallory_vote(scheme):
+    path = direct_vote(scheme, scheme.keypair("mallory"), Vote("deal-1", "mallory", "n"))
+    return vote_payload("bob", path, "deal-1")
+
+
+TKT1 = AssetBundle(tokens=[("ticket", "tkt1")])
+TKT2 = AssetBundle(tokens=[("ticket", "tkt2")])
+UNSIGNED_HOP = {"new_epoch": 1, "new_members": ["v"], "signatures": []}
+
+# Each rejection a contract gives at tick 31: (contract builder, payload or
+# its builder, publisher, reason); the builders take the run's scheme.
+REJECTIONS = {
+    "wrong-deal": (
+        timelock_lot, {**escrow_payload("bob", TKT2), "deal": "deal-2"}, "bob", "wrong-deal"
+    ),
+    "unknown-op": (timelock_lot, {"op": "refund", "deal": "deal-1"}, "bob", "unknown-op"),
+    "escrow-caller": (timelock_lot, escrow_payload("bob", TKT2), "alice", "caller-mismatch"),
+    "transfer-caller": (
+        timelock_lot, transfer_payload("bob", "bob", "alice", TKT1), "alice", "caller-mismatch"
+    ),
+    "empty-escrow": (timelock_lot, escrow_payload("bob", AssetBundle()), "bob", "bad-bundle"),
+    "outsider-vote": (timelock_lot, mallory_vote, "mallory", "unknown-voter"),
+    "second-config": (
+        cbc_lot,
+        lambda scheme: {**escrow_payload("bob", TKT2), **cbc_config(scheme, h="h1")},
+        "bob",
+        "config-mismatch",
+    ),
+    "cbc-commit": (cbc_lot, mallory_vote, "mallory", "wrong-protocol"),
+    "cbc-timeout": (
+        cbc_lot, {"op": "timeout", "deal": "deal-1", "lot": "bob"}, "@timer", "wrong-protocol"
+    ),
+    "undecided-certificate": (cbc_lot, settle(status="undecided"), "alice", "bad-status"),
+    "unsigned-hop": (
+        cbc_lot, settle(epoch=1, reconfig=[UNSIGNED_HOP]), "alice", "reconfig-below-threshold"
+    ),
+    "log-unknown-op": (lambda scheme: CbcLogContract(), {"op": "vote"}, "alice", "unknown-op"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_a_malformed_entry_is_rejected_with_its_reason(case):
+    scheme = SignatureScheme("t")
+    build, payload, publisher, reason = REJECTIONS[case]
+    payload = payload(scheme) if callable(payload) else payload
+    assert build(scheme).apply(payload, publisher, 31, scheme)[:2] == ("rejected", reason)
+
+
+def test_a_service_with_more_than_f_corrupt_validators_is_refused():
+    with pytest.raises(CbcError, match="at most f"):
+        ValidatorService(SignatureScheme("t"), f=1, corrupt=2)
 
 
 class TestInvariantErrors:

@@ -5,13 +5,11 @@ import copy
 import pytest
 
 from dealsim.deals import DealSpec
-from dealsim.ledger import (
-    TIMER_SENDER, NetworkModel, PartyContext, SeededChoices, World,
-)
+from dealsim.ledger import TIMER_SENDER, PartyContext, SeededChoices, World
 from dealsim.scenario import ScenarioError, build_world, ticket_deal
 from dealsim.timelock import refund_deadline
 
-from conftest import run_scenario_dict
+from conftest import idle_scenario, run_scenario_dict
 
 
 class RecordingContract:
@@ -44,8 +42,7 @@ class IdleParty:
 
 
 def tiny_world(delta=5, monitors=("m1", "m2")):
-    network = NetworkModel(delta=delta)
-    world = World({"deal": {"parties": []}}, IDLE_DEAL, network, seed=1, horizon=100)
+    world = World(idle_scenario(100, delta=delta), IDLE_DEAL, seed=1)
     world.add_chain("c", RecordingContract())
     for party in monitors:
         world.add_party(party, IdleParty(), ["c"])
@@ -138,7 +135,7 @@ class TestNetworkModel:
     def test_declared_model_violation_class_is_allowed(self):
         scenario = ticket_deal("timelock")
         scenario["network"].update(latency_menu=[1, 10], allow_model_violation=True)
-        assert build_world(scenario).world.network.sync_menu == [1, 10]
+        assert build_world(scenario).world.sync_menu == [1, 10]
 
     def test_pre_gst_deliveries_clamped_to_gst_plus_delta(self, corpus):
         built, trace = run_scenario_dict(corpus["pre_gst_delay_storm_cbc"])
@@ -165,8 +162,7 @@ class TestNetworkModel:
 
 class TestQuiescence:
     def test_empty_world_produces_empty_trace(self):
-        network = NetworkModel(delta=5)
-        world = World({"deal": {"parties": []}}, IDLE_DEAL, network, seed=1, horizon=50)
+        world = World(idle_scenario(50), IDLE_DEAL, seed=1)
         trace = world.run()
         assert trace.events == []
         assert trace.resolutions == {}
@@ -338,10 +334,7 @@ class TestExplorationSupport:
     def test_party_snapshot_is_reused_until_its_next_event(self):
         logs = {"m1": [], "m2": []}
         choices = SnapshotEveryEvent()
-        world = World(
-            {"deal": {"parties": []}}, IDLE_DEAL, NetworkModel(), seed=1, horizon=100,
-            choices=choices,
-        )
+        world = World(idle_scenario(100), IDLE_DEAL, seed=1, choices=choices)
         world.add_chain("c", RecordingContract())
         for party, log in logs.items():
             world.add_party(party, SnapshotLoggingParty(log), ["c"])

@@ -1,6 +1,5 @@
 """Scenario schema validation, bundled corpus integrity, and planning."""
 
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -10,7 +9,6 @@ import pytest
 from dealsim.adversary import exhaustive_explore
 from dealsim.assets import AssetBundle
 from dealsim.deals import DealSpec, TransferSpec, payoff_of_run
-from dealsim.ledger import NetworkModel
 from dealsim.planning import PlanError, build_plan
 from dealsim.scenario import (
     ScenarioError,
@@ -98,15 +96,9 @@ class TestValidation:
 
     def test_unknown_network_key_rejected(self):
         sc = ticket_deal("timelock")
-        sc["network"]["latency_jitter"] = 2  # not a NetworkModel field
+        sc["network"]["latency_jitter"] = 2  # not a declared network key
         with pytest.raises(ScenarioError, match="latency_jitter"):
             validate_scenario(sc)
-
-    def test_network_declaration_covers_the_network_model(self):
-        sc = ticket_deal("timelock")
-        sc["network"]["explore_from"] = 20  # written only when given
-        network = validate_scenario(sc)["network"]
-        assert network.keys() == {f.name for f in dataclasses.fields(NetworkModel) if f.init}
 
     def test_repeated_wallet_coins_add_up(self):
         sc = ticket_deal("timelock")
