@@ -8,7 +8,6 @@ from dealsim.cbc import (
     CbcLogContract,
     Certificate,
     ValidatorService,
-    cbc_decide,
     verify_certificate,
 )
 from dealsim.costs import meter
@@ -25,10 +24,11 @@ _, _, info = log.apply({"op": "start_deal", "deal": "demo", "plist": ["a", "b", 
 h = info["h"]
 for voter in ("a", "b", "c"):
     log.apply({"op": "commit", "deal": "demo", "h": h, "voter": voter}, voter, 1, None)
-# The log records its decision when the decisive vote lands.
+# The log keeps one record per start ref and advances it by each vote
+# (`Decision.after`, the protocol's one decision rule): the commit that
+# completes the party set decides it.
 decision = log.state["decisions"][h]
 print(f"recorded decision: {decision.status} at ledger position {decision.position}")
-print("  re-deciding from the raw entries agrees:", decision == cbc_decide(log.entries, "demo", h))
 
 cert = service.issue_certificate(log.state, "demo", h)
 print(f"certificate: {cert.status} epoch {cert.epoch}, {len(cert.signatures)} signatures")

@@ -19,6 +19,13 @@ class AssetError(ValueError):
     """Malformed bundle or impossible asset arithmetic."""
 
 
+def _checked_key(chain, name) -> Tuple[str, str]:
+    """(chain, name), once both are known to be strings."""
+    if not isinstance(chain, str) or not isinstance(name, str):
+        raise AssetError(f"chain, kind and token ids must be strings, got {[chain, name]!r}")
+    return chain, name
+
+
 def _checked_amount(key: FungibleKey, amount) -> int:
     """`amount`, once it is known to be a non-negative integer."""
     if not isinstance(amount, int) or isinstance(amount, bool):
@@ -137,9 +144,10 @@ class AssetBundle:
         """The bundle a `to_json()` describes; repeats of a (chain, kind) add up."""
         fungible: Dict[FungibleKey, int] = {}
         for c, k, v in data.get("fungible", []):
+            key = _checked_key(c, k)
             # Each amount is checked on its own before the sum.
-            fungible[(c, k)] = fungible.get((c, k), 0) + _checked_amount((c, k), v)
-        return cls(fungible, [(c, t) for c, t in data.get("tokens", [])])
+            fungible[key] = fungible.get(key, 0) + _checked_amount(key, v)
+        return cls(fungible, [_checked_key(c, t) for c, t in data.get("tokens", [])])
 
     def __eq__(self, other):
         return isinstance(other, AssetBundle) and self.canonical() == other.canonical()

@@ -4,11 +4,14 @@ The shared certified chain (CBC) records startDeal / commit / abort
 entries in a single total order.  A deal commits at the position where the
 last distinct party's commit lands with no abort anywhere before it, and
 aborts at the first abort that lands while some party has still not
-committed.  Validators of the chain attest to a decided status with
-certificates carrying f+1 signatures out of a 3f+1 member set.  The
-log contract's state is its entry list, the chain's balances (always
-empty) and each start ref's decision, which parties and validators read;
-the chain records it after each entry, and no entry mutates it.
+committed.  That rule is written once, as `Decision.after`: the log keeps
+one `Decision` record per start ref (its deal, its party set, the
+members committed so far and the decision) and advances it by each
+accepted vote.  Parties and validators read the record, not the entries.
+Validators of the chain attest to a decided status with certificates
+carrying f+1 signatures out of a 3f+1 member set.  The log contract's
+state is its entry list, the chain's balances (always empty) and the
+records; each entry builds a new state, and none mutates an earlier one.
 """
 
 from __future__ import annotations
@@ -40,65 +43,36 @@ def start_ref(deal_id: str, plist: Sequence[str], position: int) -> str:
     return digest_hex(encode_message("START", deal_id, *plist, str(position)))[:16]
 
 
-def definitive_start(entries: Sequence[dict], deal_id: str, h: str | None = None):
-    """Earliest startDeal entry for the deal (with start ref `h`, if given), or None."""
-    for entry in entries:
-        if (
-            entry["op"] == "start_deal"
-            and entry["deal"] == deal_id
-            and (h is None or entry["h"] == h)
-        ):
-            return entry
-    return None
-
-
 @dataclass(frozen=True)
 class Decision:
-    status: str
-    position: int | None  # position of the decisive vote
+    """One start ref's record in the log: its deal, its party set, and the
+    decision of the votes on it so far."""
 
+    deal: str
+    members: frozenset  # the start's party list
+    status: str = UNDECIDED
+    position: int | None = None  # position of the decisive vote
+    committed: frozenset = frozenset()  # members whose commit landed before any decision
 
-def decide_votes(votes: Sequence[tuple], parties: Sequence[str]) -> tuple:
-    """Decide from an ordered list of (kind, voter) pairs.
+    def after(self, kind: str, voter: str, position: int) -> "Decision":
+        """The record once member `voter`'s `kind` vote lands at `position`.
 
-    Any abort is decisive while some party has yet to commit; the commit
-    completing the party set is decisive if no abort came first.  Votes
-    after the decisive index cannot change the outcome.  Returns
-    (status, decisive index or None).
-    """
-    members = frozenset(parties)
-    needed = len(members)
-    committed = set()
-    for i, (kind, voter) in enumerate(votes):
-        if voter not in members:
-            continue
+        A decided status never changes; an abort decides; the commit that
+        completes `members` decides."""
+        if self.status != UNDECIDED:
+            return self
         if kind == "abort":
-            return (ABORTED, i)
-        committed.add(voter)
-        if len(committed) == needed:
-            return (COMMITTED, i)
-    return (UNDECIDED, None)
-
-
-def cbc_decide(entries: Sequence[dict], deal_id: str, h: str) -> Decision:
-    """Decide a deal's outcome from the shared log, in position order."""
-    start = definitive_start(entries, deal_id, h)
-    if start is None:
-        raise CbcError(f"no startDeal with h={h!r} for deal {deal_id!r}")
-    votes = []
-    positions = []
-    for entry in entries:
-        if entry["op"] in ("commit", "abort") and entry["deal"] == deal_id and entry["h"] == h:
-            votes.append((entry["op"], entry["voter"]))
-            positions.append(entry["position"])
-    status, index = decide_votes(votes, start["plist"])
-    return Decision(status, positions[index] if index is not None else None)
+            return Decision(self.deal, self.members, ABORTED, position, self.committed)
+        committed = self.committed | {voter}
+        if committed == self.members:
+            return Decision(self.deal, self.members, COMMITTED, position, committed)
+        return Decision(self.deal, self.members, UNDECIDED, None, committed)
 
 
 class CbcLogContract:
     """The shared chain's deal registry: validates and orders vote entries.
     Its `state` holds the `entries`, the chain's empty `wallets` and the
-    `decisions` (start ref -> `Decision` of the entries so far); an
+    `decisions` (start ref -> `Decision` record, in start order); an
     accepted entry builds a new state."""
 
     def __init__(self):
@@ -121,14 +95,16 @@ class CbcLogContract:
                 "position": position,
                 "h": start_ref(payload["deal"], payload["plist"], position),
             }
-            decisions = {**self.state["decisions"], entry["h"]: Decision(UNDECIDED, None)}
+            record = Decision(entry["deal"], frozenset(entry["plist"]))
+            decisions = {**self.state["decisions"], entry["h"]: record}
             self.state = {**self.state, "entries": [*self.entries, entry], "decisions": decisions}
             return "accepted", None, {"h": entry["h"], "position": position}
         if op in ("commit", "abort"):
-            start = definitive_start(self.entries, payload["deal"], payload["h"])
-            if start is None:
+            h = payload["h"]
+            record = self.state["decisions"].get(h)
+            if record is None or record.deal != payload["deal"]:
                 return "rejected", "unknown-start", {}
-            if payload["voter"] not in start["plist"]:
+            if payload["voter"] not in record.members:
                 return "rejected", "unknown-voter", {}
             if publisher != payload["voter"]:
                 return "rejected", "voter-mismatch", {}
@@ -136,22 +112,12 @@ class CbcLogContract:
             entry = {
                 "op": op,
                 "deal": payload["deal"],
-                "h": payload["h"],
+                "h": h,
                 "voter": payload["voter"],
                 "position": position,
             }
-            entries = [*self.entries, entry]
-            decisions = self.state["decisions"]
-            h = entry["h"]
-            # A decided status never changes.  An undecided one has only
-            # commits before this vote (a member's abort is decisive), so
-            # this vote decides it if it aborts or completes the commits.
-            if decisions[h].status == UNDECIDED:
-                committed = {e["voter"] for e in entries if e["op"] == "commit" and e["h"] == h}
-                if op == "abort" or committed >= set(start["plist"]):
-                    status = ABORTED if op == "abort" else COMMITTED
-                    decisions = {**decisions, h: Decision(status, position)}
-            self.state = {**self.state, "entries": entries, "decisions": decisions}
+            decisions = {**self.state["decisions"], h: record.after(op, entry["voter"], position)}
+            self.state = {**self.state, "entries": [*self.entries, entry], "decisions": decisions}
             return "accepted", None, {"position": position}
         return "rejected", "unknown-op", {}
 
@@ -360,9 +326,10 @@ class ValidatorService:
     def issue_certificate(self, log_state: dict, deal_id: str, h: str) -> Certificate:
         """Certify the status a `CbcLogContract` state records for the
         deal's start ref `h`; an unknown or undecided one cannot be certified."""
-        if definitive_start(log_state["entries"], deal_id, h) is None:
+        record = log_state["decisions"].get(h)
+        if record is None or record.deal != deal_id:
             raise CbcError(f"no startDeal with h={h!r} for deal {deal_id!r}")
-        status = log_state["decisions"][h].status
+        status = record.status
         if status == UNDECIDED:
             raise CbcError(f"deal {deal_id!r} is undecided; no certificate")
         msg = certificate_message(deal_id, h, status, self.epoch)

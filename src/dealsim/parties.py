@@ -48,7 +48,6 @@ from .cbc import (
     COMMITTED,
     UNDECIDED,
     Certificate,
-    definitive_start,
 )
 from .crypto import (
     PathSignature,
@@ -448,6 +447,10 @@ class CbcParty(CompliantParty):
     protocols = ("cbc",)
     state = {"h": None, "vote_sent": None, "settled": set()}
 
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.members = frozenset(deal.parties)
+
     def on_start(self, ctx):
         ctx.wake_at(self.cfg.patience, "patience")
         if self.deal.parties[0] == self.me:
@@ -457,10 +460,12 @@ class CbcParty(CompliantParty):
             )
 
     def ready_to_escrow(self, ctx) -> bool:
+        # Adopt the earliest start listing exactly the deal's parties: under
+        # a start that leaves a party out, the others could commit without it.
         if self.h is None:
-            start = definitive_start(ctx.view(CBC_CHAIN)["entries"], self.deal.deal_id)
-            if start is not None:
-                self.h = start["h"]
+            records = ctx.view(CBC_CHAIN)["decisions"].items()
+            mine = (h for h, r in records if r.deal == self.deal.deal_id and r.members == self.members)
+            self.h = next(mine, None)
         return self.h is not None
 
     def escrow_extras(self) -> dict:

@@ -122,7 +122,7 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
     if deal is None:
         try:
             deal = DealSpec.from_json(sc["deal"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad deal: {exc}") from exc
     sc.deal = deal
     if deal.delta != network["delta"]:
@@ -140,7 +140,7 @@ def validate_scenario(raw: dict, deal: Optional[DealSpec] = None) -> dict:
         if not isinstance(binding, dict) or not isinstance(binding.get("params", {}), dict):
             raise ScenarioError(f"strategy for {party!r} must be an object with object params")
         name = binding.get("name", "compliant")
-        if name not in STRATEGIES:
+        if not isinstance(name, str) or name not in STRATEGIES:
             raise ScenarioError(f"unknown strategy {name!r}")
         try:
             check_args({**PARTY_OPTIONS, **STRATEGIES[name].params}, binding.get("params", {}))

@@ -12,7 +12,7 @@ import pytest
 
 from dealsim.adversary import ExplorationBound, exhaustive_explore, random_campaign
 from dealsim.assets import AssetBundle, Payoff
-from dealsim.cbc import ABORTED, COMMITTED, UNDECIDED, decide_votes
+from dealsim.cbc import ABORTED, COMMITTED, UNDECIDED, Decision
 from dealsim.costs import meter
 from dealsim.deals import payoff_of_run
 from dealsim.properties import (
@@ -348,39 +348,42 @@ def test_c09_decide_matches_prefix_oracle_exhaustively():
                     return (ABORTED, a)
         return (UNDECIDED, None)
 
-    def check(votes, decided, parties, members, actions):
+    def check(votes, record, decided, members, actions):
         """Check `votes` and each of its extensions up to length 8, depth
         first on the one list; return how many logs were checked.
 
+        `record` is the log's record after `votes`: its parent's, advanced
+        by `Decision.after` with the last vote at its index as position.
         `decided` is the oracle's answer at the nearest deciding prefix,
         if there is one.  The oracle returns at that prefix and reads
         nothing after it, so its answer holds for the whole subtree.
         """
         expected = decided or decide_oracle(votes, members, len(members))
-        assert decide_votes(votes, parties) == expected
+        assert (record.status, record.position) == expected
         if len(votes) == 8:
             return 1
         if expected[0] != UNDECIDED:
             decided = expected
         count = 1
+        position = len(votes)
         for action in actions:
             votes.append(action)
-            count += check(votes, decided, parties, members, actions)
+            count += check(votes, record.after(*action, position), decided, members, actions)
             votes.pop()
         return count
 
     total = 0
     start = time.perf_counter()
     for n in range(1, 5):
-        parties = tuple(f"p{i}" for i in range(n))
-        actions = [(kind, p) for p in parties for kind in ("commit", "abort")]
-        total += check([], None, parties, set(parties), actions)
+        members = frozenset(f"p{i}" for i in range(n))
+        actions = [(kind, p) for p in sorted(members) for kind in ("commit", "abort")]
+        total += check([], Decision("d", members), None, members, actions)
     elapsed = time.perf_counter() - start
     report(
         9,
         total == 21_277_392,
-        f"{total} vote logs (length <= 8, <= 4 parties) agree with the prefix oracle "
-        f"in {elapsed:.0f}s",
+        f"{total} vote logs (length <= 8, <= 4 parties): the log's record agrees with "
+        f"the prefix oracle in {elapsed:.0f}s",
     )
 
 

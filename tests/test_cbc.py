@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,15 +18,17 @@ from dealsim.cbc import (
     Decision,
     ReconfigHop,
     ValidatorService,
-    cbc_decide,
     check_signature_quorum,
-    decide_votes,
     verify_certificate,
 )
 from dealsim.crypto import SignatureScheme, certificate_message, validator_set_message
 from dealsim.escrow import EscrowContract
 from dealsim.ledger import PartyContext
-from dealsim.scenario import bundled_scenarios, ticket_deal
+from dealsim.parties import STRATEGIES, CbcParty
+from dealsim.properties import evaluate_run
+from dealsim.scenario import (
+    build_world, bundled_scenarios, dual_broker_deal, swap_deal, ticket_deal,
+)
 
 from conftest import run_scenario_dict
 
@@ -66,55 +69,60 @@ def decide_oracle(votes, parties):
 PARTIES3 = ("a", "b", "c")
 
 
+def decide(votes, parties):
+    """(status, position) of a start's record after `votes`, each folded in
+    through `Decision.after` at its index as position."""
+    record = Decision("d", frozenset(parties))
+    for position, (kind, voter) in enumerate(votes):
+        record = record.after(kind, voter, position)
+    return record.status, record.position
+
+
 class TestDecideRule:
     def test_unanimous_commits_decide_at_last_commit(self):
         votes = [("commit", "a"), ("commit", "b"), ("commit", "c")]
-        assert decide_votes(votes, PARTIES3) == (COMMITTED, 2)
+        assert decide(votes, PARTIES3) == (COMMITTED, 2)
 
     def test_any_early_abort_decides(self):
         votes = [("commit", "a"), ("abort", "b")]
-        assert decide_votes(votes, PARTIES3) == (ABORTED, 1)
+        assert decide(votes, PARTIES3) == (ABORTED, 1)
 
     def test_rescinded_commit_counts_as_abort(self):
         votes = [("commit", "a"), ("commit", "b"), ("abort", "a"), ("commit", "c")]
-        assert decide_votes(votes, PARTIES3) == (ABORTED, 2)
+        assert decide(votes, PARTIES3) == (ABORTED, 2)
 
     def test_abort_after_completion_is_too_late(self):
         votes = [("commit", "a"), ("commit", "b"), ("commit", "c"), ("abort", "a")]
-        assert decide_votes(votes, PARTIES3) == (COMMITTED, 2)
+        assert decide(votes, PARTIES3) == (COMMITTED, 2)
 
     def test_matches_oracle_on_short_logs(self):
         parties = ("a", "b", "c")
         actions = [(k, p) for p in parties for k in ("commit", "abort")]
         for length in range(0, 5):
             for votes in itertools.product(actions, repeat=length):
-                assert decide_votes(list(votes), parties) == decide_oracle(list(votes), parties)
-
-    def test_decide_over_log_entries(self):
-        log = CbcLogContract()
-        plist = ["a", "b", "c"]
-        _, _, info = log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
-        h = info["h"]
-        for voter in plist:
-            log.apply({"op": "commit", "deal": "d", "h": h, "voter": voter}, voter, 1, None)
-        decision = cbc_decide(log.entries, "d", h)
-        assert decision.status == COMMITTED
-        assert decision.position == 3  # start entry occupies position 0
-
-    def test_missing_start_raises(self):
-        with pytest.raises(CbcError):
-            cbc_decide([], "d", "nope")
+                assert decide(list(votes), parties) == decide_oracle(list(votes), parties)
 
 
 class TestStartDeal:
-    def test_earliest_duplicate_is_definitive(self):
+    def test_a_party_adopts_the_earliest_start_of_exactly_its_deal_parties(self):
+        built = build_world(ticket_deal("cbc"))
+        party = built.world.controllers["bob"]
+        deal, parties = built.deal.deal_id, list(built.deal.parties)
         log = CbcLogContract()
-        plist = ["a", "b"]
-        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "a", 0, None)
-        log.apply({"op": "start_deal", "deal": "d", "plist": plist}, "b", 1, None)
-        from dealsim.cbc import definitive_start
-
-        assert definitive_start(log.entries, "d")["position"] == 0
+        ctx = SimpleNamespace(view=lambda chain: log.state)
+        assert not party.ready_to_escrow(ctx)
+        starts = [
+            ("other-deal", parties),
+            (deal, parties[:1]),  # leaves parties out
+            (deal, [*parties, "mallory"]),  # lists an outsider
+            (deal, parties[::-1]),  # the deal's parties, in another order
+            (deal, parties),
+        ]
+        refs = [
+            log.apply({"op": "start_deal", "deal": d, "plist": plist}, plist[0], 0, None)[2]["h"]
+            for d, plist in starts
+        ]
+        assert party.ready_to_escrow(ctx) and party.h == refs[3]
 
     def test_reordering_duplicates_changes_resolution_deterministically(self):
         from dealsim.cbc import start_ref
@@ -255,13 +263,23 @@ class TestCertificates:
 
 
 def assert_decisions_recorded(states):
-    """Each log state records, for every start ref in its entries, the
-    decision of those entries, and for no other."""
+    """Each log state holds, in start order, a record for every start ref in
+    its entries, and for no other: the start's deal and party set, and the
+    prefix oracle's decision of the votes on it."""
     for state in states:
         starts = [e for e in state["entries"] if e["op"] == "start_deal"]
-        assert state["decisions"].keys() == {e["h"] for e in starts}
-        for e in starts:
-            assert state["decisions"][e["h"]] == cbc_decide(state["entries"], e["deal"], e["h"])
+        assert list(state["decisions"]) == [e["h"] for e in starts]
+        for start in starts:
+            votes = [e for e in state["entries"] if e["op"] != "start_deal" and e["h"] == start["h"]]
+            status, index = decide_oracle([(e["op"], e["voter"]) for e in votes], start["plist"])
+            decided = votes if index is None else votes[: index + 1]
+            assert state["decisions"][start["h"]] == Decision(
+                start["deal"],
+                frozenset(start["plist"]),
+                status,
+                None if index is None else votes[index]["position"],
+                frozenset(e["voter"] for e in decided if e["op"] == "commit"),
+            )
 
 
 CBC_SCENARIOS = sorted(n for n, sc in bundled_scenarios().items() if sc["protocol"] == "cbc")
@@ -299,19 +317,17 @@ class TestRecordedDecisions:
         apply({"op": "commit", "deal": "d", "h": second, "voter": "a"}, "a", "accepted")
         apply({"op": "abort", "deal": "e", "h": other, "voter": "c"}, "c", "rejected")
 
+        members = frozenset(plist)
         assert log.state["decisions"] == {
-            first: Decision(COMMITTED, 5),  # votes after it change nothing
-            second: Decision(ABORTED, 7),
-            other: Decision(UNDECIDED, None),
+            first: Decision("d", members, COMMITTED, 5, members),  # votes after it change nothing
+            second: Decision("d", members, ABORTED, 7, frozenset()),
+            other: Decision("e", frozenset(["a", "b"]), UNDECIDED, None, frozenset()),
         }
         assert_decisions_recorded([state for state, _ in seen])
         for state, before in seen:
             assert state == before  # no later entry mutated an earlier state
 
-    def test_every_short_vote_sequence_is_decided_without_rescanning_the_log(self, monkeypatch):
-        def rescan(*args):
-            raise AssertionError("apply re-ran cbc_decide over the log")
-
+    def test_every_short_vote_sequence_is_decided_without_rescanning_the_log(self):
         votes = itertools.product(("commit", "abort"), "abc", (0, 1))  # op, voter, start
         for sequence in itertools.product(list(votes), repeat=3):
             log = CbcLogContract()
@@ -320,12 +336,10 @@ class TestRecordedDecisions:
                 start = {"op": "start_deal", "deal": "d", "plist": plist}
                 refs.append(log.apply(start, "a", 0, None)[2]["h"])
             states = [log.state]
-            with monkeypatch.context() as patch:
-                patch.setattr("dealsim.cbc.cbc_decide", rescan)
-                for op, voter, start in sequence:
-                    payload = {"op": op, "deal": "d", "h": refs[start], "voter": voter}
-                    log.apply(payload, voter, 0, None)
-                    states.append(log.state)
+            for op, voter, start in sequence:
+                payload = {"op": op, "deal": "d", "h": refs[start], "voter": voter}
+                log.apply(payload, voter, 0, None)
+                states.append(log.state)
             assert_decisions_recorded(states)
 
     def test_an_unknown_or_undecided_start_ref_has_no_certificate(self):
@@ -472,3 +486,42 @@ def test_no_certificate_once_every_settle_target_is_settled(corpus, name, monkey
     monkeypatch.setattr(PartyContext, "request_certificate", recording)
     run_scenario_dict(corpus[name])
     assert requests and not any(requests)
+
+
+class RogueStart(CbcParty):
+    """The deal's first party starts it once listing only itself, before its
+    real start, and commits under that start as soon as it adopts it."""
+
+    strategy_name = "rogue_start"
+
+    def __init__(self, me, deal, plan, cfg, params):
+        super().__init__(me, deal, plan, cfg, params)
+        self.members = frozenset([me])  # the start it adopts is its own
+
+    def on_start(self, ctx):
+        ctx.publish(CBC_CHAIN, {"op": "start_deal", "deal": self.deal.deal_id, "plist": [self.me]})
+        super().on_start(ctx)
+
+    def ready_to_escrow(self, ctx) -> bool:
+        ready = super().ready_to_escrow(ctx)
+        if ready:
+            self.publish_cbc_vote(ctx, "commit")
+        return ready
+
+
+def test_no_compliant_party_escrows_under_a_start_that_leaves_parties_out(monkeypatch):
+    # Over seeds 0-19 of the swap, ticket and dual-broker CBC deals with the
+    # first party bound to RogueStart, no run fails safety, weak liveness or
+    # agreement: the compliant parties adopt the real start, and the rogue's
+    # lone commit decides only its own start, under which none escrowed.
+    monkeypatch.setitem(STRATEGIES, RogueStart.strategy_name, RogueStart)
+    violating = []
+    for builder in (swap_deal, ticket_deal, dual_broker_deal):
+        for seed in range(20):
+            scenario = builder("cbc", seed=seed)
+            starter = scenario["deal"]["parties"][0]
+            scenario["strategies"][starter] = {"name": RogueStart.strategy_name, "params": {}}
+            _, trace = run_scenario_dict(scenario)
+            if evaluate_run(trace)["failures"]:
+                violating.append((scenario["name"], seed))
+    assert violating == []

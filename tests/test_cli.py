@@ -74,6 +74,38 @@ LOAD_TIME_ERRORS = {
 }
 
 
+def set_at(path, value):
+    """A scenario edit that sets the item at `path`, a list of keys, to `value`."""
+
+    def edit(sc):
+        node = sc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+# Values of the wrong JSON type for a name, a bundle or an object, and a
+# word of the error each raises.
+MISTYPED_VALUES = {
+    "strategy-name-list": (bind_bob([]), "unknown strategy"),
+    "strategy-name-object": (bind_bob({}), "unknown strategy"),
+    "bundle-null": (set_at(["deal", "transfers", 0, "bundle"], None), "bad deal"),
+    "token-chain-null": (set_at(["deal", "transfers", 0, "bundle", "tokens", 0, 0], None), "must be strings"),
+    "token-id-int": (set_at(["deal", "transfers", 0, "bundle", "tokens", 1, 1], 7), "must be strings"),
+    "coin-kind-int": (set_at(["deal", "transfers", 2, "bundle", "fungible", 0, 1], 1), "must be strings"),
+    "extra-acceptable-list": (set_at(["deal", "extra_acceptable"], []), "bad deal"),
+}
+
+
+def mistyped_deal(case):
+    """The ticket deal with the mistyped value of `MISTYPED_VALUES[case]`."""
+    scenario = ticket_deal("timelock")
+    MISTYPED_VALUES[case][0](scenario)
+    return scenario["deal"]
+
+
 def without(key):
     def edit(sc):
         del sc[key]
@@ -173,13 +205,14 @@ class TestRunCommand:
             *(edit for edit, _ in MALFORMED_DEALS.values()),
             *(edit for edit, _, _ in MISTYPED_PARAMS.values()),
             *(edit for edit, _ in LOAD_TIME_ERRORS.values()),
+            *(edit for edit, _ in MISTYPED_VALUES.values()),
         ],
         ids=["network", "cbc", "network-delta", "strategies", "wallet", "undeclared-param",
              "verdict-typo", "altruistic-string", "overpay-no-step", "overpay-no-extra",
              "model-violation-string", "cbc-corupt", "cbc-grace-string", "deal-t0-string",
              "deal-t0-null", "deal-id-int", "token-received-twice", "seed-bool",
              "not-an-object", "no-protocol", "no-deal", "wallet-unknown-party", "binding-string",
-             "horizon-string", *MALFORMED_DEALS, *MISTYPED_PARAMS, *LOAD_TIME_ERRORS],
+             "horizon-string", *MALFORMED_DEALS, *MISTYPED_PARAMS, *LOAD_TIME_ERRORS, *MISTYPED_VALUES],
     )
     def test_malformed_section_is_a_parse_error(self, tmp_path, capsys, edit):
         scenario = ticket_deal("timelock")
@@ -250,9 +283,9 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "mode", [[], ["--runs", "3"], ["--explore"]], ids=["run", "campaign", "explore"]
     )
-    @pytest.mark.parametrize("case", sorted(LOAD_TIME_ERRORS))
+    @pytest.mark.parametrize("case", sorted({**LOAD_TIME_ERRORS, **MISTYPED_VALUES}))
     def test_a_model_no_run_may_use_is_a_parse_error(self, tmp_path, capsys, mode, case):
-        edit, word = LOAD_TIME_ERRORS[case]
+        edit, word = {**LOAD_TIME_ERRORS, **MISTYPED_VALUES}[case]
         scenario = ticket_deal("timelock")
         edit(scenario)
         path = tmp_path / "violation.json"
@@ -615,8 +648,10 @@ class TestTraceAndReplay:
             ("network", {"delta": 5, "latency_jitter": 2}),
             ("wallets", {"carol": {"fungible": [["nochain", "coin", 150]], "tokens": []}}),
             ("deal", {"id": "ticket-deal", "parties": []}),
+            ("strategies", {"bob": {"name": [], "params": {}}}),
+            ("deal", mistyped_deal("token-chain-null")),
         ],
-        ids=["protocol", "network-key", "infeasible", "deal"],
+        ids=["protocol", "network-key", "infeasible", "deal", "strategy-name-list", "token-chain-null"],
     )
     def test_replay_of_invalid_embedded_scenario_is_parse_error(
         self, tmp_path, capsys, field, value

@@ -1,5 +1,6 @@
 """Scenario schema validation, bundled corpus integrity, and planning."""
 
+import copy
 import hashlib
 import json
 import pathlib
@@ -106,6 +107,32 @@ class TestValidation:
         _, _, holdings, plan = prepare(sc)
         assert holdings["carol"].amount("coin", "coin") == 157
         assert plan.lots()
+
+    @pytest.mark.parametrize("name", ["ticket_deal_cbc", "virus_alice_timelock"])
+    def test_any_value_at_any_field_is_built_or_a_scenario_error(self, corpus, name):
+        # Small values only: a huge pre_gst_cap builds a huge latency menu.
+        values = [None, True, 0, -1, 7, "", "x", [], [1], ["x"], {}, {"a": 1}, 1.5]
+
+        def paths(node, prefix=()):
+            if isinstance(node, (dict, list)):
+                items = node.items() if isinstance(node, dict) else enumerate(node)
+            else:
+                items = ()
+            for key, item in items:
+                yield prefix + (key,)
+                yield from paths(item, prefix + (key,))
+
+        for *parents, key in paths(corpus[name]):
+            for value in values:
+                scenario = copy.deepcopy(corpus[name])
+                node = scenario
+                for parent in parents:
+                    node = node[parent]
+                node[key] = value
+                try:
+                    build_world(scenario)
+                except ScenarioError:
+                    pass
 
 
 class TestBundledCorpus:
