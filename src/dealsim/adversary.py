@@ -191,7 +191,9 @@ def exhaustive_explore(
 
     A visited key is the state key of a boundary, or the quiescent key of
     a run's first quiescent boundary, that an earlier run reached past its
-    tape (see `TapeChoices`).  A run that reaches a visited key past its
+    tape (see `TapeChoices`).  It is a flat tuple of ids from the world's
+    `component_ids` table, which holds each key component once and lives
+    and goes with `known`.  A run that reaches a visited key past its
     tape stops there unjudged, but counts in `runs`.  A pick past the tape
     is a branch point unless its boundary's key was visited, and a
     branch's own resume boundary is never pruned.  The key fixes what the

@@ -141,6 +141,8 @@ class DealSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "DealSpec":
+        if type(data["parties"]) is not list:
+            raise DealError(f"deal parties must be a list, got {data['parties']!r}")
         names = [data["id"], *data["parties"]]
         if not all(isinstance(name, str) for name in names):
             raise DealError(f"deal id and parties must be strings, got {names!r}")

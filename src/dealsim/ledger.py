@@ -19,9 +19,13 @@ controller work.  Once the world is quiescent (`World.quiescent`), no
 choice can change any lot's resolution, its tick, or a wallet, and the
 explorer stops branching.  A run keys each boundary it reaches: by its
 state key, or, at its first quiescent boundary, by the contract states
-and late refunds.  A run that reaches a boundary some earlier run went on
-from stops there (`KnownContinuation`), untraced: the explorer has
-already judged that state.
+and late refunds.  A key is a flat tuple of small ints: each component
+(the pending events, a chain's or a party's entry, a CBC world's judged
+past) is interned once, when it is made, in the world's `component_ids`
+table (collapse compression, as in SPIN), so keys share their components
+instead of copying them.  A run that reaches a boundary some earlier run
+went on from stops there (`KnownContinuation`), untraced: the explorer
+has already judged that state.
 """
 
 from __future__ import annotations
@@ -79,11 +83,13 @@ class TapeChoices:
     exhaustive explorer resumes the branch from.  Once the world is
     quiescent, no choice can change any lot's resolution, its tick, or a
     wallet, so there is no snapshot and no branch point: the run finishes
-    on first options.  Its first quiescent boundary is keyed by each
-    chain's contract state key, which fixes every final resolution, its
-    tick and every balance, with `World.late_refunds`: a doomed lot refunds
-    at its deadline plus the chain's skew, or, if it opened after that
-    deadline, at once, a tick no contract state holds.
+    on first options.  Its first quiescent boundary is keyed by the id of
+    each chain's contract state key, which fixes every final resolution,
+    its tick and every balance, with that of `World.late_refunds`: a
+    doomed lot refunds at its deadline plus the chain's skew, or, if it
+    opened after that deadline, at once, a tick no contract state holds.
+    The ids come from the world's `component_ids`, so keys compare only
+    within one world's table.
 
     `known` maps visited boundary keys to the picks the run that went on
     from each made before quiescence, from that boundary on (0 for a
@@ -130,8 +136,9 @@ class TapeChoices:
         if world.quiescent():
             self._quiescent = True
             # Tagged: a state key starts with a tick.
-            contracts = tuple(chain.snapshot()[1] for chain in world.chains.values())
-            key = ("quiescent", contracts, world.late_refunds())
+            ids = world.component_ids
+            contracts = (chain.snapshot(ids)[1] for chain in world.chains.values())
+            key = ("quiescent", *contracts, intern(ids, world.late_refunds()))
         else:
             snap = world.snapshot()
             key = world.state_key(snap)
@@ -160,6 +167,12 @@ class TapeChoices:
 
     def chosen_prefix(self, upto: int) -> List[int]:
         return [entry[2] for entry in self.log[:upto]]
+
+
+def intern(ids: dict, component) -> int:
+    """`component`'s id in the table `ids`: its insertion index, so two
+    components of one table share an id exactly when they are equal."""
+    return ids.setdefault(component, len(ids))
 
 
 def wallets_json(view: dict) -> dict:
@@ -200,12 +213,18 @@ class Chain:
         self.views.append(self.contract.state)
         return seq, status, reason, info
 
-    def snapshot(self) -> tuple:
-        # A chain changes only by `append`, so one snapshot serves every
-        # event boundary and state key until the next entry.  The contract's
-        # key serves only the state key: its state is the recorded view.
+    def snapshot(self, ids: dict) -> tuple:
+        """The chain's length, the id of its contract's state key, and the
+        id of the two, each id from the table `ids` (see `intern`).
+
+        A chain changes only by `append`, so one snapshot serves every
+        event boundary and state key until the next entry, and its key is
+        interned once.  The ids serve only the keys: the contract's state
+        is the recorded view."""
         if self._snapshot is None:
-            self._snapshot = (len(self.views), self.contract.state_key())
+            length = len(self.views)
+            contract = intern(ids, self.contract.state_key())
+            self._snapshot = (length, contract, intern(ids, (length, contract)))
         return self._snapshot
 
     def restore(self, snap: tuple):
@@ -302,9 +321,12 @@ class World:
         # (reserved seq, monitor, chain, entry seq) of each notify the current
         # event's publishes owe; its send phase draws their latencies.
         self._sends: List[tuple] = []
-        # party -> (frontier items, controller snapshot), valid until the
-        # next event delivered to that party; see `snapshot`.
+        # party -> ((frontier items, controller snapshot), its id), valid
+        # until the next event delivered to that party; see `snapshot`.
         self._party_snaps: Dict[str, tuple] = {}
+        # Each key component -> its id (see `intern`); filled only by
+        # `snapshot` and `state_key`, so it lives as long as an exploration.
+        self.component_ids: Dict[object, int] = {}
         self.scheme = SignatureScheme.for_run(seed)
 
     # -- construction --------------------------------------------------------
@@ -504,35 +526,51 @@ class World:
     # -- exploration support ----------------------------------------------------
 
     def state_key(self, snap: Optional[tuple] = None) -> tuple:
-        """The key of a boundary snapshot (by default, one taken now).
+        """The key of a boundary snapshot (by default, one taken now):
+        `(tick, pending id, *chain ids, *party ids, past id or None)`.
 
         At an event start: the tick its next event runs at, which is all the
         loop reads of its tick; its pending events in pop order without
         their push counter, since every later push outranks them all; its
-        chain and party entries.  At a send phase the tick is `now`, and
-        each pending event also holds how many queued sends were published
-        before it: a notify pops before a pending event of the same due
-        exactly when it was published first, so that count and the sends in
-        publish order fix how ties pop under every latency.
+        chain and party entries.  At a send phase the tick is `now`, each
+        pending event also holds how many queued sends were published
+        before it, and the pending events are interned with the sends in
+        publish order: a notify pops before a pending event of the same due
+        exactly when it was published first, so that count and the sends
+        fix how ties pop under every latency.
 
         The state fixes the rest of the run, but a CBC run's judges also
         read two facts of its past that no state holds, so a world with a
         certified log adds them (`properties.judged_past`): the last accepted
         vote's tick and every certificate published so far.
+
+        Each part but the tick is an id from `component_ids`.  The chain and
+        party ids were interned when the snapshot built their entries, so
+        only the pending events (and a CBC world's past) are hashed here.
+        Two keys of one table are equal exactly when their components are.
         """
         now, heap, n_events, chains, parties, sends = snap or self.snapshot()
-        cbc = CBC_CHAIN in self.chains
-        past = canonical_json(judged_past(self.trace_events[:n_events])) if cbc else None
+        ids = self.component_ids
+        past = None
+        if CBC_CHAIN in self.chains:
+            past = intern(ids, canonical_json(judged_past(self.trace_events[:n_events])))
         pending = sorted(heap)
         if sends:
             counters = [send[0] for send in sends]
             pending = tuple(
                 (due, kind, data, bisect.bisect(counters, seq)) for due, seq, kind, data in pending
             )
-            return now, pending, tuple(send[1:] for send in sends), chains, parties, past
-        tick = max(now, pending[0][0]) if pending else now
-        pending = tuple((due, kind, data) for due, _, kind, data in pending)
-        return tick, pending, (), chains, parties, past
+            tick, events = now, (pending, tuple(send[1:] for send in sends))
+        else:
+            tick = max(now, pending[0][0]) if pending else now
+            events = tuple((due, kind, data) for due, _, kind, data in pending)
+        return (
+            tick,
+            intern(ids, events),
+            *(chain[2] for chain in chains),
+            *(party[1] for party in parties),
+            past,
+        )
 
     def late_refunds(self) -> tuple:
         """`now` and the lots of the pending refund timers past due, which
@@ -545,22 +583,25 @@ class World:
         party's entry and the queued sends at an event start or a send
         phase, for `restore`.
 
-        Chain and party entries are frozen values that the state key shares.
-        Only the party an event is delivered to changes its controller or
-        its frontier, so each party's entry serves every boundary until its
-        next event, as a chain's snapshot does until its next entry.  A
+        Chain and party entries are frozen values, each interned in
+        `component_ids` when it is built and carrying its id for the state
+        key.  Only the party an event is delivered to changes its controller
+        or its frontier, so each party's entry serves every boundary until
+        its next event, as a chain's snapshot does until its next entry.  A
         frontier never gains a chain after `add_party`, so its items keep
         one order.
         """
+        ids = self.component_ids
         parties = self._party_snaps
         for party, controller in self.controllers.items():
             if party not in parties:
-                parties[party] = tuple(self.frontiers[party].items()), controller.snapshot()
+                entry = tuple(self.frontiers[party].items()), controller.snapshot()
+                parties[party] = entry, intern(ids, entry)
         return (
             self.now,
             list(self._heap),
             len(self.trace_events),
-            tuple(chain.snapshot() for chain in self.chains.values()),
+            tuple(chain.snapshot(ids) for chain in self.chains.values()),
             tuple(parties[party] for party in self.controllers),
             tuple(self._sends),
         )
@@ -579,7 +620,7 @@ class World:
         for (party, controller), entry in zip(self.controllers.items(), parties):
             if cached.get(party) is entry:
                 continue  # no event delivered to `party` since `entry`
-            frontier, controller_snap = entry
+            (frontier, controller_snap), _ = entry
             self.frontiers[party] = dict(frontier)
             controller.restore(controller_snap)
             cached[party] = entry

@@ -9,6 +9,7 @@ import itertools
 import json
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -530,18 +531,36 @@ class TestSuffixResumption:
         # The boundaries a run reaches past its tape are made visited.  A
         # run that replays a tape through a choosing event's start runs on;
         # one whose tape ends just before it stops there, with the key's
-        # count (0) added.  An event start's state key holds no queued sends.
+        # count (0) added.  An event start's state key holds no queued sends:
+        # its pending id names the pending events alone, the first of them
+        # led by its due tick.  The later worlds share the first one's table,
+        # so its keys are theirs.
         scenario = corpus["explore_swap_timelock"]
         first = TapeChoices([])
-        trace = build_world(scenario, choices=first).world.run()
-        key, depth = next((key, depth) for key, depth in first.keys if depth and key[2] == ())
+        world = build_world(scenario, choices=first).world
+        trace = world.run()
+        components = list(world.component_ids)  # in id order
+
+        def at_event_start(key):
+            if key[0] == "quiescent":
+                return False
+            first_pending = components[key[1]][0]  # a send phase's pending events may be none
+            return bool(first_pending) and type(first_pending[0]) is int
+
+        key, depth = next((key, depth) for key, depth in first.keys if depth and at_event_start(key))
+
+        def run_on_the_first_table(choices):
+            later = build_world(scenario, choices=choices).world
+            later.component_ids = world.component_ids
+            return later.run()
+
         tape = first.chosen_prefix(len(first.log))
         assert depth < len(tape)
         replayed = TapeChoices(tape, {key: 0})
-        assert build_world(scenario, choices=replayed).world.run().digest() == trace.digest()
+        assert run_on_the_first_table(replayed).digest() == trace.digest()
         past_its_tape = TapeChoices(tape[:depth], {key: 0})
         with pytest.raises(KnownContinuation):
-            build_world(scenario, choices=past_its_tape).world.run()
+            run_on_the_first_table(past_its_tape)
         assert (past_its_tape.pos, past_its_tape.depth) == (depth, depth)
 
     @pytest.mark.parametrize(
@@ -757,6 +776,66 @@ class TestSuffixResumption:
         )
         assert result.complete and 0 < len(counts) < result.runs
         assert max(counts) <= keep + 1
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "explore_swap_timelock",
+            "explore_swap_naive",
+            "explore_ticket_allcompliant",
+            "explore_cycle3_timelock",
+            "cbc_swap",
+        ],
+    )
+    def test_a_visited_key_holds_ids_not_components(self, corpus, monkeypatch, name):
+        # Each key component is interned once in the world's table, so a
+        # visited key is flat: a tick or the quiescent tag, then ids (and
+        # None for a world without a certified log).  A component copied
+        # into a key would show here as a tuple or a string.
+        if name == "cbc_swap":
+            scenario = swap_deal("cbc")
+            scenario["network"].update({"mode": "semi-synchronous", "gst": 30, "pre_gst_cap": 2})
+        else:
+            scenario = corpus[name]
+        made = []
+
+        def recorded(tape, known=()):
+            made.append(TapeChoices(tape, known))
+            return made[-1]
+
+        monkeypatch.setattr(adversary, "TapeChoices", recorded)
+        assert exhaustive_explore(scenario, ExplorationBound()).complete
+        known = made[-1].known
+        quiescent = sum(key[0] == "quiescent" for key in known)
+        # A CBC world is never quiescent.
+        assert len(known) > quiescent and bool(quiescent) == (name != "cbc_swap")
+        for key in known:
+            assert key[0] == "quiescent" or type(key[0]) is int
+            assert all(type(part) is int or part is None for part in key[1:]), key
+
+    def test_the_world_and_its_table_go_with_the_exploration(self, corpus, monkeypatch):
+        # The components the visited keys name live in the world's table,
+        # which the search's world alone holds: neither outlives the search.
+        class Table(dict):
+            """A dict that takes weak references."""
+
+        refs, sizes = [], []
+
+        def recorded(scenario, seed=None, choices=None):
+            built = build_world(scenario, seed, choices)
+            built.world.component_ids = Table()
+            refs.extend((weakref.ref(built.world), weakref.ref(built.world.component_ids)))
+            return built
+
+        def evaluate(trace):
+            sizes.append(len(refs[1]()))
+            return properties.evaluate_run(trace)["failures"]
+
+        monkeypatch.setattr(adversary, "build_world", recorded)
+        result = exhaustive_explore(corpus["explore_swap_naive"], ExplorationBound(), evaluate)
+        assert result.verdict == "VIOLATION" and result.witness_traces and sizes[-1] > 0
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     @pytest.mark.parametrize("name, outcomes, digest, violating", SWAP_OUTCOMES)
     def test_outcome_sets_are_unchanged_by_state_merging(

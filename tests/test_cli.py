@@ -86,9 +86,20 @@ def set_at(path, value):
     return edit
 
 
+def parties_as_a_string(sc):
+    """The ticket deal with its parties renamed a, b and c and listed as
+    the string "abc", which would otherwise read as those three names."""
+    text = json.dumps(sc)
+    for name in ("alice", "bob", "carol"):
+        text = text.replace(f'"{name}"', f'"{name[0]}"')
+    sc.update(json.loads(text))
+    sc["deal"]["parties"] = "abc"
+
+
 # Values of the wrong JSON type for a name, a bundle or an object, and a
 # word of the error each raises.
 MISTYPED_VALUES = {
+    "parties-string": (parties_as_a_string, "must be a list"),
     "strategy-name-list": (bind_bob([]), "unknown strategy"),
     "strategy-name-object": (bind_bob({}), "unknown strategy"),
     "bundle-null": (set_at(["deal", "transfers", 0, "bundle"], None), "bad deal"),

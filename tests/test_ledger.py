@@ -247,8 +247,12 @@ class TestExplorationSupport:
 
     @staticmethod
     def two_worlds():
+        # State keys hold ids from their world's table, so two worlds'
+        # keys compare only when the worlds share one.
         scenario = ticket_deal("timelock")
-        return build_world(scenario).world, build_world(scenario).world
+        a, b = build_world(scenario).world, build_world(scenario).world
+        b.component_ids = a.component_ids
+        return a, b
 
     def test_state_key_ignores_the_push_order_of_pending_events(self):
         a, b = self.two_worlds()
@@ -301,6 +305,16 @@ class TestExplorationSupport:
         assert a.resolutions() == {"coin/carol": ("aborted", deadline)}
         assert b.resolutions() == {"coin/carol": ("aborted", deadline + 1)}
         assert a.state_key() != b.state_key()
+
+    def test_a_run_that_takes_no_snapshot_interns_nothing(self):
+        # Campaign and replay worlds never snapshot, so their key table
+        # stays empty.  A snapshot interns each chain's contract key and
+        # (length, contract id) entry, and each party's entry.
+        world = build_world(ticket_deal("timelock")).world
+        world.run()
+        assert world.component_ids == {}
+        world.snapshot()
+        assert len(world.component_ids) == 2 * len(world.chains) + len(world.controllers)
 
     def test_quiescence_is_read_afresh_after_a_restore(self):
         world = build_world(ticket_deal("timelock")).world
